@@ -121,7 +121,7 @@ Result<TrainingOutcome> Coordinator::run() {
     // Local training — every client trains from ω_t at the round-t lr.
     // Eligible rounds go through the batched ModelBank path (bit-identical
     // to the serial loop below); the serial path is the reference and the
-    // fallback for mini-batch / FedProx / momentum / MLP configs and K = 1.
+    // fallback for mini-batch / FedProx / momentum / MLP configs.
     std::vector<LocalTrainResult> updates(selected.size());
     auto train_one = [&](std::size_t i) {
       updates[i] =
@@ -301,7 +301,7 @@ bool Coordinator::train_batched(std::span<const double> global,
                                 std::span<const ClientId> selected,
                                 std::size_t round,
                                 std::vector<LocalTrainResult>& updates) {
-  if (!config_.batched_training || selected.size() < 2) return false;
+  if (!config_.batched_training || selected.empty()) return false;
   const ClientConfig& cfg0 = clients_->client(selected[0]).config();
   for (const ClientId id : selected) {
     const Client& client = clients_->client(id);
@@ -338,7 +338,6 @@ bool Coordinator::train_batched(std::span<const double> global,
     const std::size_t end = k * (b + 1) / banks;
     ml::ModelBank& bank = train_banks_[b];
     bank.configure(cfg0.model.lr_config());
-    bank.set_pack_cache(config_.pack_cache);
     std::vector<ml::ModelBank::Task>& tasks = bank_tasks_[b];
     tasks.resize(end - begin);
     for (std::size_t i = begin; i < end; ++i) {

@@ -61,18 +61,16 @@ struct CoordinatorConfig {
   /// Autosave a TrainingCheckpoint to the registered sink every this many
   /// completed rounds (0 = off).
   std::size_t checkpoint_every = 0;
-  /// Batched multi-model local training: eligible rounds (K > 1 logistic-
-  /// regression clients on the full-batch FedAvg path) train through
-  /// ml::ModelBank — packed batched SIMD kernels, one arena per worker —
-  /// instead of one Client::train call per model.  Results are bit-identical
-  /// to the serial path for any K and thread count (pinned by
-  /// tests/test_model_bank.cpp); disable to force the per-client reference.
+  /// Batched multi-model local training: eligible rounds (logistic-
+  /// regression clients on the full-batch FedAvg path, any K) train
+  /// through ml::ModelBank — whole-batch SIMD epoch kernels, one bank per
+  /// worker — instead of one Client::train call per model.  Results are
+  /// bit-identical to the serial path for any K and thread count (pinned
+  /// by tests/test_model_bank.cpp); disable to force the per-client
+  /// reference.
   bool batched_training = true;
-  /// Reuse packed feature rows across rounds in the batched path (see
-  /// ml::ModelBank::set_pack_cache).  Opt-in: only sound when every
-  /// client's batch storage is immutable and address-stable for the whole
-  /// run — true for the engines whose batches view Population-owned shards
-  /// (the fleet engines turn this on).  Bit-identical either way.
+  /// No-op, kept so existing callers compile (see
+  /// ml::ModelBank::set_pack_cache): the bank no longer packs feature rows.
   bool pack_cache = false;
 };
 

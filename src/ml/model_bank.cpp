@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 #include "ml/activations.h"
+#include "ml/simd.h"
 
 namespace eefei::ml {
 
@@ -20,22 +20,15 @@ void ensure_doubles(AlignedVector& buf, std::size_t n) {
   if (buf.size() < n) buf.resize(n);
 }
 
-template <class T>
-void ensure_items(std::vector<T>& buf, std::size_t n) {
-  if (buf.size() < n) buf.resize(n);
-}
-
 }  // namespace
 
 void ModelBank::configure(const LogisticRegressionConfig& config) {
   assert(config.input_dim > 0 && config.num_classes >= 2);
-  // Packed offsets are k·c in 32 bits (simd::PackedSample).
-  assert(config.input_dim * config.num_classes <=
-         std::numeric_limits<std::uint32_t>::max());
   config_ = config;
   param_count_ = config.input_dim * config.num_classes + config.num_classes;
   param_stride_ = round_up(param_count_, kSlotAlign);
   probs_stride_ = round_up(config.num_classes, kSlotAlign);
+  ensure_doubles(grad_, param_count_);
 }
 
 double ModelBank::penalty(const double* params) const {
@@ -43,107 +36,6 @@ double ModelBank::penalty(const double* params) const {
   double sq = 0.0;
   for (std::size_t i = 0; i < param_count_; ++i) sq += params[i] * params[i];
   return 0.5 * config_.l2_lambda * sq;
-}
-
-void ModelBank::prepare_round(std::span<Task> tasks) {
-  const std::size_t k = tasks.size();
-  const std::size_t d = config_.input_dim;
-  const std::size_t c = config_.num_classes;
-
-  ensure_items(task_rows_, k);
-
-  if (pack_cache_enabled_) {
-    // Cross-round path: each distinct batch packs ONCE, into an entry that
-    // owns exact-size arenas (built full-size up front, never resized, so
-    // the PackedSample pointers into them stay valid for the bank's
-    // lifetime).  Repeat batches — pooled shards re-selected round after
-    // round — are a hash lookup.
-    for (std::size_t i = 0; i < k; ++i) {
-      const BatchView& batch = tasks[i].batch;
-      assert(batch.valid());
-      assert(batch.feature_dim == d);
-      const std::size_t n = batch.size();
-      const PackKey key{batch.features.data(), n};
-      auto [it, fresh] = pack_cache_.try_emplace(key);
-      CachedPack& entry = it->second;
-      if (fresh) {
-        entry.block_x.resize(n * (d / simd::kLanes) * simd::kLanes);
-        entry.run_off.resize(n * (d / simd::kLanes));
-        entry.run_blocks.resize(n * (d / simd::kLanes));
-        entry.tail_x.resize(n * (d % simd::kLanes));
-        entry.tail_off.resize(n * (d % simd::kLanes));
-        entry.packed.resize(n);
-        std::size_t block_ix = 0;
-        std::size_t run_ix = 0;
-        std::size_t tail_ix = 0;
-        for (std::size_t s = 0; s < n; ++s) {
-          double* bx = entry.block_x.data() + block_ix * simd::kLanes;
-          std::uint32_t* ro = entry.run_off.data() + run_ix;
-          std::uint32_t* rb = entry.run_blocks.data() + run_ix;
-          double* tx = entry.tail_x.data() + tail_ix;
-          std::uint32_t* to = entry.tail_off.data() + tail_ix;
-          const simd::PackedCounts counts = simd::pack_sample(
-              batch.features.data() + s * d, d, c, bx, ro, rb, tx, to);
-          entry.packed[s] = {bx, ro, rb, counts.runs, tx, to, counts.tail};
-          block_ix += counts.blocks;
-          run_ix += counts.runs;
-          tail_ix += counts.tail;
-        }
-      }
-      task_rows_[i] = entry.packed.data();
-    }
-  } else {
-    std::size_t total_samples = 0;
-    for (const Task& t : tasks) {
-      assert(t.batch.valid());
-      assert(t.batch.feature_dim == d);
-      total_samples += t.batch.size();
-    }
-    ensure_doubles(block_x_,
-                   total_samples * (d / simd::kLanes) * simd::kLanes);
-    ensure_items(run_off_, total_samples * (d / simd::kLanes));
-    ensure_items(run_blocks_, total_samples * (d / simd::kLanes));
-    ensure_doubles(tail_x_, total_samples * (d % simd::kLanes));
-    ensure_items(tail_off_, total_samples * (d % simd::kLanes));
-    ensure_items(packed_, total_samples);
-    ensure_items(packed_base_, k);
-
-    // Pack every (task, sample) row once; the E training sweeps plus the
-    // final evaluation all replay these entries.
-    std::size_t sample_ix = 0;
-    std::size_t block_ix = 0;
-    std::size_t run_ix = 0;
-    std::size_t tail_ix = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-      packed_base_[i] = sample_ix;
-      const BatchView& batch = tasks[i].batch;
-      const std::size_t n = batch.size();
-      for (std::size_t s = 0; s < n; ++s, ++sample_ix) {
-        double* bx = block_x_.data() + block_ix * simd::kLanes;
-        std::uint32_t* ro = run_off_.data() + run_ix;
-        std::uint32_t* rb = run_blocks_.data() + run_ix;
-        double* tx = tail_x_.data() + tail_ix;
-        std::uint32_t* to = tail_off_.data() + tail_ix;
-        const simd::PackedCounts counts = simd::pack_sample(
-            batch.features.data() + s * d, d, c, bx, ro, rb, tx, to);
-        packed_[sample_ix] = {bx, ro, rb, counts.runs, tx, to, counts.tail};
-        block_ix += counts.blocks;
-        run_ix += counts.runs;
-        tail_ix += counts.tail;
-      }
-    }
-    for (std::size_t i = 0; i < k; ++i) {
-      task_rows_[i] = packed_.data() + packed_base_[i];
-    }
-  }
-
-  std::size_t max_n = 0;
-  for (const Task& t : tasks) max_n = std::max(max_n, t.batch.size());
-  ensure_doubles(params_, k * param_stride_);
-  ensure_doubles(grads_, k * param_stride_);
-  ensure_doubles(probs_, max_n * probs_stride_);
-  ensure_items(rows_args_, max_n);
-  ensure_items(outer_args_, max_n);
 }
 
 void ModelBank::train(std::span<const double> global, std::span<Task> tasks) {
@@ -155,99 +47,34 @@ void ModelBank::train(std::span<const double> global, std::span<Task> tasks) {
   const std::size_t wc = d * c;  // bias offset within a parameter slot
   const simd::KernelTable& kt = simd::kernels();
 
-  prepare_round(tasks);
-
+  std::size_t max_n = 0;
+  for (const Task& t : tasks) {
+    assert(t.batch.valid());
+    assert(t.batch.feature_dim == d);
+    max_n = std::max(max_n, t.batch.size());
+  }
+  ensure_doubles(params_, k * param_stride_);
+  ensure_doubles(probs_, max_n * probs_stride_);
   for (std::size_t i = 0; i < k; ++i) {
-    double* params = params_.data() + i * param_stride_;
-    std::copy(global.begin(), global.end(), params);
+    std::copy(global.begin(), global.end(), params_.data() + i * param_stride_);
   }
 
-  // Model-major sweep: each model runs its whole local problem before the
-  // next starts, so its parameter/gradient slot stays cache-hot, and each
-  // kernel call batches the model's n samples.  Per epoch the serial
-  // reference's exact sequence — zeroed gradient, ascending-sample
-  // forward/backward, mean + penalty loss, mean-scaled gradient, L2 term,
-  // params −= lr·grad — re-phased per the header's determinism argument.
-  for (std::size_t i = 0; i < k; ++i) {
-    Task& task = tasks[i];
+  double* grad_t = grad_.data();  // grad_t[j·d + kk] ≡ dW[kk·c + j]
+  double* gb = grad_t + wc;
+  double* probs = probs_.data();
+
+  // Forward over every sample at `params`, then the activation (and the
+  // row loss into loss_sum) per row, ascending s.
+  auto forward = [&](const Task& task, const double* params,
+                     double& loss_sum) {
     const std::size_t n = task.batch.size();
-    double* params = params_.data() + i * param_stride_;
-    double* grad = grads_.data() + i * param_stride_;
-    double* gb = grad + wc;
-    const simd::PackedSample* rows = task_rows_[i];
-
-    // Kernel argument batches are invariant across this task's epochs —
-    // every epoch touches the same packed rows, parameter slot, gradient
-    // slot and activation rows — so they are built once per task.
     for (std::size_t s = 0; s < n; ++s) {
-      double* row = probs_.data() + s * probs_stride_;
-      rows_args_[s].x = rows[s];
-      rows_args_[s].w = params;
-      rows_args_[s].acc = row;
-      outer_args_[s].x = rows[s];
-      outer_args_[s].err = row;
-      outer_args_[s].out = grad;
+      std::copy(params + wc, params + wc + c, probs + s * probs_stride_);
     }
-
-    for (std::size_t e = 0; e < task.epochs; ++e) {
-      std::fill(grad, grad + param_count_, 0.0);
-      double loss_sum = 0.0;
-
-      // Forward phase: bias copy + batched packed accumulate_rows over
-      // every sample of this model.
-      for (std::size_t s = 0; s < n; ++s) {
-        double* row = probs_.data() + s * probs_stride_;
-        for (std::size_t j = 0; j < c; ++j) row[j] = params[wc + j];
-      }
-      kt.accumulate_rows_batched(rows_args_.data(), n, c);
-
-      // Scalar phase: activation, row loss, error signal, ascending s.
-      for (std::size_t s = 0; s < n; ++s) {
-        double* row = probs_.data() + s * probs_stride_;
-        std::span<double> row_span(row, c);
-        if (config_.activation == Activation::kSoftmax) {
-          softmax_inplace(row_span);
-        } else {
-          sigmoid_inplace(row_span);
-        }
-        const int label = task.batch.labels[s];
-        lr_accumulate_row_loss(config_.activation, row, label, c, loss_sum);
-        row[static_cast<std::size_t>(label)] -= 1.0;  // p − y
-      }
-
-      // Backward phase: all samples accumulate into this model's gradient
-      // in argument (= ascending sample) order, then the bias rows.
-      kt.accumulate_outer_batched(outer_args_.data(), n, c);
-      for (std::size_t s = 0; s < n; ++s) {
-        const double* row = probs_.data() + s * probs_stride_;
-        for (std::size_t j = 0; j < c; ++j) gb[j] += row[j];
-      }
-
-      const double loss = loss_sum / static_cast<double>(n) + penalty(params);
-      if (e == 0) task.initial_loss = loss;
-      const double inv_n = 1.0 / static_cast<double>(n);
-      for (std::size_t p = 0; p < param_count_; ++p) grad[p] *= inv_n;
-      if (config_.l2_lambda > 0.0) {
-        for (std::size_t p = 0; p < param_count_; ++p) {
-          grad[p] += config_.l2_lambda * params[p];
-        }
-      }
-      const double lr = task.learning_rate;
-      for (std::size_t p = 0; p < param_count_; ++p) {
-        params[p] -= lr * grad[p];
-      }
-    }
-
-    // Final evaluation at the trained parameters — the serial client's
-    // model->evaluate(view) — replaying the same packed rows.
-    double loss_sum = 0.0;
+    kt.accumulate_rows_tiled(task.batch.features.data(), n, d, c, params,
+                             probs, probs_stride_);
     for (std::size_t s = 0; s < n; ++s) {
-      double* row = probs_.data() + s * probs_stride_;
-      for (std::size_t j = 0; j < c; ++j) row[j] = params[wc + j];
-    }
-    kt.accumulate_rows_batched(rows_args_.data(), n, c);
-    for (std::size_t s = 0; s < n; ++s) {
-      double* row = probs_.data() + s * probs_stride_;
+      double* row = probs + s * probs_stride_;
       std::span<double> row_span(row, c);
       if (config_.activation == Activation::kSoftmax) {
         softmax_inplace(row_span);
@@ -257,8 +84,61 @@ void ModelBank::train(std::span<const double> global, std::span<Task> tasks) {
       lr_accumulate_row_loss(config_.activation, row, task.batch.labels[s], c,
                              loss_sum);
     }
-    task.final_loss =
-        loss_sum / static_cast<double>(n) + penalty(params);
+  };
+
+  // Model-major sweep: each model runs its whole local problem before the
+  // next starts, so its parameter slot and the gradient stay cache-hot.
+  // Per epoch the serial reference's exact sequence — zeroed gradient,
+  // ascending-sample forward/backward, mean + penalty loss, mean-scaled
+  // gradient, L2 term, params −= lr·grad — re-phased per the header's
+  // determinism argument.
+  for (std::size_t i = 0; i < k; ++i) {
+    Task& task = tasks[i];
+    const std::size_t n = task.batch.size();
+    const double* x = task.batch.features.data();
+    double* params = params_.data() + i * param_stride_;
+    const double inv_n = 1.0 / static_cast<double>(n);
+
+    for (std::size_t e = 0; e < task.epochs; ++e) {
+      std::fill(grad_t, grad_t + param_count_, 0.0);
+      double loss_sum = 0.0;
+      forward(task, params, loss_sum);
+      for (std::size_t s = 0; s < n; ++s) {
+        probs[s * probs_stride_ +
+              static_cast<std::size_t>(task.batch.labels[s])] -= 1.0;  // p − y
+      }
+
+      // Backward: every sample into the transposed weight gradient, then
+      // the bias rows, each ascending in s.
+      kt.accumulate_outer_transposed(x, n, d, c, probs, probs_stride_,
+                                     grad_t);
+      for (std::size_t s = 0; s < n; ++s) {
+        const double* row = probs + s * probs_stride_;
+        for (std::size_t j = 0; j < c; ++j) gb[j] += row[j];
+      }
+
+      const double loss = loss_sum / static_cast<double>(n) + penalty(params);
+      if (e == 0) task.initial_loss = loss;
+      const double lambda = config_.l2_lambda;
+      const double lr = task.learning_rate;
+      auto step = [&](std::size_t p, double g) {
+        g *= inv_n;
+        if (lambda > 0.0) g += lambda * params[p];
+        params[p] -= lr * g;
+      };
+      for (std::size_t kk = 0; kk < d; ++kk) {
+        for (std::size_t j = 0; j < c; ++j) {
+          step(kk * c + j, grad_t[j * d + kk]);
+        }
+      }
+      for (std::size_t j = 0; j < c; ++j) step(wc + j, gb[j]);
+    }
+
+    // Final evaluation at the trained parameters — the serial client's
+    // model->evaluate(view).
+    double loss_sum = 0.0;
+    forward(task, params, loss_sum);
+    task.final_loss = loss_sum / static_cast<double>(n) + penalty(params);
     if (task.epochs == 0) task.initial_loss = task.final_loss;
   }
 }

@@ -1,13 +1,17 @@
 // Batched multi-model trainer for the fleet hot loop.  A ModelBank stacks
-// K logistic-regression models' parameters, gradients and per-row
-// activations in one 64-byte-aligned arena and runs every forward/backward
-// pass through the batched kernel-table entries (ml/simd.h).  Models are
+// K logistic-regression models' parameters in one 64-byte-aligned arena
+// and runs every epoch's forward/backward pass through the whole-batch
+// kernel-table entries (ml/simd.h), which read the batch's row-major
+// features in place — nothing is packed or copied per round.  Models are
 // swept in order (model-major, so one model's ~d·c weights and gradient
-// stay cache-hot across its whole epoch, exactly like the serial client)
-// while the batch axis of each kernel call is the model's samples: one
-// indirect dispatch per epoch phase covers all n packed rows.  Feature
-// rows are packed once per round (pack_sample) so the inner loops are
-// branch-free replays of exactly the blocks the plain kernels would visit.
+// stay cache-hot across its whole local problem, exactly like the serial
+// client) while the batch axis of each kernel call is the model's samples:
+//
+//   - forward: accumulate_rows_tiled over all n rows, 4 samples per tile
+//     sharing each weight-block load;
+//   - backward: accumulate_outer_transposed into a c×d transposed gradient
+//     whose register-resident blocks see every sample before being stored;
+//     the update step reads it back transposed, once per epoch.
 //
 // Determinism contract: train() is memcmp-equal to running the serial
 // reference — fl::Client::train's full-batch path over
@@ -24,8 +28,11 @@
 //     accumulator (loss_sum, weight gradient, bias gradient) is touched by
 //     exactly one phase and receives the identical additive sequence in
 //     the identical order, and the forward reads parameters that no phase
-//     writes, so the bits cannot move.  The packed kernels are
-//     bit-identical to the plain ones by construction (simd.h).
+//     writes, so the bits cannot move.  The whole-batch kernels give every
+//     accumulator the plain kernels' sequence (simd.h), and the transposed
+//     gradient is read back by exact copies.
+//   - The update is the serial element sequence g·(1/n), + λ·w, w −= lr·g,
+//     fused per element — no step reads another element's result.
 //   - The round-constant learning rate lr0 · decay^t matches the serial
 //     client's SgdOptimizer schedule because pow(1.0, n) == 1.0 exactly.
 //
@@ -35,16 +42,11 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <functional>
 #include <span>
-#include <unordered_map>
-#include <vector>
 
 #include "ml/aligned.h"
 #include "ml/logistic_regression.h"
 #include "ml/model.h"
-#include "ml/simd.h"
 
 namespace eefei::ml {
 
@@ -63,17 +65,9 @@ class ModelBank {
   /// changing shapes regrows the arenas.
   void configure(const LogisticRegressionConfig& config);
 
-  /// Opt-in reuse of packed feature rows ACROSS rounds, keyed by the
-  /// batch's (features pointer, size).  Only sound when the caller
-  /// guarantees every batch's feature storage is immutable and
-  /// address-stable for the bank's lifetime — true for the fleet engines,
-  /// whose batches view Population-owned shards.  Packing is deterministic
-  /// and the kernels only read the packed values, so a cache hit replays
-  /// the identical blocks and results stay bit-identical; the only change
-  /// is that repeat batches (pooled shards re-selected round after round)
-  /// skip the O(n·d) re-pack.  Entries own exact-size arenas built once,
-  /// so their PackedSample pointers never dangle.
-  void set_pack_cache(bool enabled) { pack_cache_enabled_ = enabled; }
+  /// No-op, kept so existing callers compile: feature rows are read in
+  /// place, so there is no packed copy left to cache across rounds.
+  void set_pack_cache(bool /*enabled*/) {}
 
   /// Trains every task from the shared `global` parameters ([W | b],
   /// length parameter_count()) and fills the per-task loss outputs.
@@ -91,10 +85,6 @@ class ModelBank {
   }
 
  private:
-  /// Packs every task's feature rows into the arenas (one entry list per
-  /// (task, sample)) and sizes the per-model parameter/gradient slots.
-  void prepare_round(std::span<Task> tasks);
-
   [[nodiscard]] double penalty(const double* params) const;
 
   LogisticRegressionConfig config_;
@@ -102,51 +92,12 @@ class ModelBank {
   std::size_t param_stride_ = 0;  // slot stride, 64-byte multiple
   std::size_t probs_stride_ = 0;
 
-  // Per-model parameter/gradient slots (K × param_stride_) and per-sample
-  // activation rows of the model currently in flight (max_n × probs_stride_).
+  // Per-model parameter slots (K × param_stride_), then the scratch of the
+  // model in flight: its gradient [transposed W (c × d) | bias (c)] and its
+  // per-sample activation rows (max_n × probs_stride_).
   AlignedVector params_;
-  AlignedVector grads_;
+  AlignedVector grad_;
   AlignedVector probs_;
-
-  // Packed-sample arenas shared by all tasks (pointees of packed_).
-  AlignedVector block_x_;
-  std::vector<std::uint32_t> run_off_;
-  std::vector<std::uint32_t> run_blocks_;
-  AlignedVector tail_x_;
-  std::vector<std::uint32_t> tail_off_;
-  std::vector<simd::PackedSample> packed_;  // per (task, sample)
-  std::vector<std::size_t> packed_base_;    // first packed_ index per task
-
-  // Cross-round pack cache (see set_pack_cache).  Each entry owns its own
-  // exact-size arenas; map rehash moves the vectors but not their heap
-  // buffers, so the PackedSample pointers stay valid.
-  struct PackKey {
-    const double* features = nullptr;
-    std::size_t n = 0;
-    bool operator==(const PackKey&) const = default;
-  };
-  struct PackKeyHash {
-    std::size_t operator()(const PackKey& k) const {
-      return std::hash<const double*>{}(k.features) ^ (k.n * 0x9e3779b97f4a7c15ULL);
-    }
-  };
-  struct CachedPack {
-    AlignedVector block_x;
-    std::vector<std::uint32_t> run_off;
-    std::vector<std::uint32_t> run_blocks;
-    AlignedVector tail_x;
-    std::vector<std::uint32_t> tail_off;
-    std::vector<simd::PackedSample> packed;
-  };
-  bool pack_cache_enabled_ = false;
-  std::unordered_map<PackKey, CachedPack, PackKeyHash> pack_cache_;
-  // Per-task packed-row pointers for the round in flight (into packed_ or
-  // into cache entries).
-  std::vector<const simd::PackedSample*> task_rows_;
-
-  // Kernel argument batches: one entry per sample of the model in flight.
-  std::vector<simd::RowsBatchArg> rows_args_;
-  std::vector<simd::OuterBatchArg> outer_args_;
 };
 
 }  // namespace eefei::ml

@@ -19,7 +19,11 @@
 //     the compiler cannot contract a*b+c behind our back.
 //   - Identical tails and sparse-skips.  Row blocking (k in groups of 4
 //     with the all-zero block skip) and the scalar column tail match the
-//     pre-SIMD kernels expression-for-expression.
+//     pre-SIMD kernels expression-for-expression.  A 4-block is dead iff
+//     every element compares == 0.0 (so −0.0 is dead and NaN is live); a
+//     d%4 tail row is dead iff its element does.  The whole-batch entries
+//     (accumulate_rows_tiled / accumulate_outer_transposed) test the same
+//     predicate inline, per sample, and skip exactly the same set.
 //
 // Consequence: the SIMD path is bit-identical to the scalar path, which is
 // bit-identical to the pre-SIMD kernels — golden fingerprints never move
@@ -34,7 +38,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string_view>
 
 namespace eefei::ml::simd {
@@ -46,72 +49,6 @@ inline constexpr std::size_t kLanes = 4;
 enum class Isa { kScalar, kSse2, kAvx2, kAvx512, kNeon };
 
 [[nodiscard]] std::string_view isa_name(Isa isa);
-
-// ---------------------------------------------------------------------------
-// Packed samples and the batched multi-model kernel arguments.
-//
-// accumulate_rows/accumulate_outer spend a measurable share of their time
-// re-testing the all-zero 4-block predicate on every pass over a feature
-// row, even though a training round sweeps the same fixed rows E+1 times.
-// pack_sample() hoists that work out of the hot loop: it records the live
-// 4-aligned blocks as *runs* — maximal stretches of consecutive live
-// blocks, stored as the element offset k·c of the run's first weight row
-// plus the run's block count, with the kLanes x-values of every live block
-// laid out contiguously — and the live d%4 tail rows, once, in ascending-k
-// order.  The batched kernels then replay exactly the blocks the plain
-// kernels would have visited — same skip set, same order, same per-column
-// expression tree — but inside a run they advance the weight pointer
-// linearly (no per-block offset lookup), so dense rows run at full plain-
-// kernel speed while the indirection cost is paid only once per run.  One
-// call amortizes the indirect dispatch over m independent (sample, model)
-// problems instead of one call per model.
-// ---------------------------------------------------------------------------
-
-/// One example's features in packed live-run form (see pack_sample).
-/// Offsets are element offsets into the weight block (k·c), stored 32-bit:
-/// packing asserts d·c fits.
-struct PackedSample {
-  const double* block_x = nullptr;           // kLanes x-values per live block
-  const std::uint32_t* run_off = nullptr;    // k·c of each run's first block
-  const std::uint32_t* run_blocks = nullptr; // live 4-blocks per run
-  std::size_t num_runs = 0;
-  const double* tail_x = nullptr;            // live rows of the d%4 tail
-  const std::uint32_t* tail_off = nullptr;   // k·c per live tail row
-  std::size_t num_tail = 0;
-};
-
-/// One forward problem of a batched call: acc[j] += Σ_k x[k] · w[k·c + j].
-struct RowsBatchArg {
-  PackedSample x;
-  const double* w = nullptr;
-  double* acc = nullptr;
-};
-
-/// One backward problem of a batched call: out[k·c + j] += x[k] · err[j].
-struct OuterBatchArg {
-  PackedSample x;
-  const double* err = nullptr;
-  double* out = nullptr;
-};
-
-struct PackedCounts {
-  std::size_t blocks = 0;
-  std::size_t runs = 0;
-  std::size_t tail = 0;
-};
-
-/// Packs one feature row for the batched kernels.  Writes at most d/kLanes
-/// block entries (kLanes doubles each into block_x), at most d/kLanes run
-/// entries (run_off/run_blocks), and d%kLanes tail entries into the
-/// caller's buffers, returning the counts.  The live set and order are
-/// exactly the plain kernels' traversal: 4-aligned blocks with at least
-/// one nonzero element, then nonzero tail rows, both ascending in k —
-/// which is what makes a packed replay bit-identical to the unpacked
-/// kernels.  Consecutive live blocks coalesce into one run.
-PackedCounts pack_sample(const double* x, std::size_t d, std::size_t c,
-                         double* block_x, std::uint32_t* run_off,
-                         std::uint32_t* run_blocks, double* tail_x,
-                         std::uint32_t* tail_off);
 
 /// The dispatched kernel set.  All function pointers are non-null.
 struct KernelTable {
@@ -129,15 +66,29 @@ struct KernelTable {
   void (*scale)(double* y, std::size_t n, double s);
   /// y[i] += alpha · x[i]
   void (*axpy)(double* y, const double* x, std::size_t n, double alpha);
-  /// m independent packed forward problems per call (see RowsBatchArg);
-  /// bit-identical to m sequential accumulate_rows calls on the unpacked
-  /// rows.  All problems share the column count c.
-  void (*accumulate_rows_batched)(const RowsBatchArg* args, std::size_t m,
-                                  std::size_t c);
-  /// m independent packed outer-product problems per call; bit-identical
-  /// to m sequential accumulate_outer calls on the unpacked rows.
-  void (*accumulate_outer_batched)(const OuterBatchArg* args, std::size_t m,
-                                   std::size_t c);
+  /// Whole-batch forward: for every sample s < n of the row-major batch x
+  /// (n rows of d features),
+  ///   acc[s·acc_stride + j] += Σ_k x[s·d + k] · w[k·c + j].
+  /// Bit-identical to n sequential accumulate_rows calls.  Samples are
+  /// tiled (4 per tile) so each live 4×c weight block is loaded once per
+  /// tile instead of once per sample; every accumulator still receives its
+  /// own canonical block chain in ascending k, and a block skips for a
+  /// sample exactly when accumulate_rows would skip it.
+  void (*accumulate_rows_tiled)(const double* x, std::size_t n, std::size_t d,
+                                std::size_t c, const double* w, double* acc,
+                                std::size_t acc_stride);
+  /// Whole-batch backward into a TRANSPOSED gradient gt (c rows of d):
+  ///   gt[j·d + k] += x[s·d + k] · err[s·err_stride + j],  s ascending.
+  /// Element gt[j·d + k] receives exactly the sequence that out[k·c + j]
+  /// receives from n sequential accumulate_outer calls — one mul and one
+  /// add per live (s, k), the same skip set — so after the exact transpose
+  /// the bits match.  The transposed layout lets the kernel vectorize over
+  /// k and hold a block of the accumulator in registers across the whole
+  /// sample sweep.
+  void (*accumulate_outer_transposed)(const double* x, std::size_t n,
+                                      std::size_t d, std::size_t c,
+                                      const double* err,
+                                      std::size_t err_stride, double* gt);
   Isa isa = Isa::kScalar;
 };
 

@@ -17,8 +17,8 @@ constexpr KernelTable kAvx2Table{
     &sub_impl<Avx2Backend>,
     &scale_impl<Avx2Backend>,
     &axpy_impl<Avx2Backend>,
-    &accumulate_rows_batched_vec_impl<Avx2Backend>,
-    &accumulate_outer_batched_vec_impl<Avx2Backend>,
+    &accumulate_rows_tiled_impl<Avx2Backend>,
+    &accumulate_outer_transposed_impl<Avx2Backend>,
     Isa::kAvx2};
 }  // namespace
 

@@ -19,15 +19,15 @@ namespace {
 // which makes it both the EEFEI_SIMD=OFF fallback and the honest perf
 // reference for bench_micro's speedup_vs_scalar.  Vector backends regroup
 // the column loop into Vec/Half/scalar tails (same per-element op order,
-// so same bits).
+// so same bits).  The whole-batch entries have one body for every table.
 constexpr KernelTable kScalarTable{&accumulate_rows_impl<ScalarBackend>,
                                    &accumulate_outer_impl<ScalarBackend>,
                                    &add_impl<ScalarBackend>,
                                    &sub_impl<ScalarBackend>,
                                    &scale_impl<ScalarBackend>,
                                    &axpy_impl<ScalarBackend>,
-                                   &accumulate_rows_batched_impl<ScalarBackend>,
-                                   &accumulate_outer_batched_impl<ScalarBackend>,
+                                   &accumulate_rows_tiled_impl<ScalarBackend>,
+                                   &accumulate_outer_transposed_impl<ScalarBackend>,
                                    Isa::kScalar};
 
 template <class B>
@@ -38,8 +38,8 @@ constexpr KernelTable make_vector_table(Isa isa) {
                      &sub_impl<B>,
                      &scale_impl<B>,
                      &axpy_impl<B>,
-                     &accumulate_rows_batched_vec_impl<B>,
-                     &accumulate_outer_batched_vec_impl<B>,
+                     &accumulate_rows_tiled_impl<B>,
+                     &accumulate_outer_transposed_impl<B>,
                      isa};
 }
 
@@ -106,49 +106,6 @@ const KernelTable& detect() {
 }
 
 }  // namespace
-
-PackedCounts pack_sample(const double* x, std::size_t d, std::size_t c,
-                         double* block_x, std::uint32_t* run_off,
-                         std::uint32_t* run_blocks, double* tail_x,
-                         std::uint32_t* tail_off) {
-  // Offsets are k·c in 32 bits; every shape in this codebase is far below
-  // the limit, and packing is the single place the narrowing happens.
-  PackedCounts counts;
-  std::size_t k = 0;
-  bool in_run = false;
-  for (; k + 4 <= d; k += 4) {
-    const double x0 = x[k];
-    const double x1 = x[k + 1];
-    const double x2 = x[k + 2];
-    const double x3 = x[k + 3];
-    if (x0 == 0.0 && x1 == 0.0 && x2 == 0.0 && x3 == 0.0) {
-      in_run = false;
-      continue;
-    }
-    double* dst = block_x + counts.blocks * kLanes;
-    dst[0] = x0;
-    dst[1] = x1;
-    dst[2] = x2;
-    dst[3] = x3;
-    ++counts.blocks;
-    if (in_run) {
-      ++run_blocks[counts.runs - 1];
-    } else {
-      run_off[counts.runs] = static_cast<std::uint32_t>(k * c);
-      run_blocks[counts.runs] = 1;
-      ++counts.runs;
-      in_run = true;
-    }
-  }
-  for (; k < d; ++k) {
-    const double xv = x[k];
-    if (xv == 0.0) continue;
-    tail_x[counts.tail] = xv;
-    tail_off[counts.tail] = static_cast<std::uint32_t>(k * c);
-    ++counts.tail;
-  }
-  return counts;
-}
 
 const KernelTable& kernels() {
   static const KernelTable& table = detect();

@@ -14,7 +14,9 @@
 //   - column tails (c % 4) run the same scalar expression.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <utility>
 
 #include "ml/simd.h"
 
@@ -392,259 +394,190 @@ void accumulate_outer_impl(const double* x, std::size_t d, std::size_t c,
 }
 
 // ---------------------------------------------------------------------------
-// Batched kernels over packed samples.  Each arg replays the plain kernel's
-// traversal exactly — pack_sample records the live blocks/tail rows in the
-// same ascending-k order the unpacked bodies visit, so per column the adds
-// land with the identical expression tree and the bits match.  The win is
-// structural: no per-block zero test, sequential x reads, and one indirect
-// call per batch of m problems instead of one per model.  Live blocks are
-// stored as runs: inside a run the weight pointer advances linearly by
-// kLanes·c (no offset lookup), which keeps dense feature rows — the common
-// case on small rendered digits — at full plain-kernel speed.
+// Whole-batch epoch kernels.  Both read the batch's row-major features in
+// place and test each sample's blocks inline with the plain kernels'
+// predicate, so they skip exactly the blocks the plain kernels skip.
 // ---------------------------------------------------------------------------
 
-/// Batched accumulate_rows, plain shape (the scalar table): per problem the
-/// body of accumulate_rows_impl with the k-scan replaced by packed entries.
-template <class B>
-void accumulate_rows_batched_impl(const RowsBatchArg* args, std::size_t m,
-                                  std::size_t c) {
-  for (std::size_t a = 0; a < m; ++a) {
-    const PackedSample& p = args[a].x;
-    const double* w = args[a].w;
-    double* acc = args[a].acc;
-    const double* xb = p.block_x;
-    for (std::size_t r = 0; r < p.num_runs; ++r) {
-      const double* w0 = w + p.run_off[r];
-      for (std::uint32_t b = p.run_blocks[r]; b != 0;
-           --b, xb += kLanes, w0 += kLanes * c) {
-        const double x0 = xb[0];
-        const double x1 = xb[1];
-        const double x2 = xb[2];
-        const double x3 = xb[3];
-        const double* w1 = w0 + c;
-        const double* w2 = w1 + c;
-        const double* w3 = w2 + c;
-        const auto vx0 = B::broadcast(x0);
-        const auto vx1 = B::broadcast(x1);
-        const auto vx2 = B::broadcast(x2);
-        const auto vx3 = B::broadcast(x3);
-        std::size_t j = 0;
-        for (; j + 4 <= c; j += 4) {
-          auto t = B::mul(vx0, B::loadu(w0 + j));
-          t = B::add(t, B::mul(vx1, B::loadu(w1 + j)));
-          t = B::add(t, B::mul(vx2, B::loadu(w2 + j)));
-          t = B::add(t, B::mul(vx3, B::loadu(w3 + j)));
-          B::storeu(acc + j, B::add(B::loadu(acc + j), t));
-        }
-        for (; j < c; ++j) {
-          acc[j] += x0 * w0[j] + x1 * w1[j] + x2 * w2[j] + x3 * w3[j];
-        }
-      }
-    }
-    for (std::size_t t = 0; t < p.num_tail; ++t) {
-      const double xv = p.tail_x[t];
-      const double* wrow = w + p.tail_off[t];
-      const auto vx = B::broadcast(xv);
-      std::size_t j = 0;
-      for (; j + 4 <= c; j += 4) {
-        B::storeu(acc + j,
-                  B::add(B::loadu(acc + j), B::mul(vx, B::loadu(wrow + j))));
-      }
-      for (; j < c; ++j) acc[j] += xv * wrow[j];
-    }
-  }
+/// True when the 4-block x[0..3] is live: not every element == 0.0
+/// (−0.0 is dead, NaN is live — the plain kernels' skip predicate).  The
+/// four compares are combined without short-circuit branches: on noisy
+/// rows whether a pixel is exactly 0 is a coin flip.
+inline bool block_live(const double* x) {
+  return static_cast<bool>(static_cast<int>(x[0] != 0.0) |
+                           static_cast<int>(x[1] != 0.0) |
+                           static_cast<int>(x[2] != 0.0) |
+                           static_cast<int>(x[3] != 0.0));
 }
 
-/// Batched accumulate_rows for the vector backends: the Half column tail of
-/// accumulate_rows_vec_impl, over packed entries.
+/// Samples per forward tile: each live weight block is loaded once per
+/// tile and applied to every live sample of it.
+inline constexpr std::size_t kRowsTile = 4;
+
+/// accumulate_rows_tiled, 4-lane body.  Per sample and column the updates
+/// are the accumulate_rows_vec_impl ones — the same t-tree per live block
+/// in ascending k, the same Vec/Half/scalar column split, then one
+/// mul+add per live tail row — only interleaved with the tile's other
+/// samples, whose accumulators are disjoint.
 template <class B>
-void accumulate_rows_batched_vec_impl(const RowsBatchArg* args, std::size_t m,
-                                      std::size_t c) {
-  for (std::size_t a = 0; a < m; ++a) {
-    const PackedSample& p = args[a].x;
-    const double* w = args[a].w;
-    double* acc = args[a].acc;
-    const double* xb = p.block_x;
-    for (std::size_t r = 0; r < p.num_runs; ++r) {
-      const double* w0 = w + p.run_off[r];
-      for (std::uint32_t b = p.run_blocks[r]; b != 0;
-           --b, xb += kLanes, w0 += kLanes * c) {
-        const double x0 = xb[0];
-        const double x1 = xb[1];
-        const double x2 = xb[2];
-        const double x3 = xb[3];
-        const double* w1 = w0 + c;
-        const double* w2 = w1 + c;
-        const double* w3 = w2 + c;
-        const auto vx0 = B::broadcast(x0);
-        const auto vx1 = B::broadcast(x1);
-        const auto vx2 = B::broadcast(x2);
-        const auto vx3 = B::broadcast(x3);
-        std::size_t j = 0;
-        for (; j + 4 <= c; j += 4) {
-          auto t = B::mul(vx0, B::loadu(w0 + j));
-          t = B::add(t, B::mul(vx1, B::loadu(w1 + j)));
-          t = B::add(t, B::mul(vx2, B::loadu(w2 + j)));
-          t = B::add(t, B::mul(vx3, B::loadu(w3 + j)));
-          B::storeu(acc + j, B::add(B::loadu(acc + j), t));
-        }
-        if (j + 2 <= c) {
-          auto t = B::mulh(B::broadcasth(x0), B::loadh(w0 + j));
-          t = B::addh(t, B::mulh(B::broadcasth(x1), B::loadh(w1 + j)));
-          t = B::addh(t, B::mulh(B::broadcasth(x2), B::loadh(w2 + j)));
-          t = B::addh(t, B::mulh(B::broadcasth(x3), B::loadh(w3 + j)));
-          B::storeh(acc + j, B::addh(B::loadh(acc + j), t));
-          j += 2;
-        }
-        for (; j < c; ++j) {
-          acc[j] += x0 * w0[j] + x1 * w1[j] + x2 * w2[j] + x3 * w3[j];
-        }
-      }
+void accumulate_rows_tiled_impl(const double* x, std::size_t n, std::size_t d,
+                                std::size_t c, const double* w, double* acc,
+                                std::size_t acc_stride) {
+  const std::size_t d_blocked = d - d % 4;
+  for (std::size_t s0 = 0; s0 < n; s0 += kRowsTile) {
+    const std::size_t m = n - s0 < kRowsTile ? n - s0 : kRowsTile;
+    const double* xs[kRowsTile];
+    double* as[kRowsTile];
+    for (std::size_t i = 0; i < m; ++i) {
+      xs[i] = x + (s0 + i) * d;
+      as[i] = acc + (s0 + i) * acc_stride;
     }
-    for (std::size_t t = 0; t < p.num_tail; ++t) {
-      const double xv = p.tail_x[t];
-      const double* wrow = w + p.tail_off[t];
-      const auto vx = B::broadcast(xv);
+    for (std::size_t k = 0; k < d_blocked; k += 4) {
+      std::size_t live[kRowsTile];  // indices of the tile's live samples
+      std::size_t nlive = 0;
+      for (std::size_t i = 0; i < m; ++i) {
+        live[nlive] = i;
+        nlive += block_live(xs[i] + k) ? 1 : 0;
+      }
+      if (nlive == 0) continue;
+      const double* w0 = w + k * c;
+      const double* w1 = w0 + c;
+      const double* w2 = w1 + c;
+      const double* w3 = w2 + c;
       std::size_t j = 0;
       for (; j + 4 <= c; j += 4) {
-        B::storeu(acc + j,
-                  B::add(B::loadu(acc + j), B::mul(vx, B::loadu(wrow + j))));
+        const auto v0 = B::loadu(w0 + j);
+        const auto v1 = B::loadu(w1 + j);
+        const auto v2 = B::loadu(w2 + j);
+        const auto v3 = B::loadu(w3 + j);
+        for (std::size_t l = 0; l < nlive; ++l) {
+          const double* xk = xs[live[l]] + k;
+          double* a = as[live[l]] + j;
+          auto t = B::mul(B::broadcast(xk[0]), v0);
+          t = B::add(t, B::mul(B::broadcast(xk[1]), v1));
+          t = B::add(t, B::mul(B::broadcast(xk[2]), v2));
+          t = B::add(t, B::mul(B::broadcast(xk[3]), v3));
+          B::storeu(a, B::add(B::loadu(a), t));
+        }
       }
       if (j + 2 <= c) {
-        const auto hx = B::broadcasth(xv);
-        B::storeh(acc + j,
-                  B::addh(B::loadh(acc + j), B::mulh(hx, B::loadh(wrow + j))));
+        const auto v0 = B::loadh(w0 + j);
+        const auto v1 = B::loadh(w1 + j);
+        const auto v2 = B::loadh(w2 + j);
+        const auto v3 = B::loadh(w3 + j);
+        for (std::size_t l = 0; l < nlive; ++l) {
+          const double* xk = xs[live[l]] + k;
+          double* a = as[live[l]] + j;
+          auto t = B::mulh(B::broadcasth(xk[0]), v0);
+          t = B::addh(t, B::mulh(B::broadcasth(xk[1]), v1));
+          t = B::addh(t, B::mulh(B::broadcasth(xk[2]), v2));
+          t = B::addh(t, B::mulh(B::broadcasth(xk[3]), v3));
+          B::storeh(a, B::addh(B::loadh(a), t));
+        }
         j += 2;
       }
-      for (; j < c; ++j) acc[j] += xv * wrow[j];
-    }
-  }
-}
-
-/// Batched accumulate_outer, plain shape (the scalar table).
-template <class B>
-void accumulate_outer_batched_impl(const OuterBatchArg* args, std::size_t m,
-                                   std::size_t c) {
-  for (std::size_t a = 0; a < m; ++a) {
-    const PackedSample& p = args[a].x;
-    const double* err = args[a].err;
-    double* out = args[a].out;
-    const double* xb = p.block_x;
-    for (std::size_t r = 0; r < p.num_runs; ++r) {
-      double* g0 = out + p.run_off[r];
-      for (std::uint32_t b = p.run_blocks[r]; b != 0;
-           --b, xb += kLanes, g0 += kLanes * c) {
-        const double x0 = xb[0];
-        const double x1 = xb[1];
-        const double x2 = xb[2];
-        const double x3 = xb[3];
-        double* g1 = g0 + c;
-        double* g2 = g1 + c;
-        double* g3 = g2 + c;
-        const auto vx0 = B::broadcast(x0);
-        const auto vx1 = B::broadcast(x1);
-        const auto vx2 = B::broadcast(x2);
-        const auto vx3 = B::broadcast(x3);
-        std::size_t j = 0;
-        for (; j + 4 <= c; j += 4) {
-          const auto e = B::loadu(err + j);
-          B::storeu(g0 + j, B::add(B::loadu(g0 + j), B::mul(vx0, e)));
-          B::storeu(g1 + j, B::add(B::loadu(g1 + j), B::mul(vx1, e)));
-          B::storeu(g2 + j, B::add(B::loadu(g2 + j), B::mul(vx2, e)));
-          B::storeu(g3 + j, B::add(B::loadu(g3 + j), B::mul(vx3, e)));
-        }
-        for (; j < c; ++j) {
-          const double e = err[j];
-          g0[j] += x0 * e;
-          g1[j] += x1 * e;
-          g2[j] += x2 * e;
-          g3[j] += x3 * e;
+      if (j < c) {
+        for (std::size_t l = 0; l < nlive; ++l) {
+          const double* xk = xs[live[l]] + k;
+          as[live[l]][j] += xk[0] * w0[j] + xk[1] * w1[j] + xk[2] * w2[j] +
+                            xk[3] * w3[j];
         }
       }
     }
-    for (std::size_t t = 0; t < p.num_tail; ++t) {
-      const double xv = p.tail_x[t];
-      double* grow = out + p.tail_off[t];
-      const auto vx = B::broadcast(xv);
-      std::size_t j = 0;
-      for (; j + 4 <= c; j += 4) {
-        B::storeu(grow + j,
-                  B::add(B::loadu(grow + j), B::mul(vx, B::loadu(err + j))));
-      }
-      for (; j < c; ++j) grow[j] += xv * err[j];
-    }
-  }
-}
-
-/// Batched accumulate_outer for the vector backends (Half column tail).
-template <class B>
-void accumulate_outer_batched_vec_impl(const OuterBatchArg* args,
-                                       std::size_t m, std::size_t c) {
-  for (std::size_t a = 0; a < m; ++a) {
-    const PackedSample& p = args[a].x;
-    const double* err = args[a].err;
-    double* out = args[a].out;
-    const double* xb = p.block_x;
-    for (std::size_t r = 0; r < p.num_runs; ++r) {
-      double* g0 = out + p.run_off[r];
-      for (std::uint32_t b = p.run_blocks[r]; b != 0;
-           --b, xb += kLanes, g0 += kLanes * c) {
-        const double x0 = xb[0];
-        const double x1 = xb[1];
-        const double x2 = xb[2];
-        const double x3 = xb[3];
-        double* g1 = g0 + c;
-        double* g2 = g1 + c;
-        double* g3 = g2 + c;
-        const auto vx0 = B::broadcast(x0);
-        const auto vx1 = B::broadcast(x1);
-        const auto vx2 = B::broadcast(x2);
-        const auto vx3 = B::broadcast(x3);
+    for (std::size_t k = d_blocked; k < d; ++k) {
+      const double* wrow = w + k * c;
+      for (std::size_t i = 0; i < m; ++i) {
+        const double xv = xs[i][k];
+        if (xv == 0.0) continue;
+        double* a = as[i];
+        const auto vx = B::broadcast(xv);
         std::size_t j = 0;
         for (; j + 4 <= c; j += 4) {
-          const auto e = B::loadu(err + j);
-          B::storeu(g0 + j, B::add(B::loadu(g0 + j), B::mul(vx0, e)));
-          B::storeu(g1 + j, B::add(B::loadu(g1 + j), B::mul(vx1, e)));
-          B::storeu(g2 + j, B::add(B::loadu(g2 + j), B::mul(vx2, e)));
-          B::storeu(g3 + j, B::add(B::loadu(g3 + j), B::mul(vx3, e)));
+          B::storeu(a + j, B::add(B::loadu(a + j),
+                                  B::mul(vx, B::loadu(wrow + j))));
         }
         if (j + 2 <= c) {
-          const auto e = B::loadh(err + j);
-          B::storeh(g0 + j,
-                    B::addh(B::loadh(g0 + j), B::mulh(B::broadcasth(x0), e)));
-          B::storeh(g1 + j,
-                    B::addh(B::loadh(g1 + j), B::mulh(B::broadcasth(x1), e)));
-          B::storeh(g2 + j,
-                    B::addh(B::loadh(g2 + j), B::mulh(B::broadcasth(x2), e)));
-          B::storeh(g3 + j,
-                    B::addh(B::loadh(g3 + j), B::mulh(B::broadcasth(x3), e)));
+          B::storeh(a + j, B::addh(B::loadh(a + j),
+                                   B::mulh(B::broadcasth(xv),
+                                           B::loadh(wrow + j))));
           j += 2;
         }
-        for (; j < c; ++j) {
-          const double e = err[j];
-          g0[j] += x0 * e;
-          g1[j] += x1 * e;
-          g2[j] += x2 * e;
-          g3[j] += x3 * e;
-        }
+        if (j < c) a[j] += xv * wrow[j];
       }
     }
-    for (std::size_t t = 0; t < p.num_tail; ++t) {
-      const double xv = p.tail_x[t];
-      double* grow = out + p.tail_off[t];
-      const auto vx = B::broadcast(xv);
-      std::size_t j = 0;
-      for (; j + 4 <= c; j += 4) {
-        B::storeu(grow + j,
-                  B::add(B::loadu(grow + j), B::mul(vx, B::loadu(err + j))));
+  }
+}
+
+/// Samples the transposed backward prefetches ahead: its sweep strides a
+/// whole feature row per sample, which the hardware prefetchers miss.
+inline constexpr std::size_t kOuterAhead = 8;
+
+/// One 4-block × C classes of accumulate_outer_transposed: lane i of a[jj]
+/// is g[jj·d + i] = gt[(j + jj)·d + k + i], loaded once, updated for every
+/// live sample in ascending s, stored once.
+template <class B, std::size_t C>
+void outer_transposed_strip(const double* x, std::size_t n, std::size_t d,
+                            const double* err, std::size_t err_stride,
+                            double* g) {
+  typename B::Vec a[C];
+#pragma GCC unroll 16
+  for (std::size_t jj = 0; jj < C; ++jj) a[jj] = B::loadu(g + jj * d);
+  for (std::size_t s = 0; s < n; ++s) {
+    if (s + kOuterAhead < n) __builtin_prefetch(x + (s + kOuterAhead) * d);
+    const double* xs = x + s * d;
+    if (!block_live(xs)) continue;
+    const auto vx = B::loadu(xs);
+    const double* es = err + s * err_stride;
+#pragma GCC unroll 16
+    for (std::size_t jj = 0; jj < C; ++jj) {
+      a[jj] = B::add(a[jj], B::mul(vx, B::broadcast(es[jj])));
+    }
+  }
+#pragma GCC unroll 16
+  for (std::size_t jj = 0; jj < C; ++jj) B::storeu(g + jj * d, a[jj]);
+}
+
+/// Classes per 4-lane strip.  12 accumulators fit the 16 AVX2 registers
+/// next to the x block and one broadcast; the register-pair and scalar
+/// backends spill some of them to L1, which still measures faster than
+/// narrower strips that re-sweep the samples.
+inline constexpr std::size_t kOuterStripLanes = 12;
+
+/// accumulate_outer_transposed, 4-lane body: one Vec per (4-block, class)
+/// in strips of up to 12 classes, so at c ≤ 12 one sweep over the samples
+/// covers a block; d%4 tail rows go element by element with the per-row
+/// skip.
+template <class B>
+void accumulate_outer_transposed_impl(const double* x, std::size_t n,
+                                      std::size_t d, std::size_t c,
+                                      const double* err,
+                                      std::size_t err_stride, double* gt) {
+  using StripFn = void (*)(const double*, std::size_t, std::size_t,
+                           const double*, std::size_t, double*);
+  constexpr auto kStrips = [] {
+    std::array<StripFn, kOuterStripLanes + 1> t{};
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+      ((t[I + 1] = &outer_transposed_strip<B, I + 1>), ...);
+    }(std::make_index_sequence<kOuterStripLanes>{});
+    return t;
+  }();
+  const std::size_t d_blocked = d - d % 4;
+  for (std::size_t k = 0; k < d_blocked; k += 4) {
+    for (std::size_t j = 0; j < c; j += kOuterStripLanes) {
+      const std::size_t strip =
+          c - j < kOuterStripLanes ? c - j : kOuterStripLanes;
+      kStrips[strip](x + k, n, d, err + j, err_stride, gt + j * d + k);
+    }
+  }
+  for (std::size_t k = d_blocked; k < d; ++k) {
+    for (std::size_t j = 0; j < c; ++j) {
+      double g = gt[j * d + k];
+      for (std::size_t s = 0; s < n; ++s) {
+        const double xv = x[s * d + k];
+        if (xv == 0.0) continue;
+        g += xv * err[s * err_stride + j];
       }
-      if (j + 2 <= c) {
-        const auto hx = B::broadcasth(xv);
-        B::storeh(grow + j,
-                  B::addh(B::loadh(grow + j), B::mulh(hx, B::loadh(err + j))));
-        j += 2;
-      }
-      for (; j < c; ++j) grow[j] += xv * err[j];
+      gt[j * d + k] = g;
     }
   }
 }

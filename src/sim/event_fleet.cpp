@@ -1481,11 +1481,6 @@ Result<EventFleetRunResult> EventFleetEngine::run_impl() {
   fl_cfg.upload_quant_bits = sys.upload_quant_bits;
   fl_cfg.update_drop_probability = sys.update_drop_probability;
   fl_cfg.drop_seed = sys.seed * 2654435761 + 13;
-  // Batches view Population-owned shard storage — immutable and
-  // address-stable for the run — so repeat selections of pooled shards can
-  // reuse their packed feature rows across rounds (bit-identical; see
-  // ModelBank::set_pack_cache).
-  fl_cfg.pack_cache = true;
   std::unique_ptr<fl::SelectionPolicy> policy;
   if (config_.scalable_selection) {
     policy = std::make_unique<fl::ScalableUniformSelection>(

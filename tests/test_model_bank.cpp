@@ -18,6 +18,7 @@
 #include "fl/client.h"
 #include "fl/coordinator.h"
 #include "fl/selection.h"
+#include "ml/simd.h"
 
 namespace eefei::ml {
 namespace {
@@ -221,9 +222,10 @@ struct CoordWorld {
   }
 };
 
-TrainingOutcome run_world(CoordWorld& w, bool batched, std::size_t threads) {
+TrainingOutcome run_world(CoordWorld& w, bool batched, std::size_t threads,
+                          std::size_t clients_per_round = 7) {
   CoordinatorConfig cfg;
-  cfg.clients_per_round = 7;  // odd K through the bank partition
+  cfg.clients_per_round = clients_per_round;
   cfg.local_epochs = 4;
   cfg.max_rounds = 6;
   cfg.threads = threads;
@@ -238,22 +240,27 @@ TrainingOutcome run_world(CoordWorld& w, bool batched, std::size_t threads) {
 TEST(ModelBank, CoordinatorBatchedMatchesSerialForAnyThreadCount) {
   // The end-to-end pin behind CoordinatorConfig::batched_training's
   // "bit-identical" promise: the serial per-client path and the batched
-  // path at 1/2/3/5 workers all land on the same global trajectory.
-  CoordWorld w;
-  const auto reference = run_world(w, /*batched=*/false, /*threads=*/0);
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{2},
-                                    std::size_t{3}, std::size_t{5}}) {
-    const auto batched = run_world(w, /*batched=*/true, threads);
-    ASSERT_EQ(batched.final_params.size(), reference.final_params.size());
-    EXPECT_EQ(0, std::memcmp(batched.final_params.data(),
-                             reference.final_params.data(),
-                             reference.final_params.size() * sizeof(double)))
-        << "threads=" << threads;
-    ASSERT_EQ(batched.record.rounds(), reference.record.rounds());
-    for (std::size_t t = 0; t < reference.record.rounds(); ++t) {
-      EXPECT_EQ(batched.record.round(t).global_loss,
-                reference.record.round(t).global_loss)
-          << "threads=" << threads << " round " << t;
+  // path at 1/2/3/5 workers all land on the same global trajectory — for
+  // an odd K through the bank partition and for K = 1, which also trains
+  // through the bank.
+  for (const std::size_t k : {std::size_t{7}, std::size_t{1}}) {
+    CoordWorld w;
+    const auto reference = run_world(w, /*batched=*/false, /*threads=*/0, k);
+    for (const std::size_t threads : {std::size_t{0}, std::size_t{2},
+                                      std::size_t{3}, std::size_t{5}}) {
+      const auto batched = run_world(w, /*batched=*/true, threads, k);
+      ASSERT_EQ(batched.final_params.size(), reference.final_params.size());
+      EXPECT_EQ(0,
+                std::memcmp(batched.final_params.data(),
+                            reference.final_params.data(),
+                            reference.final_params.size() * sizeof(double)))
+          << "K=" << k << " threads=" << threads;
+      ASSERT_EQ(batched.record.rounds(), reference.record.rounds());
+      for (std::size_t t = 0; t < reference.record.rounds(); ++t) {
+        EXPECT_EQ(batched.record.round(t).global_loss,
+                  reference.record.round(t).global_loss)
+            << "K=" << k << " threads=" << threads << " round " << t;
+      }
     }
   }
 }

@@ -4,6 +4,8 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -154,6 +156,49 @@ TEST(ThreadPool, DestructorDrainsCleanly) {
   }  // destructor joins
   // All tasks submitted before destruction must have run.
   EXPECT_EQ(counter.load(), 50);
+}
+
+TEST(ThreadPool, TelemetryMayDieAsSoonAsTheFutureIsReady) {
+  // Regression: workers used to record pool.task_run.ns after the task had
+  // already made its future ready, so a caller that tore down its
+  // Telemetry right after get() raced the worker's write (a use-after-free
+  // under ASan).  The test hook stalls every worker between the task body
+  // and its completion, holding that window open: the future must not be
+  // ready until the worker is done with the Telemetry.
+  struct DelayGuard {
+    DelayGuard() {
+      detail::set_pool_completion_delay_for_testing(
+          std::chrono::milliseconds(20));
+    }
+    ~DelayGuard() {
+      detail::set_pool_completion_delay_for_testing(
+          std::chrono::microseconds(0));
+    }
+  };
+  ThreadPool pool(2);
+  const DelayGuard delay;
+  for (int rep = 0; rep < 3; ++rep) {
+    auto telemetry = std::make_unique<obs::Telemetry>();
+    {
+      const obs::TelemetryScope scope(*telemetry);
+      auto f = pool.submit([] { return 7; });
+      EXPECT_EQ(f.get(), 7);
+      std::atomic<int> calls{0};
+      pool.parallel_for(4, [&](std::size_t) { calls.fetch_add(1); });
+      EXPECT_EQ(calls.load(), 4);
+    }
+    // Every write for the finished tasks has landed before get() returned.
+    const auto snapshot = telemetry->metrics.snapshot();
+    bool found = false;
+    for (const auto& h : snapshot.histograms) {
+      if (h.name == "pool.task_run.ns") {
+        found = true;
+        EXPECT_EQ(h.count, 3u);
+      }
+    }
+    EXPECT_TRUE(found);
+    telemetry.reset();
+  }
 }
 
 }  // namespace

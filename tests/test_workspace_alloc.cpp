@@ -131,8 +131,8 @@ TEST(WorkspaceAlloc, ExplicitWorkspaceIsAllocationFreeOnceWarm) {
 
 TEST(WorkspaceAlloc, ModelBankSteadyStateTrainingIsAllocationFree) {
   // The batched fleet hot loop: once the arenas are warm from one round,
-  // repeated rounds of the same shape (re-pack, K model slots, every
-  // epoch's batched passes) must not touch the heap.
+  // repeated rounds of the same shape (K model slots, every epoch's
+  // whole-batch passes) must not touch the heap.
   const auto ds = make_batch(160);
   LogisticRegressionConfig cfg;
   cfg.input_dim = 144;
