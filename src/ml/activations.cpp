@@ -27,6 +27,14 @@ void sigmoid_inplace(std::span<double> logits) {
   for (double& v : logits) v = sigmoid(v);
 }
 
+void activate_inplace(Activation activation, std::span<double> logits) {
+  if (activation == Activation::kSoftmax) {
+    softmax_inplace(logits);
+  } else {
+    sigmoid_inplace(logits);
+  }
+}
+
 double log_sum_exp(std::span<const double> logits) {
   if (logits.empty()) return -INFINITY;
   const double mx = *std::max_element(logits.begin(), logits.end());

@@ -19,6 +19,9 @@ void softmax_inplace(std::span<double> logits);
 /// In-place elementwise logistic sigmoid.
 void sigmoid_inplace(std::span<double> logits);
 
+/// The head `activation` in place: softmax_inplace or sigmoid_inplace.
+void activate_inplace(Activation activation, std::span<double> logits);
+
 /// Scalar sigmoid with clamping to avoid overflow in exp.
 [[nodiscard]] double sigmoid(double x);
 

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "ml/kernels.h"
+#include "ml/simd.h"
 
 namespace eefei::ml {
 
@@ -29,6 +30,22 @@ void lr_accumulate_row_loss(Activation activation, const double* probs,
   }
 }
 
+void lr_forward_rows(const LogisticRegressionConfig& config,
+                     const double* params, const double* x, std::size_t n,
+                     double* probs, std::size_t probs_stride) {
+  const std::size_t d = config.input_dim;
+  const std::size_t c = config.num_classes;
+  const double* b = params + d * c;
+  for (std::size_t s = 0; s < n; ++s) {
+    std::copy(b, b + c, probs + s * probs_stride);
+  }
+  simd::kernels().accumulate_rows_tiled(x, n, d, c, params, probs,
+                                        probs_stride);
+  for (std::size_t s = 0; s < n; ++s) {
+    activate_inplace(config.activation, {probs + s * probs_stride, c});
+  }
+}
+
 LogisticRegression::LogisticRegression(LogisticRegressionConfig config,
                                        Rng* init_rng)
     : config_(config),
@@ -49,12 +66,7 @@ void LogisticRegression::forward_row(const double* x, double* out) const {
   const double* b = params_.data() + d * c;  // c
   for (std::size_t j = 0; j < c; ++j) out[j] = b[j];
   accumulate_rows(x, d, c, w, out);
-  std::span<double> row(out, c);
-  if (config_.activation == Activation::kSoftmax) {
-    softmax_inplace(row);
-  } else {
-    sigmoid_inplace(row);
-  }
+  activate_inplace(config_.activation, {out, c});
 }
 
 void LogisticRegression::accumulate_row_loss(const double* probs, int label,
@@ -122,16 +134,23 @@ EvalSums LogisticRegression::evaluate_sums(const BatchView& batch,
   const std::size_t d = config_.input_dim;
   const std::size_t c = config_.num_classes;
 
-  const auto probs = Workspace::ensure(ws.probs, c);
+  // A chunk of rows at a time through the whole-batch forward, then loss
+  // and argmax per row in ascending order: the per-row loop's sequence.
+  const auto probs = Workspace::ensure(ws.probs, std::min(n, kEvalChunk) * c);
   EvalSums sums;
   sums.samples = n;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* row = probs.data();
-    forward_row(batch.features.data() + i * d, probs.data());
-    accumulate_row_loss(row, batch.labels[i], sums.loss_sum);
-    const std::size_t argmax = static_cast<std::size_t>(
-        std::max_element(row, row + c) - row);
-    if (argmax == static_cast<std::size_t>(batch.labels[i])) ++sums.correct;
+  for (std::size_t s0 = 0; s0 < n; s0 += kEvalChunk) {
+    const std::size_t m = std::min(kEvalChunk, n - s0);
+    lr_forward_rows(config_, params_.data(), batch.features.data() + s0 * d,
+                    m, probs.data(), c);
+    for (std::size_t i = 0; i < m; ++i) {
+      const double* row = probs.data() + i * c;
+      const int label = batch.labels[s0 + i];
+      accumulate_row_loss(row, label, sums.loss_sum);
+      const std::size_t argmax = static_cast<std::size_t>(
+          std::max_element(row, row + c) - row);
+      if (argmax == static_cast<std::size_t>(label)) ++sums.correct;
+    }
   }
   return sums;
 }

@@ -32,6 +32,16 @@ void lr_accumulate_row_loss(Activation activation, const double* probs,
                             int label, std::size_t num_classes,
                             double& loss_sum);
 
+/// Forward of the n row-major feature rows `x` at `params` ([W | b]):
+/// row s of `probs` (rows `probs_stride` apart) gets the bias, the
+/// whole-batch accumulate_rows_tiled contraction, then the activation —
+/// per row the bits of the per-row forward (bias, accumulate_rows,
+/// activation).  Shared by LogisticRegression::evaluate_sums and
+/// ml::ModelBank.
+void lr_forward_rows(const LogisticRegressionConfig& config,
+                     const double* params, const double* x, std::size_t n,
+                     double* probs, std::size_t probs_stride);
+
 class LogisticRegression final : public Model {
  public:
   explicit LogisticRegression(LogisticRegressionConfig config,
@@ -72,9 +82,9 @@ class LogisticRegression final : public Model {
 
  private:
   /// Fused GEMM+bias+activation for one example: writes the num_classes
-  /// probabilities into `out` (fully overwritten).  The whole hot path is
-  /// built from this row pass so probabilities never round-trip through an
-  /// O(batch) buffer.
+  /// probabilities into `out` (fully overwritten).  loss_and_gradient and
+  /// predict run on it; evaluate_sums runs the same sequence a chunk of
+  /// rows at a time through accumulate_rows_tiled.
   void forward_row(const double* x, double* out) const;
 
   /// Adds the data loss of one example (given its forward-pass

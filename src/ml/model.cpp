@@ -6,13 +6,6 @@
 
 namespace eefei::ml {
 
-namespace {
-// Chunk size of the sharded evaluation.  Fixed (never derived from the
-// thread count) so the reduction tree — and therefore every bit of the
-// result — is independent of how many workers score the chunks.
-constexpr std::size_t kEvalChunk = 256;
-}  // namespace
-
 EvalResult evaluate_sharded(const Model& model, const BatchView& batch,
                             ThreadPool* pool,
                             std::vector<Workspace>& workspaces) {

@@ -69,10 +69,11 @@ struct EvalSums {
 /// grow, so a warmed workspace makes repeated calls allocation-free.  A
 /// workspace may be shared across models but never across threads.  Storage
 /// is 64-byte aligned (ml/aligned.h) so kernels start on lane boundaries.
-/// Since the fused row passes landed, the per-row buffers are O(classes) /
-/// O(hidden_units) — never O(batch) — so a workspace stays cache-resident.
+/// The buffers never grow with the batch: they hold one row of class or
+/// hidden activations, or at most kEvalChunk rows of class activations in
+/// LogisticRegression::evaluate_sums, so a workspace stays cache-resident.
 struct Workspace {
-  AlignedVector probs;    // per-row class activations
+  AlignedVector probs;    // class activations (one row, or an eval chunk)
   AlignedVector hidden;   // per-row hidden activations (MLP)
   AlignedVector scratch;  // per-row backprop buffer (MLP)
 
@@ -163,6 +164,12 @@ class Model {
  private:
   mutable Workspace scratch_;
 };
+
+/// Chunk size of the sharded evaluation.  Fixed (never derived from the
+/// thread count) so the reduction tree — and therefore every bit of the
+/// result — is independent of how many workers score the chunks.  Also the
+/// most rows LogisticRegression::evaluate_sums forwards at once.
+inline constexpr std::size_t kEvalChunk = 256;
 
 /// Sharded, deterministically-reduced evaluation.  The batch is split into
 /// fixed-size chunks whose EvalSums are combined in chunk order, so the

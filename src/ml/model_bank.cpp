@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "ml/activations.h"
 #include "ml/simd.h"
 
 namespace eefei::ml {
@@ -63,26 +62,16 @@ void ModelBank::train(std::span<const double> global, std::span<Task> tasks) {
   double* gb = grad_t + wc;
   double* probs = probs_.data();
 
-  // Forward over every sample at `params`, then the activation (and the
-  // row loss into loss_sum) per row, ascending s.
+  // Forward over every sample at `params`, then the row loss into
+  // loss_sum, ascending s.
   auto forward = [&](const Task& task, const double* params,
                      double& loss_sum) {
     const std::size_t n = task.batch.size();
+    lr_forward_rows(config_, params, task.batch.features.data(), n, probs,
+                    probs_stride_);
     for (std::size_t s = 0; s < n; ++s) {
-      std::copy(params + wc, params + wc + c, probs + s * probs_stride_);
-    }
-    kt.accumulate_rows_tiled(task.batch.features.data(), n, d, c, params,
-                             probs, probs_stride_);
-    for (std::size_t s = 0; s < n; ++s) {
-      double* row = probs + s * probs_stride_;
-      std::span<double> row_span(row, c);
-      if (config_.activation == Activation::kSoftmax) {
-        softmax_inplace(row_span);
-      } else {
-        sigmoid_inplace(row_span);
-      }
-      lr_accumulate_row_loss(config_.activation, row, task.batch.labels[s], c,
-                             loss_sum);
+      lr_accumulate_row_loss(config_.activation, probs + s * probs_stride_,
+                             task.batch.labels[s], c, loss_sum);
     }
   };
 

@@ -7,7 +7,9 @@
 // stay cache-hot across its whole local problem, exactly like the serial
 // client) while the batch axis of each kernel call is the model's samples:
 //
-//   - forward: accumulate_rows_tiled over all n rows, 4 samples per tile
+//   - forward: lr_forward_rows (shared with LogisticRegression's
+//     evaluation), one accumulate_rows_tiled over all n rows — on AVX-512
+//     one sample per zmm lane in groups of 8, elsewhere 4 samples per tile
 //     sharing each weight-block load;
 //   - backward: accumulate_outer_transposed into a c×d transposed gradient
 //     whose register-resident blocks see every sample before being stored;

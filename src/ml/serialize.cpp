@@ -1,5 +1,6 @@
 #include "ml/serialize.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 
@@ -12,35 +13,45 @@ constexpr std::uint16_t kVersion = 1;
 constexpr std::size_t kHeaderSize = 4 + 2 + 2 + 8;
 constexpr std::size_t kCrcSize = 4;
 
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1U) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
+// Slice-by-8 tables of the IEEE reflected polynomial: kCrcTables[0] is the
+// bytewise table, and kCrcTables[t][b] advances kCrcTables[t - 1][b] by one
+// more zero byte, so one lookup per table folds 8 input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1U) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
     }
-    return t;
-  }();
-  return table;
+    t[0][i] = c;
+  }
+  for (std::size_t s = 1; s < t.size(); ++s) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[s][i] = (t[s - 1][i] >> 8) ^ t[0][t[s - 1][i] & 0xFFU];
+    }
+  }
+  return t;
 }
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+// Little-endian stores at `p`; the blob is sized before anything is written.
+void put_u16(std::uint8_t* p, std::uint16_t v) {
+  p[0] = static_cast<std::uint8_t>(v & 0xFF);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
+void put_u32(std::uint8_t* p, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
+    p[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF);
   }
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
+void put_u64(std::uint8_t* p, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
+    p[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF);
   }
 }
 
@@ -64,10 +75,18 @@ std::uint64_t get_u64(const std::uint8_t* p) {
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
+  const auto& t = kCrcTables;
   std::uint32_t c = 0xFFFFFFFFU;
-  for (const std::uint8_t b : data) {
-    c = crc_table()[(c ^ b) & 0xFFU] ^ (c >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = get_u32(p) ^ c;
+    const std::uint32_t hi = get_u32(p + 4);
+    c = t[7][lo & 0xFFU] ^ t[6][(lo >> 8) & 0xFFU] ^
+        t[5][(lo >> 16) & 0xFFU] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFU] ^
+        t[2][(hi >> 8) & 0xFFU] ^ t[1][(hi >> 16) & 0xFFU] ^ t[0][hi >> 24];
   }
+  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xFFU] ^ (c >> 8);
   return c ^ 0xFFFFFFFFU;
 }
 
@@ -77,19 +96,21 @@ std::size_t wire_size(std::size_t param_count) {
 
 void serialize_parameters_into(std::span<const double> params,
                                ModelBlob& out) {
-  out.bytes.clear();
-  out.bytes.reserve(wire_size(params.size()));
-  out.bytes.insert(out.bytes.end(), kMagic.begin(), kMagic.end());
-  put_u16(out.bytes, kVersion);
-  put_u16(out.bytes, 0);  // flags, reserved
-  put_u64(out.bytes, params.size());
-  for (const double p : params) {
-    const auto f = static_cast<float>(p);
+  out.bytes.resize(wire_size(params.size()));
+  std::uint8_t* p = out.bytes.data();
+  std::copy(kMagic.begin(), kMagic.end(), p);
+  put_u16(p + 4, kVersion);
+  put_u16(p + 6, 0);  // flags, reserved
+  put_u64(p + 8, params.size());
+  std::uint8_t* q = p + kHeaderSize;
+  for (const double v : params) {
+    const auto f = static_cast<float>(v);
     std::uint32_t bits = 0;
     std::memcpy(&bits, &f, sizeof bits);
-    put_u32(out.bytes, bits);
+    put_u32(q, bits);
+    q += sizeof bits;
   }
-  put_u32(out.bytes, crc32(out.bytes));
+  put_u32(q, crc32({p, out.bytes.size() - kCrcSize}));
 }
 
 ModelBlob serialize_parameters(std::span<const double> params) {

@@ -23,7 +23,9 @@
 //     every element compares == 0.0 (so −0.0 is dead and NaN is live); a
 //     d%4 tail row is dead iff its element does.  The whole-batch entries
 //     (accumulate_rows_tiled / accumulate_outer_transposed) test the same
-//     predicate inline, per sample, and skip exactly the same set.
+//     predicate inline, per sample, and skip exactly the same set; the
+//     AVX-512 sample-lane forward tests it as "the OR of the block's bit
+//     patterns is ±0", which holds exactly when every element is ±0.
 //
 // Consequence: the SIMD path is bit-identical to the scalar path, which is
 // bit-identical to the pre-SIMD kernels — golden fingerprints never move
@@ -71,9 +73,14 @@ struct KernelTable {
   ///   acc[s·acc_stride + j] += Σ_k x[s·d + k] · w[k·c + j].
   /// Bit-identical to n sequential accumulate_rows calls.  Samples are
   /// tiled (4 per tile) so each live 4×c weight block is loaded once per
-  /// tile instead of once per sample; every accumulator still receives its
-  /// own canonical block chain in ascending k, and a block skips for a
-  /// sample exactly when accumulate_rows would skip it.
+  /// tile instead of once per sample.  The AVX-512 body runs each full
+  /// group of 8 samples with one sample per zmm lane (c ≤ 16): the 8 rows'
+  /// 4-blocks are transposed in registers and the block-dead test is the
+  /// bitwise OR of the four elements against 0.0.  Either way every
+  /// accumulator receives its own canonical block chain in ascending k,
+  /// and a block skips for a sample exactly when accumulate_rows would
+  /// skip it.  Reads exactly rows [0, n) of x; writes only the first c
+  /// doubles of each acc row.
   void (*accumulate_rows_tiled)(const double* x, std::size_t n, std::size_t d,
                                 std::size_t c, const double* w, double* acc,
                                 std::size_t acc_stride);

@@ -22,9 +22,14 @@
 //     block at all).
 //   - accumulate_outer is store-bound; it keeps the AVX2 shape (which
 //     this TU may emit: AVX-512F implies AVX2).
-//   - The whole-batch forward (rows_tiled_avx512, c ≤ 16) keeps a tile of
-//     4 samples' accumulator rows in registers and loads each live 4×c
-//     weight block once per tile instead of once per sample.
+//   - The whole-batch forward (rows_tiled_avx512, c ≤ 16) vectorizes over
+//     samples: each full group of 8 holds one zmm per class, lane i being
+//     sample s0+i, so every lane is filled at any c (the class-vectorized
+//     tile fills 10 of 16 lanes at c = 10).  Per 4-block the 8 rows are
+//     transposed in registers and each class's weights are broadcast.  The
+//     n % 8 leftover samples keep a tile of up to 4 samples' accumulator
+//     rows in registers (rows_tile) and load each live 4×c weight block
+//     once per tile.
 //   - The whole-batch backward (outer_transposed_avx512) vectorizes over
 //     k: 8 k-lanes × up to 16 classes of the transposed gradient stay in
 //     registers across the whole sample sweep, so the gradient is read and
@@ -397,6 +402,112 @@ constexpr RowsTileFn kRowsTiles[kRowsTile + 1] = {
     nullptr, &rows_tile<G, 1>, &rows_tile<G, 2>, &rows_tile<G, 3>,
     &rows_tile<G, 4>};
 
+// Samples per lane group of the sample-lane forward: one per zmm lane.
+constexpr std::size_t kLaneSamples = 8;
+
+// Offsets of 8 row-major rows `stride` doubles apart, for the gathers and
+// scatters that move one column of the rows: lane i is row i.
+__m512i lane_rows(std::size_t stride) {
+  const auto s = static_cast<long long>(stride);
+  return _mm512_set_epi64(7 * s, 6 * s, 5 * s, 4 * s, 3 * s, 2 * s, s, 0);
+}
+
+// Column `col` of the 8 rows at `rows` offsets.  The merge-masked form
+// with every lane enabled, because the plain one starts from an undefined
+// register that GCC 12 reports as uninitialized.
+__m512d gather_column(const double* col, __m512i rows) {
+  return _mm512_mask_i64gather_pd(_mm512_setzero_pd(), 0xff, rows, col, 8);
+}
+
+// One full group of 8 samples for C ≤ 16 classes, vectorized over the
+// samples: lane i of a[j] is acc[i·acc_stride + j].  Per 4-block the 8
+// rows' 4-element segments are transposed in registers into X0..X3 (lane i
+// of Xr is x[i·d + k + r]) — pure data movement, so every lane holds the
+// bits accumulate_rows would broadcast — and each class gets the canonical
+// t-tree ((x0·w0 + x1·w1) + x2·w2) + x3·w3 with broadcast weights, added
+// under the lanes whose block is live.  So each accumulator sees exactly
+// the accumulate_rows chain: one t-tree add per live block, ascending k,
+// then one mul+add per live tail row.
+template <std::size_t C>
+void rows_lanes(const double* x, std::size_t d, const double* w, double* acc,
+                std::size_t acc_stride) {
+  const __m512i acc_rows = lane_rows(acc_stride);
+  __m512d a[C];
+#pragma GCC unroll 16
+  for (std::size_t j = 0; j < C; ++j) {
+    a[j] = gather_column(acc + j, acc_rows);
+  }
+  // permutex2var indices over the 16 lanes of a pair of rows-pair vectors
+  // (rows r, r+1 | rows r+2, r+3): elements 0,1 then 2,3 of the 4 rows.
+  const __m512i lo = _mm512_set_epi64(13, 9, 5, 1, 12, 8, 4, 0);
+  const __m512i hi = _mm512_set_epi64(15, 11, 7, 3, 14, 10, 6, 2);
+  const auto rows_pair = [&](const double* p) {
+    return _mm512_insertf64x4(_mm512_castpd256_pd512(_mm256_loadu_pd(p)),
+                              _mm256_loadu_pd(p + d), 1);
+  };
+  const __m512d zero = _mm512_setzero_pd();
+  const std::size_t d_blocked = d - d % 4;
+  for (std::size_t k = 0; k < d_blocked; k += 4) {
+    const double* xk = x + k;
+    const __m512d p01 = rows_pair(xk);
+    const __m512d p23 = rows_pair(xk + 2 * d);
+    const __m512d p45 = rows_pair(xk + 4 * d);
+    const __m512d p67 = rows_pair(xk + 6 * d);
+    const __m512d u0 = _mm512_permutex2var_pd(p01, lo, p23);
+    const __m512d u1 = _mm512_permutex2var_pd(p01, hi, p23);
+    const __m512d v0 = _mm512_permutex2var_pd(p45, lo, p67);
+    const __m512d v1 = _mm512_permutex2var_pd(p45, hi, p67);
+    const __m512d x0 = _mm512_shuffle_f64x2(u0, v0, 0x44);
+    const __m512d x1 = _mm512_shuffle_f64x2(u0, v0, 0xee);
+    const __m512d x2 = _mm512_shuffle_f64x2(u1, v1, 0x44);
+    const __m512d x3 = _mm512_shuffle_f64x2(u1, v1, 0xee);
+    // The OR of the four bit patterns is ±0 exactly when all four elements
+    // are ±0: dead iff every element == 0.0; NaN and denormals stay live.
+    const __m512i bits = _mm512_or_si512(
+        _mm512_or_si512(_mm512_castpd_si512(x0), _mm512_castpd_si512(x1)),
+        _mm512_or_si512(_mm512_castpd_si512(x2), _mm512_castpd_si512(x3)));
+    const __mmask8 live =
+        _mm512_cmp_pd_mask(_mm512_castsi512_pd(bits), zero, _CMP_NEQ_UQ);
+    if (live == 0) continue;
+    const double* w0 = w + k * C;
+#pragma GCC unroll 16
+    for (std::size_t j = 0; j < C; ++j) {
+      __m512d t = _mm512_mul_pd(x0, _mm512_set1_pd(w0[j]));
+      t = _mm512_add_pd(t, _mm512_mul_pd(x1, _mm512_set1_pd(w0[C + j])));
+      t = _mm512_add_pd(t, _mm512_mul_pd(x2, _mm512_set1_pd(w0[2 * C + j])));
+      t = _mm512_add_pd(t, _mm512_mul_pd(x3, _mm512_set1_pd(w0[3 * C + j])));
+      a[j] = _mm512_mask_add_pd(a[j], live, a[j], t);
+    }
+  }
+  if (d_blocked < d) {
+    const __m512i x_rows = lane_rows(d);
+    for (std::size_t k = d_blocked; k < d; ++k) {
+      const __m512d xv = gather_column(x + k, x_rows);
+      const __mmask8 live = _mm512_cmp_pd_mask(xv, zero, _CMP_NEQ_UQ);
+      const double* wrow = w + k * C;
+#pragma GCC unroll 16
+      for (std::size_t j = 0; j < C; ++j) {
+        a[j] = _mm512_mask_add_pd(a[j], live, a[j],
+                                  _mm512_mul_pd(xv, _mm512_set1_pd(wrow[j])));
+      }
+    }
+  }
+#pragma GCC unroll 16
+  for (std::size_t j = 0; j < C; ++j) {
+    _mm512_i64scatter_pd(acc + j, acc_rows, a[j], 8);
+  }
+}
+
+using RowsLanesFn = void (*)(const double*, std::size_t, const double*,
+                             double*, std::size_t);
+
+template <std::size_t... I>
+constexpr auto make_rows_lanes(std::index_sequence<I...>) {
+  return std::array<RowsLanesFn, sizeof...(I) + 1>{nullptr,
+                                                   &rows_lanes<I + 1>...};
+}
+constexpr auto kRowsLanes = make_rows_lanes(std::make_index_sequence<16>{});
+
 void rows_tiled_avx512(const double* x, std::size_t n, std::size_t d,
                        std::size_t c, const double* w, double* acc,
                        std::size_t acc_stride) {
@@ -404,9 +515,15 @@ void rows_tiled_avx512(const double* x, std::size_t n, std::size_t d,
     accumulate_rows_tiled_impl<YmmBackend>(x, n, d, c, w, acc, acc_stride);
     return;
   }
+  // Full 8-sample groups go lane-wise; the n % 8 leftover samples take the
+  // register tiles of rows_tile.
+  const std::size_t grouped = n - n % kLaneSamples;
+  for (std::size_t s0 = 0; s0 < grouped; s0 += kLaneSamples) {
+    kRowsLanes[c](x + s0 * d, d, w, acc + s0 * acc_stride, acc_stride);
+  }
   const RowsTileFn* tiles = c > 8 ? kRowsTiles<2> : kRowsTiles<1>;
   const ColumnMasks cm = column_masks(c);
-  for (std::size_t s0 = 0; s0 < n; s0 += kRowsTile) {
+  for (std::size_t s0 = grouped; s0 < n; s0 += kRowsTile) {
     const std::size_t m = n - s0 < kRowsTile ? n - s0 : kRowsTile;
     tiles[m](x + s0 * d, d, c, w, acc + s0 * acc_stride, acc_stride, cm);
   }

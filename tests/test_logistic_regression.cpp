@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
+#include "ml/kernels.h"
 
 namespace eefei::ml {
 namespace {
@@ -169,6 +172,58 @@ TEST(LogisticRegression, PredictMatchesEvaluateArgmax) {
               static_cast<double>(correct_evaluate) /
                   static_cast<double>(fx.labels.size()),
               1e-12);
+}
+
+TEST(LogisticRegression, EvaluateSumsMatchesPerRowReferenceBitwise) {
+  // evaluate_sums runs its forward a chunk of rows at a time through the
+  // whole-batch kernel; the reference is the per-row sequence it replaced:
+  // bias, accumulate_rows, activation, row loss, argmax.  n lands below,
+  // on and off the 8-sample lane group and across the 256-row chunk; d has
+  // a d%4 tail and zeroed blocks.
+  constexpr std::size_t kDim = 30;
+  constexpr std::size_t kClasses = 10;
+  for (const Activation act : {Activation::kSoftmax, Activation::kSigmoid}) {
+    LogisticRegressionConfig cfg;
+    cfg.input_dim = kDim;
+    cfg.num_classes = kClasses;
+    cfg.activation = act;
+    cfg.init_stddev = 0.3;
+    Rng rng(21);
+    const LogisticRegression model(cfg, &rng);
+    for (const std::size_t n : {1, 7, 8, 9, 256, 300}) {
+      std::vector<double> features(n * kDim);
+      std::vector<int> labels(n);
+      for (std::size_t s = 0; s < n; ++s) {
+        for (std::size_t k = 0; k < kDim; ++k) {
+          const bool blank = (k / 4 + s) % 3 == 0;
+          features[s * kDim + k] = blank ? 0.0 : rng.uniform(-1.0, 1.0);
+        }
+        labels[s] = static_cast<int>(rng.uniform_index(kClasses));
+      }
+      const BatchView batch{features, labels, kDim};
+
+      EvalSums want;
+      want.samples = n;
+      std::vector<double> row(kClasses);
+      for (std::size_t s = 0; s < n; ++s) {
+        std::copy(model.bias().begin(), model.bias().end(), row.begin());
+        accumulate_rows(features.data() + s * kDim, kDim, kClasses,
+                        model.weights().data(), row.data());
+        activate_inplace(act, row);
+        lr_accumulate_row_loss(act, row.data(), labels[s], kClasses,
+                               want.loss_sum);
+        const auto argmax = std::max_element(row.begin(), row.end());
+        if (argmax - row.begin() == labels[s]) ++want.correct;
+      }
+
+      Workspace ws;
+      const EvalSums got = model.evaluate_sums(batch, ws);
+      EXPECT_EQ(0, std::memcmp(&got.loss_sum, &want.loss_sum, sizeof(double)))
+          << "n=" << n << " got " << got.loss_sum << " want " << want.loss_sum;
+      EXPECT_EQ(got.correct, want.correct) << "n=" << n;
+      EXPECT_EQ(got.samples, n);
+    }
+  }
 }
 
 TEST(LogisticRegression, CloneIsDeepCopy) {

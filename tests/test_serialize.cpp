@@ -81,5 +81,30 @@ TEST(Crc32, KnownVector) {
 
 TEST(Crc32, EmptyIsZero) { EXPECT_EQ(crc32({}), 0u); }
 
+TEST(Crc32, SliceBy8MatchesBytewiseLoopAtEveryLengthAndOffset) {
+  // The textbook bytewise loop over the same IEEE reflected polynomial.
+  const auto bytewise = [](const std::uint8_t* p, std::size_t n) {
+    std::uint32_t c = 0xFFFFFFFFU;
+    for (std::size_t i = 0; i < n; ++i) {
+      c ^= p[i];
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1U) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
+      }
+    }
+    return c ^ 0xFFFFFFFFU;
+  };
+  std::vector<std::uint8_t> buf(8 + 67);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<std::uint8_t>(i * 151 + 7);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 67; ++len) {
+      const std::uint8_t* p = buf.data() + offset;
+      EXPECT_EQ(crc32({p, len}), bytewise(p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace eefei::ml

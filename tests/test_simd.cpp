@@ -307,14 +307,16 @@ std::vector<const simd::KernelTable*> runnable_tables() {
 TEST(Simd, BatchedEntriesMatchPlainKernelsBitwise) {
   // The equivalence ModelBank is built on: per sample, the whole-batch
   // entries land on the bits of the plain kernels run sample by sample —
-  // every backend, n off the 4-sample tile, every d % 4, odd block
-  // counts, the AVX-512 column splits, and the skip predicate's edge
-  // values.  The reference is the scalar table's plain kernels.
+  // every backend, n off the 4-sample tile and on and off the AVX-512
+  // 8-sample lane group, every d % 4, odd block counts, every class count
+  // of the register-resident AVX-512 kernels, and the skip predicate's
+  // edge values.  The reference is the scalar table's plain kernels.
   const auto* scalar = simd::kernels_for(simd::Isa::kScalar);
   ASSERT_NE(scalar, nullptr);
-  const std::size_t ns[] = {1, 3, 4, 6, 9};
+  const std::size_t ns[] = {1, 3, 4, 6, 8, 9, 15, 16, 17, 250};
   const std::size_t ds[] = {1, 2, 3, 4, 7, 12, 13, 14, 21, 28, 41};
-  const std::size_t cs[] = {1, 2, 3, 9, 10, 16, 17, 32};
+  const std::size_t cs[] = {1,  2,  3,  4,  5,  6,  7,  8,  9, 10,
+                            11, 12, 13, 14, 15, 16, 17, 32};
   const double inf = std::numeric_limits<double>::infinity();
   for (const auto* t : runnable_tables()) {
     std::uint64_t seed = 307;
@@ -491,6 +493,90 @@ TEST(Simd, WholeBatchEntriesSkipAlternatingDeadBlocksPerSample) {
             EXPECT_TRUE(same_bits(gt[j * d + k], want))
                 << simd::isa_name(t->isa) << " n=" << n << " c=" << c
                 << " k=" << k << " j=" << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Simd, WholeBatchForwardSkipsEachLanesOwnDeadBlocks) {
+  // Every lane of an 8-sample group (the AVX-512 sample-lane forward) has
+  // its own live blocks and live tail rows.  A live 4-block or tail row
+  // holds one of the lane's values — 1.5, NaN, ±∞, a denormal, … — among
+  // ±0.0; dead ones hold only +0.0 and −0.0.  Lane 6 is dead throughout.  Per
+  // reader lane the weights are finite exactly on the reader's live rows
+  // and NaN elsewhere, and accumulators start at −0.0, so a block applied
+  // to a lane it is dead for, or skipped for a lane it is live for, shows
+  // in the bits.  n = 19 adds leftover samples behind two full groups.
+  constexpr std::size_t kBlocks = 8;
+  constexpr std::size_t d = 4 * kBlocks + 3;
+  const double nan = machine_nan();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const unsigned live_blocks[8] = {0x01, 0x82, 0x24, 0x5a,
+                                   0xf0, 0x0f, 0x00, 0xff};
+  const unsigned live_tail[8] = {1, 2, 4, 3, 6, 5, 0, 7};
+  // Lanes 1 and 2 hold NaN / +∞ only in blocks and lane 3 NaN in its tail,
+  // so a wrongly skipped special value changes the lane's result.
+  const double value[8] = {1.5, nan, inf, -inf, denorm, -2.0, 0.25, 3.0};
+  const double tail_value[8] = {1.5, 2.0, 2.0, nan, denorm, -2.0, 0.25, 3.0};
+  const auto live = [&](std::size_t lane, std::size_t k) {
+    return k < 4 * kBlocks ? ((live_blocks[lane] >> (k / 4)) & 1u) != 0
+                           : ((live_tail[lane] >> (k - 4 * kBlocks)) & 1u) != 0;
+  };
+  const auto lane_row = [&](std::size_t lane) {
+    std::vector<double> row(d);
+    for (std::size_t k = 0; k < d; ++k) {
+      const bool tail = k >= 4 * kBlocks;
+      const bool holder = tail || k % 4 == (lane + k / 4) % 4;
+      row[k] = !(live(lane, k) && holder) ? ((k + lane) % 2 == 0 ? -0.0 : 0.0)
+               : tail                     ? tail_value[lane]
+                                          : value[lane];
+    }
+    return row;
+  };
+  const auto* scalar = simd::kernels_for(simd::Isa::kScalar);
+  ASSERT_NE(scalar, nullptr);
+  for (const auto* t : runnable_tables()) {
+    for (const std::size_t n : {8, 19}) {
+      std::vector<double> x;
+      for (std::size_t s = 0; s < n; ++s) {
+        const auto row = lane_row(s % 8);
+        x.insert(x.end(), row.begin(), row.end());
+      }
+      for (const std::size_t c : {1, 3, 10, 16}) {
+        for (std::size_t reader = 0; reader < 8; ++reader) {
+          std::vector<double> w(d * c);
+          for (std::size_t k = 0; k < d; ++k) {
+            for (std::size_t j = 0; j < c; ++j) {
+              w[k * c + j] = live(reader, k) ? 1.0 + k + 0.5 * j : nan;
+            }
+          }
+          std::vector<double> acc(n * c, -0.0);
+          auto acc_ref = acc;
+          for (std::size_t s = 0; s < n; ++s) {
+            scalar->accumulate_rows(x.data() + s * d, d, c, w.data(),
+                                    acc_ref.data() + s * c);
+          }
+          t->accumulate_rows_tiled(x.data(), n, d, c, w.data(), acc.data(),
+                                   c);
+          EXPECT_EQ(0, std::memcmp(acc.data(), acc_ref.data(),
+                                   acc.size() * sizeof(double)))
+              << simd::isa_name(t->isa) << " n=" << n << " c=" << c
+              << " reader " << reader;
+          for (std::size_t s = reader; s < n; s += 8) {
+            for (std::size_t j = 0; j < c; ++j) {
+              const double got = acc[s * c + j];
+              if (reader == 6) {
+                EXPECT_TRUE(same_bits(got, -0.0))
+                    << simd::isa_name(t->isa) << " s=" << s;
+              } else if (std::isfinite(value[reader]) &&
+                         std::isfinite(tail_value[reader])) {
+                EXPECT_TRUE(std::isfinite(got) && got != 0.0)
+                    << simd::isa_name(t->isa) << " s=" << s << " " << got;
+              }
+            }
           }
         }
       }
