@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <string>
+#include <utility>
 
 namespace eefei::data {
 
@@ -97,11 +98,27 @@ double point_segment_distance2(double px, double py,
   return ex * ex + ey * ey;
 }
 
+// Half-open index range of the pixels whose centres (i + 0.5) can fall in
+// [lo, hi], widened by one pixel on each side and clipped to [0, side).
+// A NaN bound yields the whole axis, where the exact test then decides as
+// a per-pixel scan would.
+std::pair<std::size_t, std::size_t> pixel_range(double lo, double hi,
+                                                std::size_t side) {
+  const auto fside = static_cast<double>(side);
+  const double first = std::floor(lo - 0.5) - 1.0;
+  const double last = std::ceil(hi - 0.5) + 2.0;
+  const std::size_t b =
+      first > 0.0 ? static_cast<std::size_t>(std::min(first, fside)) : 0;
+  const std::size_t e =
+      last < fside ? static_cast<std::size_t>(std::max(last, 0.0)) : side;
+  return {b, e};
+}
+
 }  // namespace
 
 SynthDigits::SynthDigits(SynthDigitsConfig config)
     : config_(config), rng_(config.seed) {
-  assert(config_.image_side >= 8);
+  assert(config_.image_side >= 1);
 }
 
 void SynthDigits::render(int label, std::span<double> out) {
@@ -161,20 +178,33 @@ void SynthDigits::render(int label, std::span<double> out) {
     segs.push_back(ps);
   }
 
-  // Rasterize: per-pixel intensity from the closest stroke, then noise.
-  // Segments whose expanded bbox misses the pixel are ≥ cutoff away, so
-  // skipping them cannot change the clamped intensity.
-  for (std::size_t yy = 0; yy < side; ++yy) {
-    const double py = static_cast<double>(yy) + 0.5;
-    for (std::size_t xx = 0; xx < side; ++xx) {
-      const double px = static_cast<double>(xx) + 0.5;
-      double dmin2 = cutoff2;
-      for (const auto& s : segs) {
-        if (px < s.x_lo || px > s.x_hi || py < s.y_lo || py > s.y_hi) {
-          continue;
-        }
-        dmin2 = std::min(dmin2, point_segment_distance2(px, py, s));
+  // Rasterize bbox-first: each segment, in prototype order, lowers the
+  // squared distance of only the pixels inside its cutoff-expanded bbox
+  // (the index range is widened by one pixel; the exact bbox test decides).
+  // Every pixel therefore takes the same min over the same segments in the
+  // same order as a per-pixel scan, so the bytes and the RNG stream below
+  // are unchanged.  Pixels outside every bbox stay at cutoff² and render
+  // dark before noise.
+  dist2_.assign(side * side, cutoff2);
+  for (const auto& s : segs) {
+    const auto [x0, x1] = pixel_range(s.x_lo, s.x_hi, side);
+    const auto [y0, y1] = pixel_range(s.y_lo, s.y_hi, side);
+    for (std::size_t yy = y0; yy < y1; ++yy) {
+      const double py = static_cast<double>(yy) + 0.5;
+      if (py < s.y_lo || py > s.y_hi) continue;
+      double* row = dist2_.data() + yy * side;
+      for (std::size_t xx = x0; xx < x1; ++xx) {
+        const double px = static_cast<double>(xx) + 0.5;
+        if (px < s.x_lo || px > s.x_hi) continue;
+        row[xx] = std::min(row[xx], point_segment_distance2(px, py, s));
       }
+    }
+  }
+
+  // Per-pixel intensity from the closest stroke, then noise.
+  for (std::size_t yy = 0; yy < side; ++yy) {
+    for (std::size_t xx = 0; xx < side; ++xx) {
+      const double dmin2 = dist2_[yy * side + xx];
       double v = 0.0;
       if (dmin2 < cutoff2) {
         v = std::clamp(

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "common/rng.h"
 #include "data/dataset.h"
@@ -29,6 +30,7 @@ struct SynthDigitsConfig {
   [[nodiscard]] std::size_t feature_dim() const {
     return image_side * image_side;
   }
+  bool operator==(const SynthDigitsConfig&) const = default;
 };
 
 class SynthDigits {
@@ -52,6 +54,7 @@ class SynthDigits {
  private:
   SynthDigitsConfig config_;
   Rng rng_;
+  std::vector<double> dist2_;  // render scratch: squared distance per pixel
 };
 
 /// Renders an image as ASCII art (for the quickstart example).

@@ -193,6 +193,8 @@ class EventFleetEngine {
   [[nodiscard]] const EventFleetEngineConfig& config() const {
     return config_;
   }
+  /// The built population (valid after prepare()).
+  [[nodiscard]] const Population& population() const { return population_; }
 
  private:
   [[nodiscard]] bool fault_injection_active() const {

@@ -100,6 +100,35 @@ TEST(EventFleetEngine, MatchesGoldenFingerprint) {
   }
 }
 
+// Data another live engine rendered gives the same bits as data an engine
+// renders alone in a fresh process: the shared block is the same bytes.
+TEST(Population, SharedDataRunMatchesGoldenFingerprint) {
+  FeiSystemConfig holder_cfg = golden_config();
+  holder_cfg.fl.local_epochs = 1;  // not part of the data recipe
+  FeiSystem holder(holder_cfg);
+  ASSERT_TRUE(holder.prepare().ok());
+
+  EventFleetEngineConfig cfg;
+  cfg.system = golden_config();
+  cfg.sampled_timelines = 20;
+  cfg.tiers.gateway_fanin = 4;
+  cfg.tiers.region_fanin = 2;
+  EventFleetEngine engine(cfg);
+  ASSERT_TRUE(engine.prepare().ok());
+  ASSERT_EQ(&engine.population().test_set(), &holder.test_set());
+  const auto r = engine.run();
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  expect_golden(*r);
+
+  FeiSystem reference(golden_config());
+  const auto ref = reference.run();
+  ASSERT_TRUE(ref.ok()) << ref.error().message;
+  ASSERT_EQ(&reference.test_set(), &holder.test_set());
+  EXPECT_EQ(ref->ledger.total().value(), kGoldenLedgerTotal);
+  EXPECT_EQ(ref->wall_clock.value(), kGoldenWallClock);
+  EXPECT_EQ(ref->training.final_params, r->training.final_params);
+}
+
 // The queue-implementation switch is a pure performance knob: the binary
 // heap reference must hit the identical golden fingerprint as the default
 // calendar queue, and both must process the same number of events with the

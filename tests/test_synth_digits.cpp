@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
+
+#include "ml/serialize.h"
 
 namespace eefei::data {
 namespace {
@@ -123,6 +127,61 @@ TEST(SynthDigits, ClassCentroidsSeparated) {
     }
   }
   EXPECT_GT(min_inter, 1.0) << "two digit classes are nearly identical";
+}
+
+// The fleet workloads render 4×4 glyphs: still deterministic and in [0, 1].
+TEST(SynthDigits, SideFourRenderIsDeterministicAndInUnitRange) {
+  SynthDigitsConfig cfg;
+  cfg.image_side = 4;
+  cfg.seed = 9;
+  SynthDigits a(cfg), b(cfg);
+  const Dataset da = a.generate(200);
+  const Dataset db = b.generate(200);
+  ASSERT_EQ(da.feature_dim(), 16u);
+  EXPECT_TRUE(std::ranges::equal(da.all_labels(), db.all_labels()));
+  EXPECT_TRUE(std::ranges::equal(da.all_features(), db.all_features()));
+  for (const double p : da.all_features()) {
+    ASSERT_GE(p, 0.0);
+    ASSERT_LE(p, 1.0);
+  }
+}
+
+// The exact bytes the renderer produces, recorded before the raster was
+// restructured to loop over each segment's bounding box.  Every fleet,
+// system and bench golden downstream rests on these.
+TEST(SynthDigits, RenderBytesPinned) {
+  struct Pin {
+    std::size_t side;
+    std::uint64_t seed;
+    std::uint32_t features_crc;
+    std::uint32_t labels_crc;
+  };
+  const Pin pins[] = {
+      {4, 1, 2525024282u, 1320096885u},
+      {4, 42, 75031903u, 2153985424u},
+      {4, 1000020, 2486602323u, 1748910535u},
+      {12, 1, 4264777337u, 742634694u},
+      {12, 42, 1824712280u, 3057870904u},
+      {12, 1000020, 1919615133u, 745855536u},
+      {28, 1, 405866432u, 1506570461u},
+      {28, 42, 411598333u, 795134656u},
+      {28, 1000020, 1809798909u, 1524635519u},
+  };
+  const auto crc = [](auto values) {
+    return ml::crc32({reinterpret_cast<const std::uint8_t*>(values.data()),
+                      values.size_bytes()});
+  };
+  for (const Pin& pin : pins) {
+    SynthDigitsConfig cfg;
+    cfg.image_side = pin.side;
+    cfg.seed = pin.seed;
+    SynthDigits gen(cfg);
+    const Dataset ds = gen.generate(500);
+    EXPECT_EQ(crc(ds.all_features()), pin.features_crc)
+        << "side " << pin.side << " seed " << pin.seed;
+    EXPECT_EQ(crc(ds.all_labels()), pin.labels_crc)
+        << "side " << pin.side << " seed " << pin.seed;
+  }
 }
 
 TEST(AsciiArt, ShapeAndRamp) {
