@@ -10,7 +10,7 @@
 // pushes E* up to amortize them.
 //
 // The second half scales the same scenario to a real fleet with
-// sim::FleetEngine: thousands of servers, streaming energy accumulators
+// sim::EventFleetEngine: thousands of servers, streaming energy accumulators
 // instead of per-server timelines, pooled training data, and a sampled
 // subset of full timelines for inspection.
 //
@@ -21,8 +21,8 @@
 
 #include "common/config.h"
 #include "core/planner.h"
+#include "sim/event_fleet.h"
 #include "sim/fei_system.h"
-#include "sim/fleet_engine.h"
 
 using namespace eefei;
 
@@ -115,12 +115,12 @@ int main(int argc, char** argv) {
   }
 
   // -- fleet scale ---------------------------------------------------------
-  // The same round model, now over thousands of servers.  FleetEngine
+  // The same round model, now over thousands of servers.  EventFleetEngine
   // streams energy through O(1) accumulators, pools the training data into
   // 128 distinct shards shared round-robin, and keeps full timelines only
   // for a small sampled subset.
   std::printf("\n== fleet scale: %zu edge servers ==\n", fleet_servers);
-  sim::FleetEngineConfig fleet_cfg;
+  sim::EventFleetEngineConfig fleet_cfg;
   fleet_cfg.system = sim::prototype_config();
   fleet_cfg.system.num_servers = fleet_servers;
   fleet_cfg.system.net.num_edge_servers = fleet_servers;
@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
   fleet_cfg.data_pool_shards = 128;
   fleet_cfg.sampled_timelines = 4;
 
-  sim::FleetEngine fleet(fleet_cfg);
+  sim::EventFleetEngine fleet(fleet_cfg);
   const auto t0 = std::chrono::steady_clock::now();
   const auto fleet_run = fleet.run();
   const auto t1 = std::chrono::steady_clock::now();

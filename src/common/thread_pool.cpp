@@ -30,20 +30,23 @@ obs::Histogram& ns_histogram(obs::MetricsRegistry& metrics,
 
 namespace detail {
 
-std::uint64_t pool_enqueue_ns() {
-  obs::Telemetry* t = obs::telemetry();
-  return t != nullptr ? t->tracer.wall_now_ns() : 0;
+obs::Telemetry* pool_telemetry() { return obs::telemetry(); }
+
+std::uint64_t pool_enqueue_ns(obs::Telemetry* telemetry) {
+  return telemetry != nullptr ? telemetry->tracer.wall_now_ns() : 0;
 }
 
-void pool_note_queue_depth(std::size_t depth, bool enqueued) {
-  obs::Telemetry* t = obs::telemetry();
-  if (t == nullptr) return;
-  t->metrics.gauge("pool.queue_depth").set(static_cast<double>(depth));
-  if (enqueued) t->metrics.counter("pool.tasks").increment();
+void pool_note_queue_depth(obs::Telemetry* telemetry, std::size_t depth,
+                           bool enqueued) {
+  if (telemetry == nullptr) return;
+  telemetry->metrics.gauge("pool.queue_depth")
+      .set(static_cast<double>(depth));
+  if (enqueued) telemetry->metrics.counter("pool.tasks").increment();
 }
 
-PoolTaskTimer::PoolTaskTimer(std::uint64_t enqueue_ns)
-    : telemetry_(obs::telemetry()),
+PoolTaskTimer::PoolTaskTimer(obs::Telemetry* telemetry,
+                             std::uint64_t enqueue_ns)
+    : telemetry_(telemetry),
       start_ns_(telemetry_ != nullptr ? telemetry_->tracer.wall_now_ns() : 0) {
   if (telemetry_ != nullptr && enqueue_ns != 0 && start_ns_ >= enqueue_ns) {
     ns_histogram(telemetry_->metrics, "pool.task_wait.ns")
@@ -99,16 +102,17 @@ bool ThreadPool::on_worker_thread() const { return tls_worker_pool == this; }
 void ThreadPool::worker_loop() {
   tls_worker_pool = this;
   for (;;) {
-    std::function<void()> task;
+    QueuedTask task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
       if (stop_ && tasks_.empty()) return;
       task = std::move(tasks_.front());
       tasks_.pop();
-      detail::pool_note_queue_depth(tasks_.size(), /*enqueued=*/false);
+      detail::pool_note_queue_depth(task.telemetry, tasks_.size(),
+                                    /*enqueued=*/false);
     }
-    task();
+    task.run();
   }
 }
 

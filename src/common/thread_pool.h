@@ -26,10 +26,15 @@ class Telemetry;
 
 namespace detail {
 // Telemetry hooks, defined in thread_pool.cpp so this header stays free of
-// obs includes.  With telemetry disabled each is a pointer check and
-// nothing else (pool_enqueue_ns returns 0 without reading a clock).
-[[nodiscard]] std::uint64_t pool_enqueue_ns();
-void pool_note_queue_depth(std::size_t depth, bool enqueued);
+// obs includes.  submit() reads the installed Telemetry once and every
+// hook for that task writes into that pointer, never into whatever is
+// installed when a worker gets to it.  With telemetry disabled each is a
+// pointer check and nothing else (pool_enqueue_ns returns 0 without
+// reading a clock).
+[[nodiscard]] obs::Telemetry* pool_telemetry();
+[[nodiscard]] std::uint64_t pool_enqueue_ns(obs::Telemetry* telemetry);
+void pool_note_queue_depth(obs::Telemetry* telemetry, std::size_t depth,
+                           bool enqueued);
 
 /// Times one pool task from inside its callable: the constructor records
 /// pool.task_wait.ns, the destructor pool.task_run.ns.  The destructor runs
@@ -38,7 +43,7 @@ void pool_note_queue_depth(std::size_t depth, bool enqueued);
 /// write for the task lands before the submitter's get() returns.
 class PoolTaskTimer {
  public:
-  explicit PoolTaskTimer(std::uint64_t enqueue_ns);
+  PoolTaskTimer(obs::Telemetry* telemetry, std::uint64_t enqueue_ns);
   ~PoolTaskTimer();
   PoolTaskTimer(const PoolTaskTimer&) = delete;
   PoolTaskTimer& operator=(const PoolTaskTimer&) = delete;
@@ -74,17 +79,19 @@ class ThreadPool {
   template <typename F>
   auto submit(F&& f) -> std::future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
-    const std::uint64_t enqueue_ns = detail::pool_enqueue_ns();
+    obs::Telemetry* const telemetry = detail::pool_telemetry();
+    const std::uint64_t enqueue_ns = detail::pool_enqueue_ns(telemetry);
     auto task = std::make_shared<std::packaged_task<R()>>(
-        [fn = std::forward<F>(f), enqueue_ns]() mutable -> R {
-          const detail::PoolTaskTimer timer(enqueue_ns);
+        [fn = std::forward<F>(f), telemetry, enqueue_ns]() mutable -> R {
+          const detail::PoolTaskTimer timer(telemetry, enqueue_ns);
           return fn();
         });
     std::future<R> result = task->get_future();
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      tasks_.push([task] { (*task)(); });
-      detail::pool_note_queue_depth(tasks_.size(), /*enqueued=*/true);
+      tasks_.push({[task] { (*task)(); }, telemetry});
+      detail::pool_note_queue_depth(telemetry, tasks_.size(),
+                                    /*enqueued=*/true);
     }
     cv_.notify_one();
     return result;
@@ -120,8 +127,16 @@ class ThreadPool {
   /// True when the calling thread is one of this pool's workers.
   [[nodiscard]] bool on_worker_thread() const;
 
+  /// A queued task and the Telemetry its submitter had installed.  The
+  /// submitter is still waiting on the task's future when a worker dequeues
+  /// it, so the pointer is live for the dequeue-depth note.
+  struct QueuedTask {
+    std::function<void()> run;
+    obs::Telemetry* telemetry = nullptr;
+  };
+
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
+  std::queue<QueuedTask> tasks_;
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stop_ = false;

@@ -10,8 +10,8 @@
 //
 // The NUMERIC aggregation (Eq. 2) deliberately stays flat at the root:
 // summing per-gateway partial averages re-associates the floating-point
-// reduction, which would break the bit-identity contract against FeiSystem
-// and FleetEngine.  Tiering therefore bounds *fan-in of the completion /
+// reduction, which would break the bit-identity contract against
+// FeiSystem.  Tiering therefore bounds *fan-in of the completion /
 // communication structure* — the thing that has a timing and energy cost —
 // while the root still reduces the K surviving updates in index order.
 #pragma once
@@ -56,15 +56,6 @@ class TierPlan {
   [[nodiscard]] std::size_t region_of(std::size_t server) const {
     return region_of_gateway(gateway_of(server));
   }
-  /// First server of a gateway's contiguous member block — the inverse of
-  /// gateway_of().  Consumers that address "the gateway" through a member
-  /// id (the per-gateway contention merge, the multi-hop graph mapping)
-  /// use this instead of re-deriving the block arithmetic.
-  [[nodiscard]] std::size_t first_member_of_gateway(
-      std::size_t gateway) const {
-    return gateway * config_.gateway_fanin;
-  }
-
   /// Actual fan-in of a given node (the last gateway/region of the fleet
   /// may be partially filled).
   [[nodiscard]] std::size_t gateway_fanin(std::size_t gateway) const;

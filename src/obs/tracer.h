@@ -71,14 +71,6 @@ class Tracer {
   [[nodiscard]] static constexpr std::int32_t server_pid(std::size_t server) {
     return static_cast<std::int32_t>(server) + 1;
   }
-  /// Fleet-mode shard tracks: at 10k+ servers one track per server would
-  /// drown the viewer, so FleetEngine records per-shard aggregate spans on
-  /// these instead (sampled servers still get their own server_pid track).
-  static constexpr std::int32_t kFleetShardPidBase = 1'000'000;
-  [[nodiscard]] static constexpr std::int32_t fleet_shard_pid(
-      std::size_t shard) {
-    return kFleetShardPidBase + static_cast<std::int32_t>(shard);
-  }
   /// Aggregation-tier tracks for the event-driven fleet engine: one track
   /// per ACTIVE gateway / regional coordinator per round (≤ K of each, so
   /// a 1M-server trace stays viewable), plus one root track.  Named lazily

@@ -13,6 +13,7 @@
 
 #include "common/rng.h"
 #include "energy/idle_settlement.h"
+#include "fl/client_pool.h"
 #include "fl/selection.h"
 #include "ml/quantize.h"
 #include "ml/serialize.h"
@@ -22,9 +23,9 @@
 #include "net/router.h"
 #include "obs/telemetry.h"
 #include "sim/calendar_queue.h"
+#include "sim/edge_server_sim.h"
 #include "sim/fault_process.h"
 #include "sim/fleet_event.h"
-#include "sim/typed_event_queue.h"
 
 namespace eefei::sim {
 
@@ -64,17 +65,6 @@ Status EventFleetEngine::validate() const {
           "(0 < data_pool_shards < num_servers)");
     }
   }
-  if (config_.gateway_contention) {
-    if (sys.lan_contention == FeiSystemConfig::LanContention::kCsma) {
-      return Error::invalid_argument(
-          "event fleet: gateway contention models FCFS segments only");
-    }
-    if (fault_injection_active()) {
-      return Error::invalid_argument(
-          "event fleet: gateway contention does not support fault "
-          "injection");
-    }
-  }
   if (fault_injection_active() &&
       sys.lan_contention == FeiSystemConfig::LanContention::kCsma) {
     return Error::invalid_argument(
@@ -84,11 +74,6 @@ Status EventFleetEngine::validate() const {
     if (sys.lan_contention == FeiSystemConfig::LanContention::kCsma) {
       return Error::invalid_argument(
           "event fleet: multi-hop backhaul models FCFS access only");
-    }
-    if (config_.gateway_contention) {
-      return Error::invalid_argument(
-          "event fleet: multi_hop and gateway_contention are exclusive "
-          "backhaul models");
     }
     if (fault_injection_active()) {
       return Error::invalid_argument(
@@ -148,22 +133,11 @@ void EventFleetEngine::for_each_server_sharded(
   }
 }
 
+// The whole simulation.  Every event is a POD FleetEvent on the calendar
+// queue, dispatched through the switch below: values frozen at schedule
+// time ride in the event's t0/t1/t2 fields, everything else is read from
+// the round state at fire time.
 Result<EventFleetRunResult> EventFleetEngine::run() {
-  if (config_.event_queue == FleetQueueImpl::kBinaryHeap) {
-    return run_impl<TypedEventQueue<FleetEvent>>();
-  }
-  return run_impl<CalendarQueue<FleetEvent>>();
-}
-
-// The simulation body, templated over the typed event scheduler.  Every
-// event is a POD FleetEvent dispatched through the switch below; each case
-// body is the former capturing-lambda handler verbatim, with by-value
-// captures riding in the event's t0/t1/t2 fields and by-reference captures
-// read from the engine's round state at fire time — so the event order,
-// every floating-point expression and every RNG draw are unchanged, and
-// results stay bit-identical to the closure-based implementation.
-template <class Q>
-Result<EventFleetRunResult> EventFleetEngine::run_impl() {
   if (const auto st = prepare(); !st.ok()) return st.error();
   (void)acquire_pool();
   const FeiSystemConfig& sys = config_.system;
@@ -183,8 +157,8 @@ Result<EventFleetRunResult> EventFleetEngine::run_impl() {
   result.num_gateways = tier_plan.num_gateways();
   result.num_regions = tier_plan.num_regions();
 
-  // Sampled full-timeline mirrors: same even spacing as FleetEngine, but a
-  // hash map instead of an O(N) mirror index array.
+  // Sampled full-timeline mirrors, evenly spaced over the fleet; a hash map
+  // instead of an O(N) mirror index array.
   const std::size_t n_sampled = std::min(config_.sampled_timelines, n_servers);
   std::unordered_map<std::size_t, std::uint32_t> mirror_of;
   std::vector<EdgeServerSim> mirrors;
@@ -307,9 +281,9 @@ Result<EventFleetRunResult> EventFleetEngine::run_impl() {
         ml::quantized_wire_size(param_count, sys.upload_quant_bits);
   }
 
-  // Same seed derivations as FeiSystem/FleetEngine; the dispatch scan
-  // consumes these streams serially in selection order, so a fault-free
-  // materialized run matches both reference engines bit for bit.
+  // Same seed derivations as FeiSystem; the dispatch scan consumes these
+  // streams serially in selection order, so a fault-free materialized run
+  // matches FeiSystem bit for bit.
   Rng jitter_rng(sys.seed * 104729 + 5);
   Rng straggler_rng(sys.seed * 15485863 + 7);
   net::CsmaCell csma(sys.csma, Rng(sys.seed * 48611 + 9));
@@ -321,8 +295,8 @@ Result<EventFleetRunResult> EventFleetEngine::run_impl() {
   };
   std::vector<double> persistent_slowdown;
   if (sys.straggler_persistent && sys.straggler_fraction > 0.0) {
-    // Same draws as FleetEngine; the O(N) array only exists when the knob
-    // is on (it is one of the few remaining per-server allocations).
+    // Same draws as FeiSystem; the O(N) array only exists when the knob is
+    // on (it is one of the few remaining per-server allocations).
     persistent_slowdown.assign(n_servers, 1.0);
     for (auto& f : persistent_slowdown) {
       if (straggler_rng.bernoulli(sys.straggler_fraction)) {
@@ -412,8 +386,8 @@ Result<EventFleetRunResult> EventFleetEngine::run_impl() {
   // Dense tier tables replace the per-round ordered maps: node state is
   // indexed by gateway/region id, and the per-round touched-id lists both
   // bound the reset cost to O(touched) and provide the deterministic
-  // iteration order (sorted where it matters — the per-gateway merge).
-  Q queue;
+  // iteration order.
+  CalendarQueue<FleetEvent> queue;
   struct TierNodeState {
     std::size_t remaining = 0;  // children not yet resolved this round
     std::size_t members = 0;    // children active this round
@@ -626,7 +600,9 @@ Result<EventFleetRunResult> EventFleetEngine::run_impl() {
     }
   };
 
-  // Fault constants and processes (FleetEngine's fault filter verbatim).
+  // Fault constants and processes.  Transfer fault plans draw from
+  // per-(server, round) counted RNG streams, so a server's fault fate does
+  // not depend on which other servers the scan visited before it.
   const net::LinkFaultConfig link_faults = sys.net.link_faults;
   const RngStreamFamily fault_streams(
       link_faults.seed * 0x9e3779b97f4a7c15ULL + sys.seed * 7349 + 101);
@@ -860,8 +836,8 @@ Result<EventFleetRunResult> EventFleetEngine::run_impl() {
       }
       case FleetEventKind::kFaultEpochDone: {
         // Book the full training phase, then run the upload leg against
-        // the (event-ordered) FCFS chain — exactly FleetEngine's sorted
-        // (train_end, index) drain, produced by the queue's FIFO.
+        // the (event-ordered) FCFS chain: the queue's FIFO drains uploads
+        // in (train_end, selection index) order.
         const std::size_t sid = ev.a;
         const Seconds train_start = ev.t0;
         const Seconds t = ev.t1;
@@ -963,22 +939,13 @@ Result<EventFleetRunResult> EventFleetEngine::run_impl() {
         gateway_member_resolved(sid, at);
         break;
       }
-      case FleetEventKind::kGwDownloadDone:
-      case FleetEventKind::kGwEpochDone:
-      case FleetEventKind::kGwUploadDone: {
-        // Gateway-local events dispatch on the per-gateway queues, never
-        // the global one.
-        assert(false);
-        break;
-      }
     }
   };
 
-  // --- Fault-free round simulation: one shared LAN, global event queue ---
-  // Equivalence with FleetEngine's sorted drain: epoch-done events fire in
-  // (train_end, FIFO) order and FIFO order equals selection-index order, so
-  // the upload legs consume jitter_rng / csma / lan_free in exactly the
-  // (train_end, index) order FleetEngine's explicit sort produces.
+  // --- Fault-free round simulation: one shared LAN -----------------------
+  // Epoch-done events fire in (train_end, FIFO) order and FIFO order equals
+  // selection-index order, so the upload legs consume jitter_rng / csma /
+  // lan_free in (train_end, index) order — FeiSystem's upload order.
   auto observer = [&](const fl::RoundRecord& record,
                       std::span<const fl::LocalTrainResult> updates) {
     begin_round(record.round, record.selected);
@@ -1087,231 +1054,12 @@ Result<EventFleetRunResult> EventFleetEngine::run_impl() {
     }
   };
 
-  // --- Per-gateway contention mode ---------------------------------------
-  // Each gateway is its own FCFS LAN segment, so the per-gateway event
-  // streams are independent: they drain in PARALLEL across the thread
-  // pool, each on a private typed queue, touching only its own members'
-  // ledger rows / accumulators / mirrors.  All RNG (download, training,
-  // upload jitter) is consumed at dispatch in selection order, so results
-  // are byte-identical for any thread count; outcomes merge in ascending
-  // gateway order.
-  struct Job {
-    std::size_t sid = 0;
-    Seconds download_start{0.0};
-    Seconds d{0.0};
-    Seconds dw{0.0};  // retransmitted share of d
-    Seconds t{0.0};
-    Seconds u{0.0};
-    Seconds uw{0.0};  // retransmitted share of u
-  };
-  // Dense per-gateway job lists + lan_free chain, reused across rounds
-  // (grow-only: jobs vectors clear but keep capacity).  Allocated only in
-  // gateway-contention mode.
-  std::vector<std::vector<Job>> gw_jobs;
-  std::vector<Seconds> gw_lan_free;
-  if (config_.gateway_contention) {
-    gw_jobs.resize(tier_plan.num_gateways());
-    gw_lan_free.assign(tier_plan.num_gateways(), Seconds{0.0});
-  }
-
-  auto gateway_observer = [&](const fl::RoundRecord& record,
-                              std::span<const fl::LocalTrainResult> updates) {
-    begin_round(record.round, record.selected);
-    const Seconds round_start = round_start_time;
-
-    // Per-round gateway job grouping, ascending-gateway drain order.  The
-    // touched-gateway list is exactly round_gw_ids (every selected member
-    // contributes one job), sorted ascending for the deterministic merge.
-    std::vector<std::uint32_t> active_gids(round_gw_ids);
-    std::sort(active_gids.begin(), active_gids.end());
-    for (std::size_t i = 0; i < record.selected.size(); ++i) {
-      const std::size_t sid = record.selected[i];
-      const std::size_t n_k = updates[i].samples_used;
-      if (sys.iot_collection) {
-        const auto collected = population_.topology().fleet(sid).collect(n_k);
-        if (collected.wasted_energy.value() > 0.0) {
-          result.ledger.charge(sid, energy::EnergyCategory::kRetry,
-                               collected.wasted_energy);
-          result.ledger.charge(
-              sid, energy::EnergyCategory::kDataCollection,
-              collected.total_energy - collected.wasted_energy);
-        } else {
-          result.ledger.charge(sid, energy::EnergyCategory::kDataCollection,
-                               collected.total_energy);
-        }
-      }
-      const std::size_t gid = tier_plan.gateway_of(sid);
-      if (gw_jobs[gid].empty()) gw_lan_free[gid] = round_start;
-      const auto dl = down_leg(sid);
-      const Seconds d = jittered(dl.duration);
-      const Seconds download_start = gw_lan_free[gid];
-      gw_lan_free[gid] = download_start + d;
-      Seconds t = jittered(sys.timing.duration(record.local_epochs, n_k));
-      t *= straggler_factor(sid);
-      const auto ul = up_leg(sid);
-      const Seconds u = jittered(ul.duration);
-      gw_jobs[gid].push_back({sid, download_start, d, wasted_share(d, dl), t,
-                              u, wasted_share(u, ul)});
-    }
-
-    struct GatewayOutcome {
-      Seconds done{0.0};
-      std::size_t events = 0;
-      std::size_t queue_peak = 0;
-    };
-    std::vector<GatewayOutcome> outcomes(active_gids.size());
-
-    auto drain_gateway = [&](std::size_t gi) {
-      const std::size_t gid = active_gids[gi];
-      const std::vector<Job>& jobs = gw_jobs[gid];
-      Q local;
-      // Uploads queue behind this gateway's downloads, like the shared
-      // medium does globally.
-      Seconds lf = gw_lan_free[gid];
-      Seconds gw_end = round_start;
-      auto local_dispatch = [&](const FleetEvent& lev, Seconds lat) {
-        const Job& job = jobs[lev.a];
-        switch (lev.kind) {
-          case FleetEventKind::kGwDownloadDone: {
-            run_phase(job.sid, energy::EdgeState::kDownloading,
-                      job.download_start, job.d);
-            if (job.dw.value() > 0.0) {
-              result.ledger.charge(job.sid, energy::EnergyCategory::kRetry,
-                                   p_down * job.dw);
-              result.ledger.charge(job.sid,
-                                   energy::EnergyCategory::kDownload,
-                                   p_down * (job.d - job.dw));
-            } else {
-              result.ledger.charge(job.sid,
-                                   energy::EnergyCategory::kDownload,
-                                   p_down * job.d);
-            }
-            break;
-          }
-          case FleetEventKind::kGwEpochDone: {
-            const Seconds train_start = job.download_start + job.d;
-            run_phase(job.sid, energy::EdgeState::kTraining, train_start,
-                      job.t);
-            result.ledger.charge(job.sid, energy::EnergyCategory::kTraining,
-                                 p_train * job.t);
-            const Seconds train_end = lat;
-            const Seconds upload_start = std::max(train_end, lf);
-            const Seconds queue_wait = upload_start - train_end;
-            lf = upload_start + job.u;
-            if (queue_wait.value() > 0.0) {
-              result.ledger.charge(job.sid, energy::EnergyCategory::kWaiting,
-                                   p_wait * queue_wait);
-            }
-            if (sk_wait_s != nullptr) sk_wait_s->record(queue_wait.value());
-            local.schedule_at(upload_start + job.u,
-                              FleetEvent{FleetEventKind::kGwUploadDone,
-                                         lev.a, 0, upload_start});
-            break;
-          }
-          case FleetEventKind::kGwUploadDone: {
-            const Seconds upload_start = lev.t0;
-            run_phase(job.sid, energy::EdgeState::kUploading, upload_start,
-                      job.u);
-            if (job.uw.value() > 0.0) {
-              result.ledger.charge(job.sid, energy::EnergyCategory::kRetry,
-                                   p_up * job.uw);
-              result.ledger.charge(job.sid, energy::EnergyCategory::kUpload,
-                                   p_up * (job.u - job.uw));
-            } else {
-              result.ledger.charge(job.sid, energy::EnergyCategory::kUpload,
-                                   p_up * job.u);
-            }
-            gw_end = std::max(gw_end, lat);
-            if (sk_turnaround_s != nullptr) {
-              sk_turnaround_s->record((lat - round_start).value());
-            }
-            break;
-          }
-          default:
-            assert(false);
-            break;
-        }
-      };
-      for (std::size_t j = 0; j < jobs.size(); ++j) {
-        const Job& job = jobs[j];
-        local.schedule_at(job.download_start + job.d,
-                          FleetEvent{FleetEventKind::kGwDownloadDone,
-                                     static_cast<std::uint32_t>(j)});
-        const Seconds train_start = job.download_start + job.d;
-        local.schedule_at(train_start + job.t,
-                          FleetEvent{FleetEventKind::kGwEpochDone,
-                                     static_cast<std::uint32_t>(j)});
-      }
-      outcomes[gi].events = local.run(local_dispatch);
-      outcomes[gi].done = gw_end;
-      outcomes[gi].queue_peak = local.high_water();
-    };
-    if (pool_ != nullptr && active_gids.size() > 1) {
-      pool_->parallel_for(active_gids.size(), drain_gateway);
-    } else {
-      for (std::size_t gi = 0; gi < active_gids.size(); ++gi) {
-        drain_gateway(gi);
-      }
-    }
-
-    // Deterministic merge: ascending gateway order, independent of which
-    // worker finished first.  Gateway completion feeds the same tier chain
-    // the global mode uses (its events drain on the global queue).
-    round_end = round_start;
-    std::size_t n_events = 0;
-    for (std::size_t gi = 0; gi < active_gids.size(); ++gi) {
-      n_events += outcomes[gi].events;
-      round_end = std::max(round_end, outcomes[gi].done);
-      TierNodeState& g = gw_nodes[active_gids[gi]];
-      g.remaining = 1;  // resolve the whole gateway at once
-      gateway_member_resolved(
-          tier_plan.first_member_of_gateway(active_gids[gi]),
-          outcomes[gi].done);
-    }
-    n_events += queue.run(dispatch);
-    events_processed += n_events;
-    clock = std::max(round_end, root_done);
-
-    std::size_t peak = queue.high_water();
-    for (const auto& o : outcomes) peak = std::max(peak, o.queue_peak);
-    result.queue_high_water = std::max(result.queue_high_water, peak);
-
-    // Round teardown: release the job lists (capacity retained).
-    for (const std::uint32_t gid : active_gids) gw_jobs[gid].clear();
-
-    if (charge_idle) idle_schedule.push_round(clock - round_start);
-
-    if (obs::Telemetry* tel = obs::telemetry()) {
-      tel->tracer.sim_span(
-          "round", "sim.round", obs::Tracer::kCoordinatorPid, round_start,
-          clock - round_start,
-          {{"round", static_cast<double>(record.round)},
-           {"selected", static_cast<double>(record.selected.size())},
-           {"gateways", static_cast<double>(active_gids.size())},
-           {"loss", record.global_loss}});
-      tel->metrics.counter("fleet.rounds").increment();
-      tel->metrics.counter("fleet.selected")
-          .add(static_cast<double>(record.selected.size()));
-      tel->metrics.counter("fleet.events")
-          .add(static_cast<double>(n_events));
-      obs::RoundStats rs;
-      rs.round = static_cast<double>(record.round);
-      rs.start_s = round_start.value();
-      rs.duration_s = (clock - round_start).value();
-      rs.selected = static_cast<double>(record.selected.size());
-      rs.aggregated = static_cast<double>(record.updates_aggregated);
-      rs.events = static_cast<double>(n_events);
-      rs.queue_peak = static_cast<double>(peak);
-      rs.gateways = static_cast<double>(active_gids.size());
-      append_round_stats(tel, rs);
-    }
-  };
-
   // --- Fault-mode round simulation ---------------------------------------
-  // The control flow (what fails, when, what it costs) is FleetEngine's
-  // fault filter verbatim — the timing plan is computed in the dispatch
-  // scan because the FCFS lan_free chain needs it — but every energy
-  // booking now lands on its event boundary: download-done, epoch-done,
+  // The control flow (what fails, when, what it costs) mirrors FeiSystem's
+  // fault filter, apart from the per-(server, round) fault streams above.
+  // The timing plan is computed in the dispatch scan because the FCFS
+  // lan_free chain needs it, but every energy booking lands on its event
+  // boundary: download-done, epoch-done,
   // upload-done, server-crash, deadline truncations and lost transfers all
   // fire as queue events, and each failure resolves its aggregation tier
   // (a reboot is implicit: CrashProcess's down interval ends and the
@@ -1504,8 +1252,6 @@ Result<EventFleetRunResult> EventFleetEngine::run_impl() {
                               std::move(policy));
   if (faults) {
     coordinator.set_update_filter(fault_filter);
-  } else if (config_.gateway_contention) {
-    coordinator.set_round_observer(gateway_observer);
   } else {
     coordinator.set_round_observer(observer);
   }
@@ -1599,10 +1345,5 @@ Result<EventFleetRunResult> EventFleetEngine::run_impl() {
 
   return result;
 }
-
-template Result<EventFleetRunResult>
-EventFleetEngine::run_impl<CalendarQueue<FleetEvent>>();
-template Result<EventFleetRunResult>
-EventFleetEngine::run_impl<TypedEventQueue<FleetEvent>>();
 
 }  // namespace eefei::sim

@@ -1,12 +1,16 @@
-// Event-driven fleet engine: the same FEI round model as FleetEngine,
-// rebuilt as a discrete-event simulation on sim::EventQueue so idle servers
-// cost nothing per round and N = 10^6 becomes tractable.
+// Fleet-scale FEI engine: the round model of FeiSystem (steps 1-4, priced
+// by Eqs. 3-4) as a discrete-event simulation on a calendar queue, so idle
+// servers cost nothing per round and N = 10^6 becomes tractable.
 //
-// What changes relative to the round-synchronous FleetEngine:
+// What changes relative to the 20-server FeiSystem:
 //
 //   - Per-server phase completions are EVENTS (download-done, epoch-done,
 //     upload-done, server-crash) scheduled on the event queue; the round
 //     clock is whatever the queue drained to, not an O(N) barrier sweep.
+//   - Energy streams through one CompactEnergyAccumulator per server (O(1)
+//     memory) instead of a PowerStateTimeline; a configurable, evenly
+//     spaced subset of servers keeps full EdgeServerSim timelines for
+//     Fig. 3-style traces and the tracer.
 //   - Aggregation is hierarchical: device → gateway → regional coordinator
 //     → root (fl::TierPlan), each tier's fan-in bounded by configuration.
 //     A gateway completes when its last selected member resolves, a region
@@ -20,67 +24,71 @@
 //     the per-round O(N) ledger sweep becomes one deferred charge per
 //     touched server plus a single fold for never-selected servers, with
 //     per-cell addition order preserved — so the ledger is still
-//     bit-identical to the eager engine's.
+//     bit-identical to an eager per-round sweep.
 //   - The population can be VIRTUAL: datasets and shards are built eagerly
 //     (same bytes as ever), but Client objects materialize lazily on first
 //     selection (fl::LazyClientPool) and LAN timings come from the shared
 //     WifiLanConfig instead of per-server channel objects.  Requires a
 //     loss-free LAN and no IoT collection; under those conditions the run
 //     is bit-identical to a materialized one.
+//   - Fault injection draws each transfer's fault plan from a per-(server,
+//     round) counted RNG stream (RngStreamFamily) instead of FeiSystem's
+//     one shared stream, so a server's fault fate does not depend on which
+//     other servers were scanned before it.
 //
 // Determinism contract (pinned by tests/test_event_fleet.cpp): results are
-// byte-identical for any thread count, and — on overlapping configurations
-// (zero tier latencies, shared-medium contention, materialized or
-// loss-free-virtual population) — byte-identical to FleetEngine, and hence
-// to the reference FeiSystem.  The argument: the dispatch scan consumes the
-// FeiSystem RNG streams serially in selection order, uploads drain in the
-// queue's (time, FIFO) order which equals FleetEngine's (train_end, index)
-// sort, per-server state is disjoint across the sharded O(N) passes, and
-// parallel per-gateway drains merge in ascending gateway order.
+// byte-identical for any thread count and shard size, and — with zero tier
+// latencies, uniform selection, faults off and no data pooling —
+// byte-identical to FeiSystem.  The argument: the dispatch scan consumes
+// the FeiSystem RNG streams serially in selection order; uploads drain in
+// the queue's (time, FIFO) order, which is FeiSystem's (train_end,
+// selection index) order; every event and every ledger write runs on the
+// calling thread; and the only pool work — the sharded O(N) passes and the
+// coordinator's training — touches disjoint per-server state.
 //
 // Trained models route through the coordinator's ml::ModelBank batched
-// path, exactly like FleetEngine — the DES replaces the *timing* layer,
-// not the fused training hot loop.
+// path — the DES replaces the *timing* layer, not the fused training hot
+// loop.
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "common/units.h"
-#include "fl/client_pool.h"
+#include "energy/compact_accumulator.h"
+#include "energy/ledger.h"
+#include "energy/timeline.h"
+#include "fl/coordinator.h"
 #include "fl/tiering.h"
 #include "net/link_queue.h"
 #include "obs/track_sampler.h"
-#include "sim/fleet_engine.h"
+#include "sim/fei_system.h"
+#include "sim/population.h"
 
 namespace eefei::sim {
 
-/// Scheduler backing the fleet engine's typed event loop.  Both process
-/// POD sim::FleetEvent payloads through the engine's switch dispatch and
-/// implement the exact same (time, seq) FIFO total order, so results are
-/// bit-identical across the two — the calendar queue is the O(1)-amortized
-/// default, the binary heap the reference the equivalence tests pin it to.
-enum class FleetQueueImpl {
-  kCalendar,    // sim::CalendarQueue (bucketed, O(1) amortized)
-  kBinaryHeap,  // sim::TypedEventQueue (push_heap/pop_heap reference)
-};
-
 struct EventFleetEngineConfig {
-  /// Full system description; `system.fl.threads` sizes the worker pool
-  /// for sharded passes and per-gateway drains.
+  /// Full system description (population, learning, network, energy,
+  /// faults); `system.fl.threads` also sizes the pool for the sharded
+  /// O(N) passes.
   FeiSystemConfig system;
 
   /// Servers per shard for the (rare) O(N) passes.  Work-split knob only:
   /// any value produces byte-identical results.
   std::size_t shard_size = 1024;
 
-  /// Servers keeping a full PowerStateTimeline (evenly spaced), as in
-  /// FleetEngine.
+  /// Servers keeping a full PowerStateTimeline, evenly spaced over the
+  /// fleet.  Clamped to N; set to N to retain every timeline, as FeiSystem
+  /// does.
   std::size_t sampled_timelines = 8;
 
-  /// Data pooling (see FleetEngineConfig::data_pool_shards).  Mandatory
+  /// Data pooling for very large fleets: generate P < N distinct local
+  /// datasets and map server k to pool shard k mod P.  0 keeps the full
+  /// per-server population (byte-identical to FeiSystem).  Mandatory
   /// (0 < P < N) in virtual-population mode: without pooling the dataset
   /// itself is O(N) and the virtual mode's memory argument is void.
   std::size_t data_pool_shards = 0;
@@ -91,7 +99,7 @@ struct EventFleetEngineConfig {
   fl::TierConfig tiers;
 
   /// Per-hop aggregation latencies.  All zero (the default) keeps the
-  /// makespan — and therefore every energy bit — identical to FleetEngine;
+  /// makespan — and therefore every energy bit — identical to FeiSystem;
   /// nonzero values model the tier hops' communication cost.
   Seconds gateway_latency{0.0};
   Seconds region_latency{0.0};
@@ -104,20 +112,13 @@ struct EventFleetEngineConfig {
 
   /// false: skip the O(N) CompactEnergyAccumulator array (the ledger and
   /// sampled timelines remain).  The memory lever for N = 10^6; leave on
-  /// for FleetEngine-comparable results (accumulated_energy()).
+  /// for per-server energies (accumulated_energy()).
   bool per_server_accumulators = true;
-
-  /// true: each gateway is its own FCFS LAN segment instead of one shared
-  /// medium — uploads only queue behind their gateway-mates, and the
-  /// per-gateway event streams drain in parallel across the thread pool
-  /// (deterministic ascending-gateway merge).  A new scenario, not
-  /// FleetEngine-comparable; FCFS only, fault injection off.
-  bool gateway_contention = false;
 
   /// true: replace the O(N)-per-round partial-Fisher–Yates selection with
   /// the O(K) Floyd sampler (fl::ScalableUniformSelection).  Still exactly
   /// uniform, but a different random stream — selections (and therefore
-  /// results) no longer match FleetEngine for the same seed.  The knob the
+  /// results) no longer match FeiSystem for the same seed.  The knob the
   /// N = 1M bench row turns on.
   bool scalable_selection = false;
 
@@ -130,8 +131,11 @@ struct EventFleetEngineConfig {
   /// any setting produces byte-identical run results.
   obs::TrackSamplerConfig trace_tracks;
 
-  /// Cap on servers feeding the fleet.server.joules sketch (0 = all); see
-  /// FleetEngineConfig::joules_sample_cap.
+  /// At most this many servers feed the fleet.server.joules sketch (0 =
+  /// all).  Above the cap the end-of-run pass stride-samples server ids
+  /// (odd stride, so power-of-two data-pool periods stay fully covered) —
+  /// a full O(N) ledger read at N = 10^6 costs more memory bandwidth than
+  /// the whole telemetry overhead budget.  Pure telemetry.
   std::size_t joules_sample_cap = 131072;
 
   /// true: after its access-medium upload completes, each update traverses
@@ -147,20 +151,33 @@ struct EventFleetEngineConfig {
   /// zero-rate/zero-latency/unbounded links every hop is instantaneous,
   /// charges no energy and consumes no RNG, so results stay bit-identical
   /// to the point-to-point path (the golden twin test).  FCFS access only;
-  /// incompatible with gateway_contention, CSMA and fault injection.
+  /// incompatible with CSMA and fault injection.
   bool multi_hop = false;
   /// Per-link model for each gateway → backhaul link.
   net::LinkConfig gateway_uplink;
   /// Per-link model for each backhaul → coordinator link.
   net::LinkConfig backhaul_uplink;
-
-  /// Event scheduler implementation.  Pure performance knob: both options
-  /// dispatch the same typed events in the same total order and produce
-  /// byte-identical results (pinned by tests/test_event_fleet.cpp).
-  FleetQueueImpl event_queue = FleetQueueImpl::kCalendar;
 };
 
-struct EventFleetRunResult : FleetRunResult {
+struct EventFleetRunResult {
+  fl::TrainingOutcome training;
+  energy::EnergyLedger ledger{1};
+  Seconds wall_clock{0.0};  // simulated makespan
+
+  /// One streaming accumulator per server (empty when
+  /// per_server_accumulators is off) — the fleet-scale stand-in for
+  /// FeiRunResult::timelines, bit-identical in every total.
+  std::vector<energy::CompactEnergyAccumulator> accumulators;
+  /// Server ids that kept full timelines, and those timelines, aligned.
+  std::vector<std::size_t> sampled_servers;
+  std::vector<energy::PowerStateTimeline> sampled_timelines;
+
+  // Fault-tolerance telemetry, summed over rounds (zero with faults off).
+  std::size_t total_retries = 0;
+  std::size_t total_aborted_updates = 0;
+  std::size_t total_straggler_drops = 0;
+  std::size_t total_crashed_servers = 0;
+
   /// Total events the simulation processed (phase completions, crashes,
   /// tier completions, hop arrivals) — the DES cost measure: O(K·T), not
   /// O(N·T).
@@ -174,9 +191,19 @@ struct EventFleetRunResult : FleetRunResult {
   std::size_t link_drops = 0;      // messages rejected by bounded queues
   Seconds link_wait{0.0};          // summed per-hop queueing delay
   double link_util_peak = 0.0;     // max per-round single-link utilization
-  /// Deepest any event queue got across the run (global queue and, in
-  /// gateway-contention mode, the per-gateway local queues).
+  /// Deepest the event queue got across the run.
   std::size_t queue_high_water = 0;
+
+  [[nodiscard]] Joules measured_energy() const { return ledger.total(); }
+
+  /// Sum of per-server accumulator energies, added in server order — the
+  /// quantity that matches a FeiSystem run's summed timeline energies bit
+  /// for bit.
+  [[nodiscard]] Joules accumulated_energy() const {
+    Joules total{0.0};
+    for (const auto& acc : accumulators) total += acc.total_energy();
+    return total;
+  }
 };
 
 class EventFleetEngine {
@@ -204,15 +231,14 @@ class EventFleetEngine {
   }
 
   [[nodiscard]] Status validate() const;
-  [[nodiscard]] ThreadPool* acquire_pool();
-  void for_each_server_sharded(const std::function<void(std::size_t)>& fn);
 
-  /// The whole simulation, parameterized over the typed event scheduler
-  /// (CalendarQueue or TypedEventQueue); run() picks per config.  Both
-  /// instantiations execute the identical round logic in the identical
-  /// event order — the queue choice is invisible to the results.
-  template <class Q>
-  [[nodiscard]] Result<EventFleetRunResult> run_impl();
+  /// Pool for the O(N) sharded passes; matches the coordinator's sizing
+  /// rules (null = serial, shared() when sizes agree, else owned).
+  [[nodiscard]] ThreadPool* acquire_pool();
+
+  /// Applies fn(server) for every server, sharded `shard_size` at a time
+  /// across the pool.  `fn` must only touch state owned by that server.
+  void for_each_server_sharded(const std::function<void(std::size_t)>& fn);
 
   EventFleetEngineConfig config_;
   bool prepared_ = false;

@@ -210,8 +210,8 @@ Result<FeiRunResult> FeiSystem::run() {
       servers[sid].run_phase(energy::EdgeState::kDownloading, download_start,
                              d);
       if (down.wasted.value() > 0.0) {
-        // Retransmitted share of the jittered air time → kRetry (identical
-        // split as FleetEngine, preserving cross-engine bit-identity).
+        // Retransmitted share of the jittered air time → kRetry (the same
+        // split as the fleet engine, preserving cross-engine bit-identity).
         const Seconds dw = d * (down.wasted / down.duration);
         result.ledger.charge(
             sid, energy::EnergyCategory::kRetry,

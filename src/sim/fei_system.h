@@ -164,7 +164,7 @@ class FeiSystem {
 
  private:
   /// PopulationConfig slice of this system's configuration — the exact
-  /// recipe FleetEngine reuses to build a byte-identical world.
+  /// recipe the fleet engine reuses to build a byte-identical world.
   [[nodiscard]] PopulationConfig population_config() const;
 
   /// Any fault knob on → the fault-aware round simulation replaces the
@@ -181,7 +181,7 @@ class FeiSystem {
 };
 
 /// The PopulationConfig a FeiSystemConfig implies (shared with
-/// FleetEngine, which adds data pooling on top for very large N).
+/// EventFleetEngine, which adds data pooling on top for very large N).
 [[nodiscard]] PopulationConfig population_config_for(
     const FeiSystemConfig& config);
 

@@ -37,12 +37,6 @@ enum class FleetEventKind : std::uint32_t {
   kEpochDone,        // a = sid, t0 = train_start, t1 = t
   kUploadDone,       // a = sid, t0 = upload_start, t1 = u, t2 = uw
 
-  // Per-gateway FCFS contention (dispatched on a gateway-local queue; the
-  // job index addresses the gateway's round job list).
-  kGwDownloadDone,   // a = job index
-  kGwEpochDone,      // a = job index
-  kGwUploadDone,     // a = job index, t0 = upload_start
-
   // Fault path (crashes, deadlines, lossy links).
   kFaultServerDown,    // a = sid; fires at round start
   kFaultDeadlineDrop,  // a = sid; fires at the deadline, trace + resolve
@@ -59,8 +53,8 @@ enum class FleetEventKind : std::uint32_t {
 
 struct FleetEvent {
   FleetEventKind kind = FleetEventKind::kRootDone;
-  /// Primary id: server, gateway, region, graph node or job index,
-  /// depending on `kind`.  32 bits bound the fleet at 2^32 servers — two
+  /// Primary id: server, gateway, region or graph node, depending on
+  /// `kind`.  32 bits bound the fleet at 2^32 servers — two
   /// thousand times the engine's N = 1M design point — and keep the event
   /// at 40 bytes.
   std::uint32_t a = 0;

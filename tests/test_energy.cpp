@@ -1,9 +1,10 @@
 // Tests for the energy substrate: power model, timeline, meter,
-// closed-form models, ledger.
+// closed-form models, ledger, compact accumulator.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "energy/compact_accumulator.h"
 #include "energy/energy_model.h"
 #include "energy/ledger.h"
 #include "energy/meter.h"
@@ -247,6 +248,57 @@ TEST(EdgeStateNames, AllDistinct) {
   EXPECT_STREQ(to_string(EdgeState::kUploading), "uploading");
   EXPECT_STREQ(to_string(EnergyCategory::kDataCollection),
                "data_collection");
+}
+
+// ------------------------------------------------------- accumulator bits
+
+TEST(FleetAccumulator, BitIdenticalToTimelineUnderInterleavedQueries) {
+  const energy::DevicePowerProfile profile;
+  energy::PowerStateTimeline timeline(profile);
+  energy::CompactEnergyAccumulator acc(profile);
+
+  auto phase = [&](energy::EdgeState s, double start, double dur) {
+    // Timeline semantics of EdgeServerSim::run_phase: waiting gap, then
+    // the phase itself.
+    const double gap = start - timeline.total_duration().value();
+    if (gap > 0.0) {
+      timeline.push(energy::EdgeState::kWaiting, Seconds{gap});
+    }
+    timeline.push(s, Seconds{dur});
+    acc.run_phase(s, Seconds{start}, Seconds{dur});
+  };
+
+  phase(energy::EdgeState::kDownloading, 0.125, 0.7);
+  phase(energy::EdgeState::kTraining, 0.825, 3.25);
+  // Query mid-stream: must not disturb coalescing of the next push.
+  EXPECT_EQ(acc.total_energy().value(), timeline.total_energy().value());
+  phase(energy::EdgeState::kTraining, 4.075, 1.5);  // coalesces with prior
+  phase(energy::EdgeState::kUploading, 6.0, 0.375);
+  phase(energy::EdgeState::kUploading, 6.375, 0.625);  // coalesces again
+  acc.idle_until(Seconds{10.0});
+  timeline.push(energy::EdgeState::kWaiting,
+                Seconds{10.0} - timeline.total_duration());
+
+  EXPECT_EQ(acc.total_energy().value(), timeline.total_energy().value());
+  EXPECT_EQ(acc.total_duration().value(), timeline.total_duration().value());
+  for (std::size_t s = 0; s < energy::kNumEdgeStates; ++s) {
+    const auto state = static_cast<energy::EdgeState>(s);
+    EXPECT_EQ(acc.energy_in_state(state).value(),
+              timeline.energy_in_state(state).value())
+        << "state " << s;
+    EXPECT_EQ(acc.time_in_state(state).value(),
+              timeline.time_in_state(state).value())
+        << "state " << s;
+  }
+}
+
+TEST(FleetAccumulator, ClearResets) {
+  energy::CompactEnergyAccumulator acc{energy::DevicePowerProfile{}};
+  acc.run_phase(energy::EdgeState::kTraining, Seconds{0.0}, Seconds{2.0});
+  EXPECT_GT(acc.total_energy().value(), 0.0);
+  acc.clear();
+  EXPECT_EQ(acc.total_energy().value(), 0.0);
+  EXPECT_EQ(acc.total_duration().value(), 0.0);
 }
 
 }  // namespace

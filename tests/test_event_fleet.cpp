@@ -1,29 +1,33 @@
-// Event-driven fleet engine: golden byte-identity against the pre-fleet
-// FeiSystem fingerprint, equivalence with FleetEngine on every overlapping
-// configuration (fault-free, jittered, CSMA, fault injection, N = 1k),
-// thread-count invariance, the virtual-population contract, tier latency
-// semantics, per-gateway contention determinism, and config validation.
+// Fleet engine: golden byte-identity against the pre-fleet FeiSystem
+// fingerprint, per-server equivalence with a live FeiSystem, pinned
+// fingerprints for the jittered N = 1k, CSMA and fault paths, thread-count
+// invariance on every path, the virtual-population contract, tier latency
+// semantics, multi-hop backhaul, telemetry, and config validation.
 #include "sim/event_fleet.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <ostream>
 #include <set>
+#include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "ml/serialize.h"
 #include "obs/telemetry.h"
 #include "sim/fei_system.h"
-#include "sim/fleet_engine.h"
 
 namespace eefei::sim {
 namespace {
 
-// Same configuration and pre-fleet FeiSystem reference values as
-// tests/test_fleet_engine.cpp (hexfloat: comparisons are bit-exact).  If
-// these move, the simulation's physics changed — a regression, not a
-// tolerance issue.
+// The exact configuration whose FeiSystem output was fingerprinted before
+// the fleet engine existed (threads ∈ {1, 4} produced identical bits).
+// Hexfloat reference values: comparisons are bit-exact.  If these move,
+// the simulation's physics changed — a regression, not a tolerance issue.
 FeiSystemConfig golden_config() {
   FeiSystemConfig cfg = prototype_config();
   cfg.samples_per_server = 120;
@@ -39,6 +43,16 @@ FeiSystemConfig golden_config() {
 }
 
 constexpr double kGoldenLedgerTotal = 0x1.fe8f44bc615ffp+7;
+constexpr double kGoldenModeledTotal = 0x1.1c7bb34044fadp+5;
+constexpr double kGoldenCategory[7] = {
+    0x0p+0,                // data collection (off)
+    0x1.8354ace0ea07bp+7,  // waiting
+    0x1.a0dd585b30ce1p+4,  // download
+    0x1.44ca946be5dfep+2,  // training
+    0x1.e7c4c165907dbp+4,  // upload
+    0x0p+0,                // retry (faults off)
+    0x0p+0,                // aborted (faults off)
+};
 constexpr double kGoldenWallClock = 0x1.850c37394590cp+3;
 constexpr double kGoldenTimelineSum = 0x1.bcf4fb069b7bcp+9;
 constexpr double kGoldenFinalAccuracy = 0x1.170a3d70a3d71p-1;
@@ -47,13 +61,60 @@ constexpr double kGoldenFinalLoss = 0x1.082c5a9bb4488p+1;
 void expect_golden(const EventFleetRunResult& r) {
   EXPECT_EQ(r.training.rounds_run, 8u);
   EXPECT_EQ(r.ledger.total().value(), kGoldenLedgerTotal);
+  EXPECT_EQ(r.ledger.modeled_total().value(), kGoldenModeledTotal);
+  for (std::size_t c = 0; c < energy::kNumEnergyCategories; ++c) {
+    EXPECT_EQ(r.ledger.category_total(static_cast<energy::EnergyCategory>(c))
+                  .value(),
+              kGoldenCategory[c])
+        << "category " << c;
+  }
   EXPECT_EQ(r.wall_clock.value(), kGoldenWallClock);
   EXPECT_EQ(r.accumulated_energy().value(), kGoldenTimelineSum);
   EXPECT_EQ(r.training.record.last().test_accuracy, kGoldenFinalAccuracy);
   EXPECT_EQ(r.training.record.last().global_loss, kGoldenFinalLoss);
 }
 
-void expect_bitwise_equal(const FleetRunResult& a, const FleetRunResult& b,
+std::uint32_t crc_of(std::span<const double> values) {
+  return ml::crc32(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(values.data()),
+      values.size_bytes()));
+}
+
+// A run's fingerprint beyond the headline totals: the fault counters, a CRC
+// over every server's (ledger total, accumulator total) pair in server
+// order, and a CRC over the final model parameters.
+struct PinnedRun {
+  double ledger_total = 0.0;
+  double wall_clock = 0.0;
+  std::size_t retries = 0;
+  std::size_t aborted_updates = 0;
+  std::size_t straggler_drops = 0;
+  std::size_t crashed_servers = 0;
+  std::uint32_t per_server_crc = 0;
+  std::uint32_t params_crc = 0;
+};
+
+void expect_pinned(const EventFleetRunResult& r, std::size_t n_servers,
+                   const PinnedRun& pin) {
+  EXPECT_EQ(r.ledger.total().value(), pin.ledger_total);
+  EXPECT_EQ(r.wall_clock.value(), pin.wall_clock);
+  EXPECT_EQ(r.total_retries, pin.retries);
+  EXPECT_EQ(r.total_aborted_updates, pin.aborted_updates);
+  EXPECT_EQ(r.total_straggler_drops, pin.straggler_drops);
+  EXPECT_EQ(r.total_crashed_servers, pin.crashed_servers);
+  ASSERT_EQ(r.accumulators.size(), n_servers);
+  std::vector<double> per_server;
+  per_server.reserve(2 * n_servers);
+  for (std::size_t sid = 0; sid < n_servers; ++sid) {
+    per_server.push_back(r.ledger.server_total(sid).value());
+    per_server.push_back(r.accumulators[sid].total_energy().value());
+  }
+  EXPECT_EQ(crc_of(per_server), pin.per_server_crc);
+  EXPECT_EQ(crc_of(r.training.final_params), pin.params_crc);
+}
+
+void expect_bitwise_equal(const EventFleetRunResult& a,
+                          const EventFleetRunResult& b,
                           std::size_t n_servers) {
   EXPECT_EQ(a.ledger.total().value(), b.ledger.total().value());
   EXPECT_EQ(a.wall_clock.value(), b.wall_clock.value());
@@ -74,16 +135,20 @@ void expect_bitwise_equal(const FleetRunResult& a, const FleetRunResult& b,
   }
 }
 
-TEST(EventFleetEngine, MatchesGoldenFingerprint) {
+// Several gateways and regions (N = 20, fan-ins 4 and 2): the tier
+// completion chain runs for real, and with zero latencies it must not move
+// the clock by a single bit.
+EventFleetEngineConfig shared_fcfs_golden_config() {
   EventFleetEngineConfig cfg;
   cfg.system = golden_config();
   cfg.sampled_timelines = 20;
-  // Several gateways and regions (N = 20, fan-ins 4 and 2): the tier
-  // completion chain runs for real, and with zero latencies it must not
-  // move the clock by a single bit.
   cfg.tiers.gateway_fanin = 4;
   cfg.tiers.region_fanin = 2;
-  EventFleetEngine engine(cfg);
+  return cfg;
+}
+
+TEST(EventFleetEngine, MatchesGoldenFingerprint) {
+  EventFleetEngine engine(shared_fcfs_golden_config());
   const auto r = engine.run();
   ASSERT_TRUE(r.ok()) << r.error().message;
   expect_golden(*r);
@@ -93,11 +158,135 @@ TEST(EventFleetEngine, MatchesGoldenFingerprint) {
   // and upload-done; tier completions come on top.
   EXPECT_GE(r->events_processed, 3u * 10u * 8u);
 
+  // Every sampled timeline agrees with its streaming accumulator to the
+  // last bit.
+  ASSERT_EQ(r->sampled_timelines.size(), 20u);
   for (std::size_t i = 0; i < r->sampled_servers.size(); ++i) {
     const std::size_t sid = r->sampled_servers[i];
     EXPECT_EQ(r->sampled_timelines[i].total_energy().value(),
               r->accumulators[sid].total_energy().value());
+    EXPECT_EQ(r->sampled_timelines[i].total_duration().value(),
+              r->accumulators[sid].total_duration().value());
   }
+}
+
+// The flat topology (no gateway or region tiers) on the same config, the
+// shape the pre-event fleet engine ran: the root aggregates every upload
+// directly and the fingerprint must not move.
+TEST(EventFleetEngine, FlatTopologyMatchesGoldenFingerprint) {
+  EventFleetEngineConfig cfg;
+  cfg.system = golden_config();
+  cfg.sampled_timelines = 20;
+  EventFleetEngine engine(cfg);
+  const auto r = engine.run();
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  expect_golden(*r);
+
+  ASSERT_EQ(r->sampled_timelines.size(), 20u);
+  for (std::size_t i = 0; i < r->sampled_servers.size(); ++i) {
+    const std::size_t sid = r->sampled_servers[i];
+    EXPECT_EQ(r->sampled_timelines[i].total_energy().value(),
+              r->accumulators[sid].total_energy().value());
+    EXPECT_EQ(r->sampled_timelines[i].total_duration().value(),
+              r->accumulators[sid].total_duration().value());
+  }
+}
+
+// A serial run split into many small shards still reproduces the golden
+// constants: sharding only splits work.
+TEST(EventFleetEngine, ThreadCountInvariant) {
+  EventFleetEngineConfig serial = shared_fcfs_golden_config();
+  serial.system.fl.threads = 1;
+  serial.shard_size = 3;  // force many shards even at N = 20
+  EventFleetEngine engine(serial);
+  const auto r = engine.run();
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  expect_golden(*r);
+}
+
+// Per-server equality with a live FeiSystem: its timelines against the
+// fleet engine's accumulators, and the two ledgers row by row.
+void expect_matches_fei_system(const FeiRunResult& ref,
+                               const EventFleetRunResult& fleet) {
+  EXPECT_EQ(ref.ledger.total().value(), fleet.ledger.total().value());
+  EXPECT_EQ(ref.wall_clock.value(), fleet.wall_clock.value());
+  EXPECT_EQ(ref.training.final_params, fleet.training.final_params);
+  ASSERT_EQ(ref.timelines.size(), fleet.accumulators.size());
+  for (std::size_t sid = 0; sid < ref.timelines.size(); ++sid) {
+    EXPECT_EQ(ref.timelines[sid].total_energy().value(),
+              fleet.accumulators[sid].total_energy().value())
+        << "server " << sid;
+    EXPECT_EQ(ref.ledger.server_total(sid).value(),
+              fleet.ledger.server_total(sid).value())
+        << "server " << sid;
+  }
+}
+
+TEST(EventFleetEngine, MatchesFeiSystemBitwise) {
+  FeiSystem reference(golden_config());
+  const auto ref = reference.run();
+  ASSERT_TRUE(ref.ok()) << ref.error().message;
+
+  EventFleetEngineConfig cfg;
+  cfg.system = golden_config();
+  cfg.sampled_timelines = 20;
+  EventFleetEngine engine(cfg);
+  const auto fleet = engine.run();
+  ASSERT_TRUE(fleet.ok()) << fleet.error().message;
+  expect_matches_fei_system(*ref, *fleet);
+}
+
+// CSMA consumes one shared RNG in upload-completion order, so per-server
+// equality proves the queue's (time, FIFO) order is FeiSystem's upload
+// order.
+TEST(EventFleetEngine, CsmaContentionMatchesFeiSystem) {
+  FeiSystemConfig sys = golden_config();
+  sys.lan_contention = FeiSystemConfig::LanContention::kCsma;
+  sys.fl.max_rounds = 4;
+
+  FeiSystem reference(sys);
+  const auto ref = reference.run();
+  ASSERT_TRUE(ref.ok()) << ref.error().message;
+
+  EventFleetEngineConfig cfg;
+  cfg.system = sys;
+  EventFleetEngine engine(cfg);
+  const auto fleet = engine.run();
+  ASSERT_TRUE(fleet.ok()) << fleet.error().message;
+  expect_matches_fei_system(*ref, *fleet);
+}
+
+TEST(EventFleetEngine, DataPoolingRunsAndFullPoolIsIdentity) {
+  FeiSystemConfig sys = golden_config();
+  sys.num_servers = 24;
+  sys.net.num_edge_servers = 24;
+  sys.fl.max_rounds = 3;
+
+  // P >= N must be byte-identical to the unpooled population.
+  EventFleetEngineConfig full;
+  full.system = sys;
+  EventFleetEngineConfig pooled_full = full;
+  pooled_full.data_pool_shards = 24;
+  EventFleetEngine ea(full);
+  EventFleetEngine eb(pooled_full);
+  const auto ra = ea.run();
+  const auto rb = eb.run();
+  ASSERT_TRUE(ra.ok()) << ra.error().message;
+  ASSERT_TRUE(rb.ok()) << rb.error().message;
+  EXPECT_EQ(ra->ledger.total().value(), rb->ledger.total().value());
+  EXPECT_EQ(ra->training.final_params, rb->training.final_params);
+
+  // P < N shares shards round-robin but still trains and accounts energy
+  // for every distinct server.
+  EventFleetEngineConfig pooled;
+  pooled.system = sys;
+  pooled.data_pool_shards = 6;
+  EventFleetEngine ec(pooled);
+  const auto rc = ec.run();
+  ASSERT_TRUE(rc.ok()) << rc.error().message;
+  EXPECT_EQ(rc->accumulators.size(), 24u);
+  EXPECT_GT(rc->ledger.total().value(), 0.0);
+  EXPECT_EQ(rc->training.rounds_run, 3u);
 }
 
 // Data another live engine rendered gives the same bits as data an engine
@@ -129,47 +318,11 @@ TEST(Population, SharedDataRunMatchesGoldenFingerprint) {
   EXPECT_EQ(ref->training.final_params, r->training.final_params);
 }
 
-// The queue-implementation switch is a pure performance knob: the binary
-// heap reference must hit the identical golden fingerprint as the default
-// calendar queue, and both must process the same number of events with the
-// same peak depth.
-TEST(EventFleetEngine, BinaryHeapQueueMatchesGoldenFingerprint) {
-  EventFleetEngineConfig cal_cfg;
-  cal_cfg.system = golden_config();
-  cal_cfg.sampled_timelines = 20;
-  cal_cfg.tiers.gateway_fanin = 4;
-  cal_cfg.tiers.region_fanin = 2;
-  EventFleetEngineConfig heap_cfg = cal_cfg;
-  heap_cfg.event_queue = FleetQueueImpl::kBinaryHeap;
-  EventFleetEngine cal_engine(cal_cfg);
-  EventFleetEngine heap_engine(heap_cfg);
-  const auto cal = cal_engine.run();
-  const auto heap = heap_engine.run();
-  ASSERT_TRUE(cal.ok()) << cal.error().message;
-  ASSERT_TRUE(heap.ok()) << heap.error().message;
-  expect_golden(*heap);
-  EXPECT_EQ(heap->events_processed, cal->events_processed);
-  EXPECT_EQ(heap->queue_high_water, cal->queue_high_water);
-  EXPECT_EQ(heap->training.final_params, cal->training.final_params);
-}
-
-TEST(EventFleetEngine, ThreadCountInvariant) {
-  EventFleetEngineConfig serial;
-  serial.system = golden_config();
-  serial.system.fl.threads = 1;
-  serial.sampled_timelines = 20;
-  serial.shard_size = 3;  // force many shards even at N = 20
-  serial.tiers.gateway_fanin = 4;
-  EventFleetEngine engine(serial);
-  const auto r = engine.run();
-  ASSERT_TRUE(r.ok()) << r.error().message;
-  expect_golden(*r);
-}
-
-// The tentpole equivalence pin at scale: N = 1k with timing jitter and
-// transient stragglers on, so the RNG streams are consumed for real — the
-// event order must reproduce FleetEngine's sorted upload drain exactly.
-TEST(EventFleetEngine, MatchesFleetEngineBitwiseAtN1k) {
+// N = 1k with timing jitter and transient stragglers on, so the RNG
+// streams are consumed for real.  Pinned to the output of the former
+// round-synchronous engine (a sorted upload drain), which the event order
+// reproduced bit for bit.
+FeiSystemConfig jittered_n1k_config() {
   FeiSystemConfig sys = prototype_config();
   sys.num_servers = 1000;
   sys.net.num_edge_servers = 1000;
@@ -188,28 +341,31 @@ TEST(EventFleetEngine, MatchesFleetEngineBitwiseAtN1k) {
   sys.straggler_slowdown = 3.0;
   sys.charge_idle_servers = true;
   sys.seed = 17;
+  return sys;
+}
 
-  FleetEngineConfig ref_cfg;
-  ref_cfg.system = sys;
-  ref_cfg.data_pool_shards = 50;
-  FleetEngine reference(ref_cfg);
-  const auto ref = reference.run();
-  ASSERT_TRUE(ref.ok()) << ref.error().message;
-
+TEST(EventFleetEngine, JitteredStragglersAtN1kMatchGolden) {
   EventFleetEngineConfig cfg;
-  cfg.system = sys;
+  cfg.system = jittered_n1k_config();
   cfg.data_pool_shards = 50;
   cfg.tiers.gateway_fanin = 32;
   cfg.tiers.region_fanin = 8;
   EventFleetEngine engine(cfg);
   const auto r = engine.run();
   ASSERT_TRUE(r.ok()) << r.error().message;
-
-  expect_bitwise_equal(*ref, *r, 1000);
+  expect_pinned(*r, 1000,
+                {.ledger_total = 0x1.19a4f5c42b42ep+13,
+                 .wall_clock = 0x1.43676087293afp+1,
+                 .per_server_crc = 0x5634c1ccu,
+                 .params_crc = 0x39e61b94u});
 }
 
-TEST(EventFleetEngine, VirtualPopulationMatchesMaterialized) {
-  FeiSystemConfig sys = prototype_config();
+// A pooled 200-server fleet with jitter; materialized unless the caller
+// turns virtual_population on.
+EventFleetEngineConfig pooled_fleet_config() {
+  EventFleetEngineConfig cfg;
+  FeiSystemConfig& sys = cfg.system;
+  sys = prototype_config();
   sys.num_servers = 200;
   sys.net.num_edge_servers = 200;
   sys.samples_per_server = 40;
@@ -224,12 +380,19 @@ TEST(EventFleetEngine, VirtualPopulationMatchesMaterialized) {
   sys.timing_jitter = 0.1;
   sys.charge_idle_servers = true;
   sys.seed = 5;
+  cfg.data_pool_shards = 16;
+  return cfg;
+}
 
-  EventFleetEngineConfig mat;
-  mat.system = sys;
-  mat.data_pool_shards = 16;
-  EventFleetEngineConfig virt = mat;
-  virt.virtual_population = true;
+EventFleetEngineConfig virtual_population_config() {
+  EventFleetEngineConfig cfg = pooled_fleet_config();
+  cfg.virtual_population = true;
+  return cfg;
+}
+
+TEST(EventFleetEngine, VirtualPopulationMatchesMaterialized) {
+  const EventFleetEngineConfig mat = pooled_fleet_config();
+  const EventFleetEngineConfig virt = virtual_population_config();
 
   EventFleetEngine ea(mat);
   EventFleetEngine eb(virt);
@@ -241,28 +404,27 @@ TEST(EventFleetEngine, VirtualPopulationMatchesMaterialized) {
   EXPECT_EQ(ra->events_processed, rb->events_processed);
 }
 
-TEST(EventFleetEngine, CsmaContentionMatchesFleetEngine) {
-  FeiSystemConfig sys = golden_config();
-  sys.lan_contention = FeiSystemConfig::LanContention::kCsma;
-  sys.timing_jitter = 0.05;  // upload jitter draws in completion order
-  sys.fl.max_rounds = 4;
-
-  FleetEngineConfig ref_cfg;
-  ref_cfg.system = sys;
-  FleetEngine reference(ref_cfg);
-  const auto ref = reference.run();
-  ASSERT_TRUE(ref.ok()) << ref.error().message;
-
+EventFleetEngineConfig jittered_csma_config() {
   EventFleetEngineConfig cfg;
-  cfg.system = sys;
-  EventFleetEngine engine(cfg);
+  cfg.system = golden_config();
+  cfg.system.lan_contention = FeiSystemConfig::LanContention::kCsma;
+  cfg.system.timing_jitter = 0.05;  // upload jitter draws in completion order
+  cfg.system.fl.max_rounds = 4;
+  return cfg;
+}
+
+// CSMA consumes a single shared RNG in upload-completion order, and with
+// jitter on so does the upload leg: the pin holds the (time, FIFO) drain
+// order fixed.
+TEST(EventFleetEngine, CsmaContentionMatchesGolden) {
+  EventFleetEngine engine(jittered_csma_config());
   const auto r = engine.run();
   ASSERT_TRUE(r.ok()) << r.error().message;
-
-  // CSMA consumes a single shared RNG in upload-completion order; bit
-  // equality proves the queue's (time, FIFO) order IS the sorted
-  // (train_end, index) drain order.
-  expect_bitwise_equal(*ref, *r, sys.num_servers);
+  expect_pinned(*r, 20,
+                {.ledger_total = 0x1.a2e39b550459fp+6,
+                 .wall_clock = 0x1.57620d3b14d3ep+2,
+                 .per_server_crc = 0x4b6a5a82u,
+                 .params_crc = 0x775d0bbeu});
 }
 
 FeiSystemConfig faulty_config() {
@@ -289,44 +451,40 @@ FeiSystemConfig faulty_config() {
   return cfg;
 }
 
-TEST(EventFleetEngine, FaultPathMatchesFleetEngine) {
-  FleetEngineConfig ref_cfg;
-  ref_cfg.system = faulty_config();
-  FleetEngine reference(ref_cfg);
-  const auto ref = reference.run();
-  ASSERT_TRUE(ref.ok()) << ref.error().message;
-
+EventFleetEngineConfig fault_path_config() {
   EventFleetEngineConfig cfg;
   cfg.system = faulty_config();
   cfg.tiers.gateway_fanin = 8;
+  return cfg;
+}
+
+// Crashes, lossy links and a deadline all fire (the pinned retry and abort
+// counts are nonzero) and each failure resolves its aggregation tier
+// instead of uploading.
+constexpr PinnedRun kFaultPathPin = {.ledger_total = 0x1.80ce4e5484462p+7,
+                                     .wall_clock = 0x1.0c12ad81adeadp+1,
+                                     .retries = 20,
+                                     .aborted_updates = 1,
+                                     .per_server_crc = 0x3d04bea6u,
+                                     .params_crc = 0x29abaaebu};
+
+TEST(EventFleetEngine, FaultPathMatchesGolden) {
+  EventFleetEngine engine(fault_path_config());
+  const auto r = engine.run();
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  expect_pinned(*r, 30, kFaultPathPin);
+}
+
+// The fault path run serially in small shards reproduces the same pin:
+// the per-server fault RNG streams do not depend on who steps them.
+TEST(EventFleetEngine, FaultPathThreadInvariant) {
+  EventFleetEngineConfig cfg = fault_path_config();
+  cfg.system.fl.threads = 1;
+  cfg.shard_size = 4;
   EventFleetEngine engine(cfg);
   const auto r = engine.run();
   ASSERT_TRUE(r.ok()) << r.error().message;
-
-  expect_bitwise_equal(*ref, *r, 30);
-  // The fault knobs actually fired (otherwise this proves nothing) —
-  // crashes / drops resolve their aggregation tier instead of uploading.
-  EXPECT_GT(r->total_retries + r->total_aborted_updates +
-                r->total_straggler_drops + r->total_crashed_servers,
-            0u);
-}
-
-TEST(EventFleetEngine, FaultPathThreadInvariant) {
-  EventFleetEngineConfig a;
-  a.system = faulty_config();
-  a.tiers.gateway_fanin = 8;
-  EventFleetEngineConfig b = a;
-  b.system.fl.threads = 1;
-  b.shard_size = 4;
-
-  EventFleetEngine ea(a);
-  EventFleetEngine eb(b);
-  const auto ra = ea.run();
-  const auto rb = eb.run();
-  ASSERT_TRUE(ra.ok()) << ra.error().message;
-  ASSERT_TRUE(rb.ok()) << rb.error().message;
-  expect_bitwise_equal(*ra, *rb, 30);
-  EXPECT_EQ(ra->events_processed, rb->events_processed);
+  expect_pinned(*r, 30, kFaultPathPin);
 }
 
 TEST(EventFleetEngine, TierLatenciesExtendTheMakespan) {
@@ -354,42 +512,6 @@ TEST(EventFleetEngine, TierLatenciesExtendTheMakespan) {
   EXPECT_EQ(
       ra->ledger.category_total(energy::EnergyCategory::kTraining).value(),
       rb->ledger.category_total(energy::EnergyCategory::kTraining).value());
-}
-
-TEST(EventFleetEngine, GatewayContentionIsDeterministicAcrossThreads) {
-  FeiSystemConfig sys = golden_config();
-  sys.num_servers = 200;
-  sys.net.num_edge_servers = 200;
-  sys.samples_per_server = 40;
-  sys.fl.clients_per_round = 40;
-  sys.fl.max_rounds = 3;
-  sys.timing_jitter = 0.05;
-  sys.charge_idle_servers = true;
-
-  EventFleetEngineConfig a;
-  a.system = sys;
-  a.tiers.gateway_fanin = 16;
-  a.gateway_contention = true;
-  EventFleetEngineConfig b = a;
-  b.system.fl.threads = 1;
-
-  EventFleetEngine ea(a);
-  EventFleetEngine eb(b);
-  const auto ra = ea.run();
-  const auto rb = eb.run();
-  ASSERT_TRUE(ra.ok()) << ra.error().message;
-  ASSERT_TRUE(rb.ok()) << rb.error().message;
-  expect_bitwise_equal(*ra, *rb, 200);
-  EXPECT_EQ(ra->events_processed, rb->events_processed);
-
-  // Per-gateway segments only queue uploads behind gateway-mates, so the
-  // makespan cannot exceed the shared-medium run's.
-  EventFleetEngineConfig shared = a;
-  shared.gateway_contention = false;
-  EventFleetEngine ec(shared);
-  const auto rc = ec.run();
-  ASSERT_TRUE(rc.ok()) << rc.error().message;
-  EXPECT_LE(ra->wall_clock.value(), rc->wall_clock.value());
 }
 
 TEST(EventFleetEngine, ScalableSelectionRunsAndStaysUniform) {
@@ -426,20 +548,7 @@ TEST(EventFleetEngine, PerServerAccumulatorsCanBeDisabled) {
 }
 
 TEST(EventFleetEngine, RejectsInvalidConfigs) {
-  {  // gateway contention is FCFS-only
-    EventFleetEngineConfig cfg;
-    cfg.system = golden_config();
-    cfg.system.lan_contention = FeiSystemConfig::LanContention::kCsma;
-    cfg.gateway_contention = true;
-    EXPECT_FALSE(EventFleetEngine(cfg).run().ok());
-  }
-  {  // gateway contention + fault injection unsupported
-    EventFleetEngineConfig cfg;
-    cfg.system = faulty_config();
-    cfg.gateway_contention = true;
-    EXPECT_FALSE(EventFleetEngine(cfg).run().ok());
-  }
-  {  // CSMA + faults rejected, like FleetEngine
+  {  // CSMA + faults rejected
     EventFleetEngineConfig cfg;
     cfg.system = faulty_config();
     cfg.system.lan_contention = FeiSystemConfig::LanContention::kCsma;
@@ -579,6 +688,60 @@ EventFleetEngineConfig congested_config(std::size_t clients_per_round) {
   return cfg;
 }
 
+// --- Thread-count invariance on every round path --------------------------
+
+struct RoundPath {
+  const char* name;
+  EventFleetEngineConfig (*config)();
+};
+
+void PrintTo(const RoundPath& path, std::ostream* os) { *os << path.name; }
+
+constexpr RoundPath kRoundPaths[] = {
+    {"SharedFcfsGolden", shared_fcfs_golden_config},
+    {"Csma", jittered_csma_config},
+    {"FaultPath", fault_path_config},
+    {"CongestedMultiHop", [] { return congested_config(32); }},
+    {"VirtualPopulation", virtual_population_config},
+};
+
+class EventFleetThreads
+    : public ::testing::TestWithParam<std::tuple<RoundPath, std::size_t>> {};
+
+// A serial single-shard run and a run on `threads` workers with 3-server
+// shards must agree on every per-server bit: the thread count and the
+// shard size only split work.
+TEST_P(EventFleetThreads, ThreadCountInvariant) {
+  const auto& [path, threads] = GetParam();
+  EventFleetEngineConfig serial = path.config();
+  serial.system.fl.threads = 1;
+  serial.shard_size = 1024;
+  EventFleetEngineConfig threaded = serial;
+  threaded.system.fl.threads = threads;
+  threaded.shard_size = 3;
+
+  EventFleetEngine ea(serial);
+  EventFleetEngine eb(threaded);
+  const auto ra = ea.run();
+  const auto rb = eb.run();
+  ASSERT_TRUE(ra.ok()) << ra.error().message;
+  ASSERT_TRUE(rb.ok()) << rb.error().message;
+  expect_bitwise_equal(*ra, *rb, serial.system.num_servers);
+  EXPECT_EQ(ra->events_processed, rb->events_processed);
+  EXPECT_EQ(ra->queue_high_water, rb->queue_high_water);
+  EXPECT_EQ(ra->link_messages, rb->link_messages);
+  EXPECT_EQ(ra->link_wait.value(), rb->link_wait.value());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    , EventFleetThreads,
+    ::testing::Combine(::testing::ValuesIn(kRoundPaths),
+                       ::testing::Values<std::size_t>(1, 2, 4)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param).name) + "_t" +
+             std::to_string(std::get<1>(info.param));
+    });
+
 TEST(EventFleetEngine, MultiHopCongestionGrowsWithOfferedLoad) {
   EventFleetEngine light(congested_config(8));
   EventFleetEngine heavy(congested_config(32));
@@ -656,13 +819,6 @@ TEST(EventFleetEngine, MultiHopRejectsIncompatibleModes) {
     cfg.system = golden_config();
     cfg.system.lan_contention = FeiSystemConfig::LanContention::kCsma;
     cfg.multi_hop = true;
-    EXPECT_FALSE(EventFleetEngine(cfg).run().ok());
-  }
-  {  // per-gateway contention is the other exclusive backhaul model
-    EventFleetEngineConfig cfg;
-    cfg.system = golden_config();
-    cfg.multi_hop = true;
-    cfg.gateway_contention = true;
     EXPECT_FALSE(EventFleetEngine(cfg).run().ok());
   }
   {  // fault injection unsupported
