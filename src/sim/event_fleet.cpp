@@ -239,28 +239,6 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
     }
   }
 
-  // One row of the round time-series, appended O(1) per round by every
-  // round path.  Per-category joules come from the energy.joules.* counter
-  // deltas (idle settlement is lazy, so non-selected servers' waiting
-  // energy lands in the rounds where it is folded, i.e. at end of run).
-  auto append_round_stats = [&](obs::Telemetry* tel, obs::RoundStats rs) {
-    double total = 0.0;
-    std::array<double*, energy::kNumEnergyCategories> cols = {
-        &rs.energy_data_collection_j, &rs.energy_waiting_j,
-        &rs.energy_download_j,        &rs.energy_training_j,
-        &rs.energy_upload_j,          &rs.energy_retry_j,
-        &rs.energy_aborted_j};
-    for (std::size_t c = 0; c < energy::kNumEnergyCategories; ++c) {
-      const double now = energy_counters[c]->value();
-      *cols[c] = now - prev_energy[c];
-      total += now - prev_energy[c];
-      prev_energy[c] = now;
-    }
-    rs.energy_j = total;
-    if (sk_round_s != nullptr) sk_round_s->record(rs.duration_s);
-    tel->rounds.append(rs);
-  };
-
   const bool track_accumulators = config_.per_server_accumulators;
   auto run_phase = [&](std::size_t sid, energy::EdgeState state, Seconds start,
                        Seconds duration) {
@@ -310,41 +288,6 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
     return straggler_rng.bernoulli(sys.straggler_fraction)
                ? std::max(1.0, sys.straggler_slowdown)
                : 1.0;
-  };
-
-  // Virtual mode never materializes per-server channels: every server
-  // shares the WifiLanConfig, and with loss_probability == 0 a transfer's
-  // duration IS the nominal duration (one attempt, no loss roll), so the
-  // shared model reproduces the per-server objects' bits exactly.
-  net::WifiLan shared_lan(sys.net.lan, Rng(0));
-  struct LegTiming {
-    Seconds duration{0.0};
-    Seconds wasted{0.0};  // retransmitted share (materialized lossy LAN)
-  };
-  auto down_leg = [&](std::size_t sid) -> LegTiming {
-    if (virtual_pop) {
-      return {shared_lan.nominal_duration(down_msg.wire_bytes()),
-              Seconds{0.0}};
-    }
-    const auto r = population_.topology().lan(sid).transfer(down_msg);
-    return {r.duration, r.wasted};
-  };
-  auto up_leg = [&](std::size_t sid) -> LegTiming {
-    if (virtual_pop) {
-      return {shared_lan.nominal_duration(up_msg.wire_bytes()), Seconds{0.0}};
-    }
-    const auto r = population_.topology().lan(sid).transfer(up_msg);
-    return {r.duration, r.wasted};
-  };
-  // Retransmitted share of the jittered leg duration: scaled, never
-  // re-rolled — jittered() consumes exactly one normal per leg either way.
-  auto wasted_share = [](Seconds scaled, const LegTiming& leg) -> Seconds {
-    if (leg.wasted.value() <= 0.0) return Seconds{0.0};
-    return scaled * (leg.wasted / leg.duration);
-  };
-  auto nominal_duration = [&](std::size_t sid, Bytes bytes) -> Seconds {
-    if (virtual_pop) return shared_lan.nominal_duration(bytes);
-    return population_.topology().lan(sid).nominal_duration(bytes);
   };
 
   const Watts p_down = sys.profile.power(energy::EdgeState::kDownloading);
@@ -521,7 +464,7 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
     if (!adm.accepted) {
       // Bounded queue full: the update is lost in the backhaul.  The
       // member still resolves — at the drop time — so the tier chain
-      // completes; observer-mode aggregation is never vetoed (drops
+      // completes; fault-free aggregation is never vetoed (drops
       // are a timing/telemetry outcome, like tier latencies).
       ++round_links.drops;
       gateway_member_resolved(sid, at);
@@ -539,18 +482,20 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
                                  static_cast<std::uint32_t>(sid)});
   };
 
-  // ---- round state shared by the dispatch switch ------------------------
-  // Everything a closure handler used to capture by reference: the FCFS
-  // chain, the round end watermark, the fault path's deadline/stats, the
-  // selected updates span.  All round-scoped — every event fires inside
-  // its own round's drain.
+  // ---- round state shared by the scan and the dispatch switch -----------
+  // The FCFS chain, the round end watermark, the deadline, the round's
+  // fault counters and (when the scan runs as the coordinator's update
+  // filter) the updates it may veto.  All round-scoped — every event fires
+  // inside its own round's drain.
   Seconds lan_free{0.0};
   Seconds round_end{0.0};
   std::size_t uploads_pending = 0;
   const bool has_deadline = sys.round_deadline.value() > 0.0;
   Seconds deadline{0.0};
-  fl::RoundFaultStats* fstats = nullptr;
-  std::span<fl::LocalTrainResult> fupdates;
+  fl::RoundFaultStats round_stats;
+  std::span<fl::LocalTrainResult> filter_updates;
+  std::size_t round_events = 0;
+  double round_link_util = 0.0;
 
   auto begin_round = [&](std::size_t round,
                          std::span<const fl::ClientId> selected) {
@@ -598,6 +543,10 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
     if (charge_idle) {
       for (const auto sid : selected) settle_and_mark_active(sid);
     }
+    lan_free = round_start_time;
+    round_end = round_start_time;
+    uploads_pending = selected.size();
+    round_stats = fl::RoundFaultStats{};
   };
 
   // Fault constants and processes.  Transfer fault plans draw from
@@ -609,39 +558,138 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
   CrashProcessConfig crash_cfg = sys.crashes;
   crash_cfg.seed =
       crash_cfg.seed * 2862933555777941757ULL + sys.seed * 977 + 3;
-  // CrashProcess keeps an O(N) timeline array — only pay for it when the
-  // fault path is actually live.
+  // CrashProcess keeps an O(N) timeline array — only pay for it when
+  // crashes are on.
   std::unique_ptr<CrashProcess> crash_process;
-  if (faults) {
+  if (crash_cfg.enabled()) {
     crash_process = std::make_unique<CrashProcess>(n_servers, crash_cfg);
   }
 
-  const auto trace_fault = [&](const char* name, std::size_t sid,
-                               Seconds at) {
-    if (tracked_sids.find(sid) == tracked_sids.end()) return;
-    if (tracer != nullptr) {
-      tracer->sim_instant(name, "sim.fault", obs::Tracer::server_pid(sid),
-                          at);
+  // One access-medium leg starting at `start`.  Under faults its timing is
+  // planned over the per-(server, round) fault stream from the nominal
+  // duration (the WifiLan's own loss model stays unused); otherwise it is
+  // the WifiLan transfer, or the CSMA cell for uploads.  Either way
+  // jittered() consumes exactly one normal per leg.
+  struct Leg {
+    Seconds finish{0.0};
+    Seconds air{0.0};     // time on the medium, summed over attempts
+    Seconds wasted{0.0};  // retransmitted share of `air`
+    std::size_t attempts = 1;
+    bool delivered = true;
+  };
+  // Virtual mode never materializes per-server channels: every server
+  // shares the WifiLanConfig, and with loss_probability == 0 a transfer's
+  // duration IS the nominal duration (one attempt, no loss roll), so the
+  // shared model reproduces the per-server objects' bits exactly.
+  net::WifiLan shared_lan(sys.net.lan, Rng(0));
+  const bool csma_uplink =
+      sys.lan_contention == FeiSystemConfig::LanContention::kCsma;
+  auto leg = [&](std::size_t sid, bool upload, Seconds start) -> Leg {
+    const net::Message& msg = upload ? up_msg : down_msg;
+    if (faults) {
+      const Seconds nominal =
+          virtual_pop ? shared_lan.nominal_duration(msg.wire_bytes())
+                      : population_.topology().lan(sid).nominal_duration(
+                            msg.wire_bytes());
+      Rng stream =
+          fault_streams.stream(current_round, sid * 2 + (upload ? 1 : 0));
+      const auto p = net::plan_faulty_transfer(stream, link_faults, start,
+                                               jittered(nominal));
+      return {p.finish, p.air_time, p.wasted_air_time, p.attempts,
+              p.delivered};
+    }
+    if (upload && csma_uplink) {
+      const Seconds u = jittered(
+          csma.transfer(msg.wire_bytes(), --uploads_pending).duration);
+      return {start + u, u};
+    }
+    Seconds duration{0.0};
+    Seconds wasted{0.0};
+    if (virtual_pop) {
+      duration = shared_lan.nominal_duration(msg.wire_bytes());
+    } else {
+      const auto r = population_.topology().lan(sid).transfer(msg);
+      duration = r.duration;
+      wasted = r.wasted;
+    }
+    const Seconds d = jittered(duration);
+    // The retransmitted share scales with the jitter, never re-rolled.
+    return {start + d, d,
+            wasted.value() > 0.0 ? d * (wasted / duration) : Seconds{0.0}};
+  };
+  // Deadline clamp for round-end and FCFS watermarks.
+  const auto capped = [&](Seconds at) {
+    return has_deadline ? std::min(at, deadline) : at;
+  };
+  // Air time a leg spent before the deadline cut it.
+  const auto cut_at_deadline = [&](Seconds start, const Leg& l) {
+    const double frac = (deadline - start) / (l.finish - start);
+    return l.air * std::clamp(frac, 0.0, 1.0);
+  };
+  // Books a phase of `duration` under `category`, its retransmitted share
+  // `wasted` as kRetry.
+  const auto book_phase = [&](std::size_t sid, Watts power,
+                              energy::EnergyCategory category,
+                              Seconds duration, Seconds wasted) {
+    if (wasted.value() > 0.0) {
+      result.ledger.charge(sid, energy::EnergyCategory::kRetry,
+                           power * wasted);
+      result.ledger.charge(sid, category, power * (duration - wasted));
+    } else {
+      result.ledger.charge(sid, category, power * duration);
     }
   };
-  const auto note_end = [&](Seconds at) {
-    round_end =
-        std::max(round_end, has_deadline ? std::min(at, deadline) : at);
+
+  // A selected server that will not upload this round: vetoes its update,
+  // counts it, and returns the kDropped event that books and resolves it
+  // at `at`.  Only reachable with a fault knob on, i.e. inside the filter.
+  const auto drop_event = [&](std::size_t i, std::size_t sid, DropReason why,
+                              Seconds at,
+                              energy::EdgeState state =
+                                  energy::EdgeState::kWaiting,
+                              Seconds start = Seconds{0.0},
+                              Seconds ran = Seconds{0.0}) {
+    assert(i < filter_updates.size());
+    filter_updates[i].aggregated = false;
+    switch (why) {
+      case DropReason::kServerDown:
+      case DropReason::kCrash:
+        ++round_stats.crashed_servers;
+        break;
+      case DropReason::kDeadline:
+        ++round_stats.straggler_drops;
+        break;
+      case DropReason::kLost:
+        ++round_stats.aborted_updates;
+        break;
+    }
+    round_end = std::max(round_end, capped(at));
+    return FleetEvent{
+        FleetEventKind::kDropped, static_cast<std::uint32_t>(sid),
+        drop_code(why, static_cast<std::uint32_t>(state)), start, ran};
   };
-  const auto plan_transfer = [&](std::size_t sid, bool upload,
-                                 Seconds start, Seconds nominal) {
-    Rng stream =
-        fault_streams.stream(current_round, sid * 2 + (upload ? 1 : 0));
-    return net::plan_faulty_transfer(stream, link_faults, start, nominal);
+  // Trace instant names, indexed by DropReason.
+  static constexpr const char* kDropTrace[] = {
+      "server.down", "deadline.drop", "update.lost", "server.crash"};
+  const auto resolve_dropped = [&](const FleetEvent& ev, Seconds at) {
+    const std::size_t sid = ev.a;
+    if (ev.t1.value() > 0.0) {
+      const auto state = static_cast<energy::EdgeState>(ev.b & 0xff);
+      result.ledger.charge(sid, energy::EnergyCategory::kAborted,
+                           sys.profile.power(state) * ev.t1);
+      run_phase(sid, state, ev.t0, ev.t1);
+    }
+    if (tracer != nullptr && tracked_sids.contains(sid)) {
+      tracer->sim_instant(kDropTrace[ev.b >> 8], "sim.fault",
+                          obs::Tracer::server_pid(sid), at);
+    }
+    gateway_member_resolved(sid, at);
   };
 
   // ---- the typed dispatch -----------------------------------------------
-  // One switch replaces the ~20 capturing-lambda handlers.  Per-kind field
-  // mapping is documented in sim/fleet_event.h; each case is the former
-  // closure body with `at` standing in for the value the closure recomputed
-  // from its captures (bit-identical: the scheduled time IS that value, and
-  // the engine's monotone round structure means the past-time clamp never
-  // actually rewrites it).
+  // Per-kind field mapping is documented in sim/fleet_event.h.  `at` is the
+  // scheduled time itself: the engine's monotone round structure means the
+  // queue's past-time clamp never rewrites it.
   auto dispatch = [&](const FleetEvent& ev, Seconds at) {
     switch (ev.kind) {
       case FleetEventKind::kRootDone: {
@@ -689,73 +737,64 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
         break;
       }
       case FleetEventKind::kDownloadDone: {
-        const std::size_t sid = ev.a;
-        const Seconds download_start = ev.t0;
-        const Seconds d = ev.t1;
-        const Seconds dw = ev.t2;
-        run_phase(sid, energy::EdgeState::kDownloading, download_start, d);
-        if (dw.value() > 0.0) {
-          result.ledger.charge(sid, energy::EnergyCategory::kRetry,
-                               p_down * dw);
-          result.ledger.charge(sid, energy::EnergyCategory::kDownload,
-                               p_down * (d - dw));
-        } else {
-          result.ledger.charge(sid, energy::EnergyCategory::kDownload,
-                               p_down * d);
-        }
+        run_phase(ev.a, energy::EdgeState::kDownloading, ev.t0, ev.t1);
+        book_phase(ev.a, p_down, energy::EnergyCategory::kDownload, ev.t1,
+                   ev.t2);
         break;
       }
       case FleetEventKind::kEpochDone: {
+        // Book training, then run the upload leg against the access medium
+        // at the actual train end: the queue's FIFO drains uploads in
+        // (train_end, selection index) order.
         const std::size_t sid = ev.a;
-        const Seconds train_start = ev.t0;
-        const Seconds t = ev.t1;
-        run_phase(sid, energy::EdgeState::kTraining, train_start, t);
+        run_phase(sid, energy::EdgeState::kTraining, ev.t0, ev.t1);
         result.ledger.charge(sid, energy::EnergyCategory::kTraining,
-                             p_train * t);
-        const Seconds train_end = train_start + t;
-        Seconds u{0.0};
-        Seconds uw{0.0};
+                             p_train * ev.t1);
+        const Seconds train_end = at;
         Seconds upload_start = train_end;
-        if (sys.lan_contention == FeiSystemConfig::LanContention::kCsma) {
-          const auto r =
-              csma.transfer(up_msg.wire_bytes(), uploads_pending - 1);
-          u = jittered(r.duration);
-        } else {
-          const auto ul = up_leg(sid);
-          u = jittered(ul.duration);
-          uw = wasted_share(u, ul);
+        if (!csma_uplink) {
           upload_start = std::max(train_end, lan_free);
-          const Seconds queue_wait = upload_start - train_end;
-          lan_free = upload_start + u;
+          const Seconds queue_wait = capped(upload_start) - train_end;
           if (queue_wait.value() > 0.0) {
             result.ledger.charge(sid, energy::EnergyCategory::kWaiting,
                                  p_wait * queue_wait);
           }
           if (sk_wait_s != nullptr) sk_wait_s->record(queue_wait.value());
         }
-        --uploads_pending;
-        queue.schedule_at(upload_start + u,
-                          FleetEvent{FleetEventKind::kUploadDone,
-                                     static_cast<std::uint32_t>(sid), 0,
-                                     upload_start, u, uw});
+        if (has_deadline && upload_start >= deadline) {
+          resolve_dropped(
+              drop_event(ev.b, sid, DropReason::kDeadline, deadline),
+              deadline);
+          break;
+        }
+        const Leg up = leg(sid, /*upload=*/true, upload_start);
+        round_stats.retries += up.attempts - 1;
+        if (!csma_uplink) lan_free = capped(up.finish);
+        if (has_deadline && up.finish > deadline) {
+          queue.schedule_at(
+              deadline,
+              drop_event(ev.b, sid, DropReason::kDeadline, deadline,
+                         energy::EdgeState::kUploading, upload_start,
+                         cut_at_deadline(upload_start, up)));
+        } else if (!up.delivered) {
+          queue.schedule_at(
+              up.finish,
+              drop_event(ev.b, sid, DropReason::kLost, up.finish,
+                         energy::EdgeState::kUploading, upload_start,
+                         up.air));
+        } else {
+          round_end = std::max(round_end, capped(up.finish));
+          queue.schedule_at(up.finish,
+                            FleetEvent{FleetEventKind::kUploadDone, ev.a,
+                                       ev.b, upload_start, up.air,
+                                       up.wasted});
+        }
         break;
       }
       case FleetEventKind::kUploadDone: {
         const std::size_t sid = ev.a;
-        const Seconds upload_start = ev.t0;
-        const Seconds u = ev.t1;
-        const Seconds uw = ev.t2;
-        run_phase(sid, energy::EdgeState::kUploading, upload_start, u);
-        if (uw.value() > 0.0) {
-          result.ledger.charge(sid, energy::EnergyCategory::kRetry,
-                               p_up * uw);
-          result.ledger.charge(sid, energy::EnergyCategory::kUpload,
-                               p_up * (u - uw));
-        } else {
-          result.ledger.charge(sid, energy::EnergyCategory::kUpload,
-                               p_up * u);
-        }
-        round_end = std::max(round_end, at);
+        run_phase(sid, energy::EdgeState::kUploading, ev.t0, ev.t1);
+        book_phase(sid, p_up, energy::EnergyCategory::kUpload, ev.t1, ev.t2);
         if (sk_turnaround_s != nullptr) {
           sk_turnaround_s->record((at - round_start_time).value());
         }
@@ -766,200 +805,34 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
         }
         break;
       }
-      case FleetEventKind::kFaultServerDown: {
-        trace_fault("server.down", ev.a, round_start_time);
-        gateway_member_resolved(ev.a, round_start_time);
-        break;
-      }
-      case FleetEventKind::kFaultDeadlineDrop: {
-        trace_fault("deadline.drop", ev.a, deadline);
-        gateway_member_resolved(ev.a, deadline);
-        break;
-      }
-      case FleetEventKind::kFaultDownloadCut: {
-        const std::size_t sid = ev.a;
-        const Seconds download_start = ev.t0;
-        const Seconds cut = ev.t1;
-        result.ledger.charge(sid, energy::EnergyCategory::kAborted,
-                             p_down * cut);
-        run_phase(sid, energy::EdgeState::kDownloading, download_start, cut);
-        trace_fault("deadline.drop", sid, deadline);
-        gateway_member_resolved(sid, deadline);
-        break;
-      }
-      case FleetEventKind::kFaultDownloadLost: {
-        const std::size_t sid = ev.a;
-        const Seconds download_start = ev.t0;
-        const Seconds air = ev.t1;
-        result.ledger.charge(sid, energy::EnergyCategory::kAborted,
-                             p_down * air);
-        run_phase(sid, energy::EdgeState::kDownloading, download_start, air);
-        trace_fault("update.lost", sid, at);
-        gateway_member_resolved(sid, at);
-        break;
-      }
-      case FleetEventKind::kFaultDownloadDone: {
-        const std::size_t sid = ev.a;
-        const Seconds download_start = ev.t0;
-        const Seconds wasted = ev.t1;
-        const Seconds air = ev.t2;
-        result.ledger.charge(sid, energy::EnergyCategory::kRetry,
-                             p_down * wasted);
-        result.ledger.charge(sid, energy::EnergyCategory::kDownload,
-                             p_down * (air - wasted));
-        run_phase(sid, energy::EdgeState::kDownloading, download_start, air);
-        break;
-      }
-      case FleetEventKind::kFaultTrainCrash: {
-        const std::size_t sid = ev.a;
-        const Seconds train_start = ev.t0;
-        result.ledger.charge(sid, energy::EnergyCategory::kAborted,
-                             p_train * (at - train_start));
-        run_phase(sid, energy::EdgeState::kTraining, train_start,
-                  at - train_start);
-        trace_fault("server.crash", sid, at);
-        gateway_member_resolved(sid, at);
-        break;
-      }
-      case FleetEventKind::kFaultTrainDeadline: {
-        const std::size_t sid = ev.a;
-        const Seconds train_start = ev.t0;
-        result.ledger.charge(sid, energy::EnergyCategory::kAborted,
-                             p_train * (deadline - train_start));
-        if (deadline > train_start) {
-          run_phase(sid, energy::EdgeState::kTraining, train_start,
-                    deadline - train_start);
-        }
-        trace_fault("deadline.drop", sid, deadline);
-        gateway_member_resolved(sid, deadline);
-        break;
-      }
-      case FleetEventKind::kFaultEpochDone: {
-        // Book the full training phase, then run the upload leg against
-        // the (event-ordered) FCFS chain: the queue's FIFO drains uploads
-        // in (train_end, selection index) order.
-        const std::size_t sid = ev.a;
-        const Seconds train_start = ev.t0;
-        const Seconds t = ev.t1;
-        result.ledger.charge(sid, energy::EnergyCategory::kTraining,
-                             p_train * t);
-        run_phase(sid, energy::EdgeState::kTraining, train_start, t);
-        auto& uu = fupdates[ev.b];
-        const Seconds train_end = at;
-        const Seconds upload_start = std::max(train_end, lan_free);
-        const Seconds queue_wait_end =
-            has_deadline ? std::min(upload_start, deadline) : upload_start;
-        if (queue_wait_end > train_end) {
-          result.ledger.charge(sid, energy::EnergyCategory::kWaiting,
-                               p_wait * (queue_wait_end - train_end));
-        }
-        if (sk_wait_s != nullptr) {
-          sk_wait_s->record((queue_wait_end - train_end).value());
-        }
-        if (has_deadline && upload_start >= deadline) {
-          trace_fault("deadline.drop", sid, deadline);
-          uu.aggregated = false;
-          ++fstats->straggler_drops;
-          note_end(deadline);
-          gateway_member_resolved(sid, deadline);
-          break;
-        }
-        const Seconds u1 =
-            jittered(nominal_duration(sid, up_msg.wire_bytes()));
-        const auto up = plan_transfer(sid, /*upload=*/true, upload_start, u1);
-        fstats->retries += up.attempts - 1;
-        lan_free = has_deadline ? std::min(up.finish, deadline) : up.finish;
-        if (has_deadline && up.finish > deadline) {
-          const double frac =
-              (deadline - upload_start) / (up.finish - upload_start);
-          const Seconds cut = up.air_time * std::clamp(frac, 0.0, 1.0);
-          queue.schedule_at(deadline,
-                            FleetEvent{FleetEventKind::kFaultUploadCut,
-                                       static_cast<std::uint32_t>(sid), 0,
-                                       upload_start, cut});
-          uu.aggregated = false;
-          ++fstats->straggler_drops;
-          note_end(deadline);
-          break;
-        }
-        if (!up.delivered) {
-          queue.schedule_at(up.finish,
-                            FleetEvent{FleetEventKind::kFaultUploadLost,
-                                       static_cast<std::uint32_t>(sid), 0,
-                                       upload_start, up.air_time});
-          uu.aggregated = false;
-          ++fstats->aborted_updates;
-          note_end(up.finish);
-          break;
-        }
-        // upload-done: delivery books the phase and resolves the tier.
-        queue.schedule_at(up.finish,
-                          FleetEvent{FleetEventKind::kFaultUploadDone,
-                                     static_cast<std::uint32_t>(sid), 0,
-                                     upload_start, up.wasted_air_time,
-                                     up.air_time});
-        note_end(up.finish);
-        break;
-      }
-      case FleetEventKind::kFaultUploadCut: {
-        const std::size_t sid = ev.a;
-        const Seconds upload_start = ev.t0;
-        const Seconds cut = ev.t1;
-        result.ledger.charge(sid, energy::EnergyCategory::kAborted,
-                             p_up * cut);
-        run_phase(sid, energy::EdgeState::kUploading, upload_start, cut);
-        trace_fault("deadline.drop", sid, deadline);
-        gateway_member_resolved(sid, deadline);
-        break;
-      }
-      case FleetEventKind::kFaultUploadLost: {
-        const std::size_t sid = ev.a;
-        const Seconds upload_start = ev.t0;
-        const Seconds air = ev.t1;
-        result.ledger.charge(sid, energy::EnergyCategory::kAborted,
-                             p_up * air);
-        run_phase(sid, energy::EdgeState::kUploading, upload_start, air);
-        trace_fault("update.lost", sid, at);
-        gateway_member_resolved(sid, at);
-        break;
-      }
-      case FleetEventKind::kFaultUploadDone: {
-        const std::size_t sid = ev.a;
-        const Seconds upload_start = ev.t0;
-        const Seconds wasted = ev.t1;
-        const Seconds air = ev.t2;
-        result.ledger.charge(sid, energy::EnergyCategory::kRetry,
-                             p_up * wasted);
-        result.ledger.charge(sid, energy::EnergyCategory::kUpload,
-                             p_up * (air - wasted));
-        run_phase(sid, energy::EdgeState::kUploading, upload_start, air);
-        if (sk_turnaround_s != nullptr) {
-          sk_turnaround_s->record((at - round_start_time).value());
-        }
-        gateway_member_resolved(sid, at);
+      case FleetEventKind::kDropped: {
+        resolve_dropped(ev, at);
         break;
       }
     }
   };
 
-  // --- Fault-free round simulation: one shared LAN -----------------------
-  // Epoch-done events fire in (train_end, FIFO) order and FIFO order equals
-  // selection-index order, so the upload legs consume jitter_rng / csma /
-  // lan_free in (train_end, index) order — FeiSystem's upload order.
-  auto observer = [&](const fl::RoundRecord& record,
-                      std::span<const fl::LocalTrainResult> updates) {
-    begin_round(record.round, record.selected);
+  // ---- one round: the dispatch scan, then the drain ---------------------
+  // The scan books step 1 (IoT collection) and times each selected server's
+  // download and training in selection order, which is the order the
+  // FeiSystem RNG streams and the FCFS chain are consumed in.  Every other
+  // booking lands on its event boundary.  A failure (crash, deadline, lost
+  // transfer) resolves its aggregation tier through a kDropped event; a
+  // reboot is implicit: CrashProcess's down interval ends and the server is
+  // selectable again.
+  auto simulate_round = [&](std::size_t round,
+                            std::span<const fl::ClientId> selected,
+                            std::span<const fl::LocalTrainResult> updates) {
+    begin_round(round, selected);
     const Seconds round_start = round_start_time;
-    lan_free = round_start;
-    round_end = round_start;
-    uploads_pending = record.selected.size();
 
-    for (std::size_t i = 0; i < record.selected.size(); ++i) {
-      const std::size_t sid = record.selected[i];
-      const std::size_t n_k = updates[i].samples_used;
+    for (std::size_t i = 0; i < selected.size(); ++i) {
+      const std::size_t sid = selected[i];
+      const fl::LocalTrainResult& u = updates[i];
 
       if (sys.iot_collection) {
-        const auto collected = population_.topology().fleet(sid).collect(n_k);
+        const auto collected =
+            population_.topology().fleet(sid).collect(u.samples_used);
         if (collected.wasted_energy.value() > 0.0) {
           result.ledger.charge(sid, energy::EnergyCategory::kRetry,
                                collected.wasted_energy);
@@ -972,45 +845,87 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
         }
       }
 
-      const auto dl = down_leg(sid);
-      const Seconds d = jittered(dl.duration);
-      const Seconds dw = wasted_share(d, dl);
+      if (crash_process && crash_process->is_down(sid, round_start)) {
+        queue.schedule_at(round_start, drop_event(i, sid,
+                                                  DropReason::kServerDown,
+                                                  round_start));
+        continue;
+      }
       const Seconds download_start = lan_free;
-      lan_free += d;
-      Seconds t = jittered(sys.timing.duration(record.local_epochs, n_k));
+      if (has_deadline && download_start >= deadline) {
+        queue.schedule_at(deadline, drop_event(i, sid, DropReason::kDeadline,
+                                               deadline));
+        continue;
+      }
+      const Leg down = leg(sid, /*upload=*/false, download_start);
+      round_stats.retries += down.attempts - 1;
+      lan_free = capped(down.finish);
+      if (has_deadline && down.finish > deadline) {
+        queue.schedule_at(
+            deadline, drop_event(i, sid, DropReason::kDeadline, deadline,
+                                 energy::EdgeState::kDownloading,
+                                 download_start,
+                                 cut_at_deadline(download_start, down)));
+        continue;
+      }
+      if (!down.delivered) {
+        queue.schedule_at(
+            down.finish,
+            drop_event(i, sid, DropReason::kLost, down.finish,
+                       energy::EdgeState::kDownloading, download_start,
+                       down.air));
+        continue;
+      }
+      const auto id = static_cast<std::uint32_t>(sid);
+      const auto index = static_cast<std::uint32_t>(i);
+      queue.schedule_at(down.finish,
+                        FleetEvent{FleetEventKind::kDownloadDone, id, index,
+                                   download_start, down.air, down.wasted});
+
+      const Seconds train_start = down.finish;
+      Seconds t = jittered(sys.timing.duration(u.epochs_run, u.samples_used));
       t *= straggler_factor(sid);
-
-      // download-done: book the reception phase on the event boundary.
-      queue.schedule_at(download_start + d,
-                        FleetEvent{FleetEventKind::kDownloadDone,
-                                   static_cast<std::uint32_t>(sid), 0,
-                                   download_start, d, dw});
-
-      // epoch-done: book training, then resolve this upload's contention
-      // at its actual completion time (the dispatch schedules upload-done).
-      const Seconds train_start = download_start + d;
-      queue.schedule_at(train_start + t,
-                        FleetEvent{FleetEventKind::kEpochDone,
-                                   static_cast<std::uint32_t>(sid), 0,
+      const Seconds train_end = train_start + t;
+      if (crash_process) {
+        if (const auto crash = crash_process->next_crash_in(
+                sid, train_start, capped(train_end))) {
+          queue.schedule_at(
+              *crash, drop_event(i, sid, DropReason::kCrash, *crash,
+                                 energy::EdgeState::kTraining, train_start,
+                                 *crash - train_start));
+          continue;
+        }
+      }
+      if (has_deadline && train_end > deadline) {
+        queue.schedule_at(
+            deadline, drop_event(i, sid, DropReason::kDeadline, deadline,
+                                 energy::EdgeState::kTraining, train_start,
+                                 deadline - train_start));
+        continue;
+      }
+      queue.schedule_at(train_end,
+                        FleetEvent{FleetEventKind::kEpochDone, id, index,
                                    train_start, t});
     }
 
-    const std::size_t n_events = queue.run(dispatch);
-    events_processed += n_events;
+    round_events = queue.run(dispatch);
+    events_processed += round_events;
     result.queue_high_water =
         std::max(result.queue_high_water, queue.high_water());
-    clock = std::max(std::max(round_end, lan_free), root_done);
+    // Every leg ends at or before its server's resolution, so the last
+    // resolution bounds the FCFS chain too.
+    clock = std::max(round_end, root_done);
 
     // Per-round link utilization: busy-time delta over the round span,
     // maxed across the links this round actually touched.
-    double link_util_max = 0.0;
     if (config_.multi_hop) {
+      round_link_util = 0.0;
       const double span = (clock - round_start).value();
       for (const std::size_t lid : touched_links) {
         const double busy = link_queues[lid].stats().busy.value();
         if (span > 0.0) {
-          link_util_max = std::max(
-              link_util_max,
+          round_link_util = std::max(
+              round_link_util,
               std::min(1.0, (busy - link_busy_prev[lid]) / span));
         }
         link_busy_prev[lid] = busy;
@@ -1019,209 +934,69 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
       result.link_drops += round_links.drops;
       result.link_wait += Seconds{round_links.wait_s};
       result.link_util_peak =
-          std::max(result.link_util_peak, link_util_max);
+          std::max(result.link_util_peak, round_link_util);
     }
 
     if (charge_idle) idle_schedule.push_round(clock - round_start);
-
-    if (obs::Telemetry* tel = obs::telemetry()) {
-      tel->tracer.sim_span(
-          "round", "sim.round", obs::Tracer::kCoordinatorPid, round_start,
-          clock - round_start,
-          {{"round", static_cast<double>(record.round)},
-           {"selected", static_cast<double>(record.selected.size())},
-           {"accuracy", record.test_accuracy},
-           {"loss", record.global_loss}});
-      tel->metrics.counter("fleet.rounds").increment();
-      tel->metrics.counter("fleet.selected")
-          .add(static_cast<double>(record.selected.size()));
-      tel->metrics.counter("fleet.events")
-          .add(static_cast<double>(n_events));
-      obs::RoundStats rs;
-      rs.round = static_cast<double>(record.round);
-      rs.start_s = round_start.value();
-      rs.duration_s = (clock - round_start).value();
-      rs.selected = static_cast<double>(record.selected.size());
-      rs.aggregated = static_cast<double>(record.updates_aggregated);
-      rs.events = static_cast<double>(n_events);
-      rs.queue_peak = static_cast<double>(queue.high_water());
-      rs.gateways = static_cast<double>(round_gw_ids.size());
-      rs.link_msgs = static_cast<double>(round_links.msgs);
-      rs.link_wait_s = round_links.wait_s;
-      rs.link_util_max = link_util_max;
-      rs.link_drops = static_cast<double>(round_links.drops);
-      append_round_stats(tel, rs);
-    }
   };
 
-  // --- Fault-mode round simulation ---------------------------------------
-  // The control flow (what fails, when, what it costs) mirrors FeiSystem's
-  // fault filter, apart from the per-(server, round) fault streams above.
-  // The timing plan is computed in the dispatch scan because the FCFS
-  // lan_free chain needs it, but every energy booking lands on its event
-  // boundary: download-done, epoch-done,
-  // upload-done, server-crash, deadline truncations and lost transfers all
-  // fire as queue events, and each failure resolves its aggregation tier
-  // (a reboot is implicit: CrashProcess's down interval ends and the
-  // server is selectable again).
-  auto fault_filter = [&](std::size_t round,
-                          std::span<const fl::ClientId> selected,
-                          std::span<fl::LocalTrainResult> updates)
-      -> fl::RoundFaultStats {
-    begin_round(round, selected);
-    fl::RoundFaultStats stats;
-    fstats = &stats;
-    fupdates = updates;
-    const Seconds round_start = round_start_time;
-
-    lan_free = round_start;
-    round_end = round_start;
-
-    for (std::size_t i = 0; i < selected.size(); ++i) {
-      const std::size_t sid = selected[i];
-      auto& u = updates[i];
-
-      if (sys.iot_collection) {
-        const auto collected =
-            population_.topology().fleet(sid).collect(u.samples_used);
-        result.ledger.charge(sid, energy::EnergyCategory::kDataCollection,
-                             collected.total_energy);
-      }
-
-      if (crash_process->is_down(sid, round_start)) {
-        queue.schedule_at(round_start,
-                          FleetEvent{FleetEventKind::kFaultServerDown,
-                                     static_cast<std::uint32_t>(sid)});
-        u.aggregated = false;
-        ++stats.crashed_servers;
-        continue;
-      }
-
-      const Seconds download_start = lan_free;
-      if (has_deadline && download_start >= deadline) {
-        queue.schedule_at(deadline,
-                          FleetEvent{FleetEventKind::kFaultDeadlineDrop,
-                                     static_cast<std::uint32_t>(sid)});
-        u.aggregated = false;
-        ++stats.straggler_drops;
-        note_end(deadline);
-        continue;
-      }
-      const Seconds d1 =
-          jittered(nominal_duration(sid, down_msg.wire_bytes()));
-      const auto down = plan_transfer(sid, /*upload=*/false, download_start,
-                                      d1);
-      stats.retries += down.attempts - 1;
-      lan_free = has_deadline ? std::min(down.finish, deadline) : down.finish;
-      if (has_deadline && down.finish > deadline) {
-        const double frac =
-            (deadline - download_start) / (down.finish - download_start);
-        const Seconds cut = down.air_time * std::clamp(frac, 0.0, 1.0);
-        queue.schedule_at(deadline,
-                          FleetEvent{FleetEventKind::kFaultDownloadCut,
-                                     static_cast<std::uint32_t>(sid), 0,
-                                     download_start, cut});
-        u.aggregated = false;
-        ++stats.straggler_drops;
-        note_end(deadline);
-        continue;
-      }
-      if (!down.delivered) {
-        queue.schedule_at(down.finish,
-                          FleetEvent{FleetEventKind::kFaultDownloadLost,
-                                     static_cast<std::uint32_t>(sid), 0,
-                                     download_start, down.air_time});
-        u.aggregated = false;
-        ++stats.aborted_updates;
-        note_end(down.finish);
-        continue;
-      }
-      // download-done (possibly with retried attempts folded in).
-      queue.schedule_at(down.finish,
-                        FleetEvent{FleetEventKind::kFaultDownloadDone,
-                                   static_cast<std::uint32_t>(sid), 0,
-                                   download_start, down.wasted_air_time,
-                                   down.air_time});
-
-      const Seconds train_start = down.finish;
-      Seconds t = jittered(sys.timing.duration(u.epochs_run, u.samples_used));
-      t *= straggler_factor(sid);
-      const Seconds train_end = train_start + t;
-      const Seconds train_cap =
-          has_deadline ? std::min(train_end, deadline) : train_end;
-      if (const auto crash =
-              crash_process->next_crash_in(sid, train_start, train_cap)) {
-        queue.schedule_at(*crash,
-                          FleetEvent{FleetEventKind::kFaultTrainCrash,
-                                     static_cast<std::uint32_t>(sid), 0,
-                                     train_start});
-        u.aggregated = false;
-        ++stats.crashed_servers;
-        note_end(*crash);
-        continue;
-      }
-      if (has_deadline && train_end > deadline) {
-        queue.schedule_at(deadline,
-                          FleetEvent{FleetEventKind::kFaultTrainDeadline,
-                                     static_cast<std::uint32_t>(sid), 0,
-                                     train_start});
-        u.aggregated = false;
-        ++stats.straggler_drops;
-        note_end(deadline);
-        continue;
-      }
-
-      // epoch-done: the dispatch books training and runs the upload leg.
-      queue.schedule_at(train_end,
-                        FleetEvent{FleetEventKind::kFaultEpochDone,
-                                   static_cast<std::uint32_t>(sid),
-                                   static_cast<std::uint32_t>(i),
-                                   train_start, t});
+  // ---- one telemetry row and round span per round ------------------------
+  // Written after aggregation, so `aggregated` is what the coordinator
+  // actually averaged (fault vetoes and its own drop roll included).  O(1)
+  // per round.
+  auto record_round = [&](const fl::RoundRecord& record) {
+    obs::Telemetry* tel = obs::telemetry();
+    if (tel == nullptr) return;
+    const std::size_t dropped = record.straggler_drops +
+                                record.aborted_updates +
+                                record.crashed_servers;
+    tel->tracer.sim_span(
+        "round", "sim.round", obs::Tracer::kCoordinatorPid, round_start_time,
+        clock - round_start_time,
+        {{"round", static_cast<double>(record.round)},
+         {"selected", static_cast<double>(record.selected.size())},
+         {"accuracy", record.test_accuracy},
+         {"loss", record.global_loss},
+         {"retries", static_cast<double>(record.retries)},
+         {"dropped", static_cast<double>(dropped)}});
+    tel->metrics.counter("fleet.rounds").increment();
+    tel->metrics.counter("fleet.selected")
+        .add(static_cast<double>(record.selected.size()));
+    tel->metrics.counter("fleet.events")
+        .add(static_cast<double>(round_events));
+    obs::RoundStats rs;
+    rs.round = static_cast<double>(record.round);
+    rs.start_s = round_start_time.value();
+    rs.duration_s = (clock - round_start_time).value();
+    rs.selected = static_cast<double>(record.selected.size());
+    rs.aggregated = static_cast<double>(record.updates_aggregated);
+    rs.stragglers = static_cast<double>(record.straggler_drops);
+    rs.crashes = static_cast<double>(record.crashed_servers);
+    rs.retries = static_cast<double>(record.retries);
+    rs.aborted = static_cast<double>(record.aborted_updates);
+    rs.events = static_cast<double>(round_events);
+    rs.queue_peak = static_cast<double>(queue.high_water());
+    rs.gateways = static_cast<double>(round_gw_ids.size());
+    rs.link_msgs = static_cast<double>(round_links.msgs);
+    rs.link_wait_s = round_links.wait_s;
+    rs.link_util_max = round_link_util;
+    rs.link_drops = static_cast<double>(round_links.drops);
+    // Per-category joules come from the energy.joules.* counter deltas
+    // (idle settlement is lazy, so non-selected servers' waiting energy
+    // lands in the rounds where it is folded, i.e. at end of run).
+    std::array<double*, energy::kNumEnergyCategories> cols = {
+        &rs.energy_data_collection_j, &rs.energy_waiting_j,
+        &rs.energy_download_j,        &rs.energy_training_j,
+        &rs.energy_upload_j,          &rs.energy_retry_j,
+        &rs.energy_aborted_j};
+    for (std::size_t c = 0; c < energy::kNumEnergyCategories; ++c) {
+      const double now = energy_counters[c]->value();
+      *cols[c] = now - prev_energy[c];
+      rs.energy_j += now - prev_energy[c];
+      prev_energy[c] = now;
     }
-
-    const std::size_t n_events = queue.run(dispatch);
-    events_processed += n_events;
-    result.queue_high_water =
-        std::max(result.queue_high_water, queue.high_water());
-    clock = std::max(std::max(round_end, round_start), root_done);
-    fstats = nullptr;
-    fupdates = {};
-
-    if (charge_idle) idle_schedule.push_round(clock - round_start);
-
-    if (obs::Telemetry* tel = obs::telemetry()) {
-      tel->tracer.sim_span(
-          "round", "sim.round", obs::Tracer::kCoordinatorPid, round_start,
-          clock - round_start,
-          {{"round", static_cast<double>(round)},
-           {"selected", static_cast<double>(selected.size())},
-           {"retries", static_cast<double>(stats.retries)},
-           {"dropped", static_cast<double>(stats.straggler_drops +
-                                           stats.aborted_updates +
-                                           stats.crashed_servers)}});
-      tel->metrics.counter("fleet.rounds").increment();
-      tel->metrics.counter("fleet.selected")
-          .add(static_cast<double>(selected.size()));
-      tel->metrics.counter("fleet.events")
-          .add(static_cast<double>(n_events));
-      obs::RoundStats rs;
-      rs.round = static_cast<double>(round);
-      rs.start_s = round_start.value();
-      rs.duration_s = (clock - round_start).value();
-      rs.selected = static_cast<double>(selected.size());
-      rs.aggregated = static_cast<double>(
-          selected.size() - stats.crashed_servers - stats.straggler_drops -
-          stats.aborted_updates);
-      rs.stragglers = static_cast<double>(stats.straggler_drops);
-      rs.crashes = static_cast<double>(stats.crashed_servers);
-      rs.retries = static_cast<double>(stats.retries);
-      rs.aborted = static_cast<double>(stats.aborted_updates);
-      rs.events = static_cast<double>(n_events);
-      rs.queue_peak = static_cast<double>(queue.high_water());
-      rs.gateways = static_cast<double>(round_gw_ids.size());
-      append_round_stats(tel, rs);
-    }
-    return stats;
+    if (sk_round_s != nullptr) sk_round_s->record(rs.duration_s);
+    tel->rounds.append(rs);
   };
 
   // ---- coordinator wiring ------------------------------------------------
@@ -1250,11 +1025,25 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
   }
   fl::Coordinator coordinator(clients.get(), &population_.test_set(), fl_cfg,
                               std::move(policy));
+  // With a fault knob on, the scan runs before aggregation so its vetoes
+  // decide which updates the coordinator averages; fault-free rounds
+  // aggregate in place and are simulated afterwards.
   if (faults) {
-    coordinator.set_update_filter(fault_filter);
-  } else {
-    coordinator.set_round_observer(observer);
+    coordinator.set_update_filter(
+        [&](std::size_t round, std::span<const fl::ClientId> selected,
+            std::span<fl::LocalTrainResult> updates) {
+          filter_updates = updates;
+          simulate_round(round, selected, updates);
+          filter_updates = {};
+          return round_stats;
+        });
   }
+  coordinator.set_round_observer(
+      [&](const fl::RoundRecord& record,
+          std::span<const fl::LocalTrainResult> updates) {
+        if (!faults) simulate_round(record.round, record.selected, updates);
+        record_round(record);
+      });
 
   auto outcome = coordinator.run();
   if (!outcome.ok()) return outcome.error();

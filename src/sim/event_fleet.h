@@ -5,7 +5,7 @@
 // What changes relative to the 20-server FeiSystem:
 //
 //   - Per-server phase completions are EVENTS (download-done, epoch-done,
-//     upload-done, server-crash) scheduled on the event queue; the round
+//     upload-done, dropped) scheduled on the event queue; the round
 //     clock is whatever the queue drained to, not an O(N) barrier sweep.
 //   - Energy streams through one CompactEnergyAccumulator per server (O(1)
 //     memory) instead of a PowerStateTimeline; a configurable, evenly
@@ -145,7 +145,7 @@ struct EventFleetEngineConfig {
   /// queueing delay and congestion emerge from the round's offered load.
   /// A member's tier resolution moves from upload-done to
   /// coordinator-arrival; when a bounded queue drops the update, the
-  /// member resolves at the drop time instead (observer-mode aggregation
+  /// member resolves at the drop time instead (fault-free aggregation
   /// is never vetoed — a drop is a timing/telemetry outcome, mirroring
   /// how tier latencies never gate the numeric FedAvg).  With the default
   /// zero-rate/zero-latency/unbounded links every hop is instantaneous,

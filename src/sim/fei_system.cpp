@@ -374,8 +374,10 @@ Result<FeiRunResult> FeiSystem::run() {
       // Step (1): IoT data collection, as in the fault-free path.
       if (config_.iot_collection) {
         const auto collected = population_.topology().fleet(sid).collect(u.samples_used);
+        result.ledger.charge(sid, energy::EnergyCategory::kRetry,
+                             collected.wasted_energy);
         result.ledger.charge(sid, energy::EnergyCategory::kDataCollection,
-                             collected.total_energy);
+                             collected.total_energy - collected.wasted_energy);
       }
 
       // A server still rebooting at round start never hears the dispatch.

@@ -57,6 +57,14 @@ constexpr double kGoldenWallClock = 0x1.850c37394590cp+3;
 constexpr double kGoldenTimelineSum = 0x1.bcf4fb069b7bcp+9;
 constexpr double kGoldenFinalAccuracy = 0x1.170a3d70a3d71p-1;
 constexpr double kGoldenFinalLoss = 0x1.082c5a9bb4488p+1;
+// Event-queue shape of the golden config on the shared-FCFS tiered (fan-ins
+// 4 and 2) and flat topologies: one event per phase completion and tier
+// completion, so any change to the event taxonomy that is not one event for
+// one event moves these.
+constexpr std::size_t kGoldenTieredEvents = 310;
+constexpr std::size_t kGoldenTieredQueueHighWater = 20;
+constexpr std::size_t kGoldenFlatEvents = 264;
+constexpr std::size_t kGoldenFlatQueueHighWater = 20;
 
 void expect_golden(const EventFleetRunResult& r) {
   EXPECT_EQ(r.training.rounds_run, 8u);
@@ -92,6 +100,8 @@ struct PinnedRun {
   std::size_t crashed_servers = 0;
   std::uint32_t per_server_crc = 0;
   std::uint32_t params_crc = 0;
+  std::size_t events_processed = 0;
+  std::size_t queue_high_water = 0;
 };
 
 void expect_pinned(const EventFleetRunResult& r, std::size_t n_servers,
@@ -111,6 +121,8 @@ void expect_pinned(const EventFleetRunResult& r, std::size_t n_servers,
   }
   EXPECT_EQ(crc_of(per_server), pin.per_server_crc);
   EXPECT_EQ(crc_of(r.training.final_params), pin.params_crc);
+  EXPECT_EQ(r.events_processed, pin.events_processed);
+  EXPECT_EQ(r.queue_high_water, pin.queue_high_water);
 }
 
 void expect_bitwise_equal(const EventFleetRunResult& a,
@@ -154,9 +166,11 @@ TEST(EventFleetEngine, MatchesGoldenFingerprint) {
   expect_golden(*r);
   EXPECT_EQ(r->num_gateways, 5u);
   EXPECT_EQ(r->num_regions, 3u);
-  // Every selected server contributes at least download-done, epoch-done
-  // and upload-done; tier completions come on top.
+  // Every selected server contributes download-done, epoch-done and
+  // upload-done; tier completions come on top.
   EXPECT_GE(r->events_processed, 3u * 10u * 8u);
+  EXPECT_EQ(r->events_processed, kGoldenTieredEvents);
+  EXPECT_EQ(r->queue_high_water, kGoldenTieredQueueHighWater);
 
   // Every sampled timeline agrees with its streaming accumulator to the
   // last bit.
@@ -181,6 +195,8 @@ TEST(EventFleetEngine, FlatTopologyMatchesGoldenFingerprint) {
   const auto r = engine.run();
   ASSERT_TRUE(r.ok()) << r.error().message;
   expect_golden(*r);
+  EXPECT_EQ(r->events_processed, kGoldenFlatEvents);
+  EXPECT_EQ(r->queue_high_water, kGoldenFlatQueueHighWater);
 
   ASSERT_EQ(r->sampled_timelines.size(), 20u);
   for (std::size_t i = 0; i < r->sampled_servers.size(); ++i) {
@@ -357,7 +373,9 @@ TEST(EventFleetEngine, JitteredStragglersAtN1kMatchGolden) {
                 {.ledger_total = 0x1.19a4f5c42b42ep+13,
                  .wall_clock = 0x1.43676087293afp+1,
                  .per_server_crc = 0x5634c1ccu,
-                 .params_crc = 0x39e61b94u});
+                 .params_crc = 0x39e61b94u,
+                 .events_processed = 321,
+                 .queue_high_water = 40});
 }
 
 // A pooled 200-server fleet with jitter; materialized unless the caller
@@ -424,7 +442,9 @@ TEST(EventFleetEngine, CsmaContentionMatchesGolden) {
                 {.ledger_total = 0x1.a2e39b550459fp+6,
                  .wall_clock = 0x1.57620d3b14d3ep+2,
                  .per_server_crc = 0x4b6a5a82u,
-                 .params_crc = 0x775d0bbeu});
+                 .params_crc = 0x775d0bbeu,
+                 .events_processed = 132,
+                 .queue_high_water = 20});
 }
 
 FeiSystemConfig faulty_config() {
@@ -466,7 +486,9 @@ constexpr PinnedRun kFaultPathPin = {.ledger_total = 0x1.80ce4e5484462p+7,
                                      .retries = 20,
                                      .aborted_updates = 1,
                                      .per_server_crc = 0x3d04bea6u,
-                                     .params_crc = 0x29abaaebu};
+                                     .params_crc = 0x29abaaebu,
+                                     .events_processed = 178,
+                                     .queue_high_water = 20};
 
 TEST(EventFleetEngine, FaultPathMatchesGolden) {
   EventFleetEngine engine(fault_path_config());
@@ -485,6 +507,156 @@ TEST(EventFleetEngine, FaultPathThreadInvariant) {
   const auto r = engine.run();
   ASSERT_TRUE(r.ok()) << r.error().message;
   expect_pinned(*r, 30, kFaultPathPin);
+}
+
+// The fault path with every RNG-consuming timing knob on as well: timing
+// jitter, transient stragglers, nonzero tier latencies and a lossy WifiLan.
+// Under faults a leg's timing comes from the link-fault plan, so the LAN's
+// own loss model must stay unused.
+EventFleetEngineConfig fault_jitter_lossy_lan_config() {
+  EventFleetEngineConfig cfg = fault_path_config();
+  cfg.system.timing_jitter = 0.05;
+  cfg.system.straggler_fraction = 0.2;
+  cfg.system.net.lan.loss_probability = 0.1;
+  cfg.tiers.region_fanin = 2;
+  cfg.gateway_latency = Seconds{0.05};
+  cfg.region_latency = Seconds{0.1};
+  cfg.root_latency = Seconds{0.2};
+  return cfg;
+}
+
+TEST(EventFleetEngine, FaultPathJitterLossyLanMatchesGolden) {
+  EventFleetEngine engine(fault_jitter_lossy_lan_config());
+  const auto r = engine.run();
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  expect_pinned(*r, 30,
+                {.ledger_total = 0x1.3f769d37bf3bdp+8,
+                 .wall_clock = 0x1.ed3dc61632503p+1,
+                 .retries = 20,
+                 .aborted_updates = 1,
+                 .per_server_crc = 0x24bb4703u,
+                 .params_crc = 0x29abaaebu,
+                 .events_processed = 183,
+                 .queue_high_water = 20});
+}
+
+// A deadline shorter than most rounds, frequent crashes, slow stragglers and
+// a lossy two-attempt link, so every way a member can drop fires: down at
+// round start, a dispatch or upload queue past the deadline, a download,
+// training or upload cut by the deadline, a lost download or upload, and a
+// crash mid-training.
+EventFleetEngineConfig tight_deadline_crash_config() {
+  EventFleetEngineConfig cfg = fault_jitter_lossy_lan_config();
+  cfg.system.round_deadline = Seconds{0.3};
+  cfg.system.crashes.mtbf = Seconds{2.0};
+  cfg.system.crashes.mttr = Seconds{0.5};
+  cfg.system.net.link_faults.loss_probability = 0.5;
+  cfg.system.net.link_faults.max_attempts = 2;
+  cfg.system.straggler_fraction = 0.3;
+  cfg.system.straggler_slowdown = 10.0;
+  return cfg;
+}
+
+TEST(EventFleetEngine, TightDeadlineAndCrashesMatchGolden) {
+  EventFleetEngine engine(tight_deadline_crash_config());
+  const auto r = engine.run();
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  expect_pinned(*r, 30,
+                {.ledger_total = 0x1.04657f01dc596p+8,
+                 .wall_clock = 0x1.ap+1,
+                 .retries = 28,
+                 .aborted_updates = 9,
+                 .straggler_drops = 34,
+                 .crashed_servers = 4,
+                 .per_server_crc = 0xad5d02cau,
+                 .params_crc = 0x732b76abu,
+                 .events_processed = 129,
+                 .queue_high_water = 18});
+}
+
+// The property the single round scan rests on: a deadline that never binds,
+// with no link faults and no crashes, routes every leg through the fault
+// plan and the scan through the pre-aggregation filter, yet books exactly
+// what the fault-free run books.
+EventFleetEngineConfig inert_fault_base_config() {
+  EventFleetEngineConfig cfg = fault_path_config();
+  cfg.system.net.link_faults = net::LinkFaultConfig{};
+  cfg.system.crashes = CrashProcessConfig{};
+  cfg.system.round_deadline = Seconds{0.0};
+  cfg.system.timing_jitter = 0.05;
+  cfg.system.straggler_fraction = 0.2;
+  cfg.tiers.region_fanin = 2;
+  return cfg;
+}
+
+void expect_inert_faults_match(const EventFleetEngineConfig& fault_free) {
+  EventFleetEngineConfig inert = fault_free;
+  inert.system.round_deadline = Seconds{1e9};
+  EventFleetEngine ea(fault_free);
+  EventFleetEngine eb(inert);
+  const auto ra = ea.run();
+  const auto rb = eb.run();
+  ASSERT_TRUE(ra.ok()) << ra.error().message;
+  ASSERT_TRUE(rb.ok()) << rb.error().message;
+  const std::size_t n = fault_free.system.num_servers;
+  expect_bitwise_equal(*ra, *rb, n);
+  for (std::size_t c = 0; c < energy::kNumEnergyCategories; ++c) {
+    const auto cat = static_cast<energy::EnergyCategory>(c);
+    EXPECT_EQ(ra->ledger.category_total(cat).value(),
+              rb->ledger.category_total(cat).value())
+        << energy::to_string(cat);
+    for (std::size_t sid = 0; sid < n; ++sid) {
+      EXPECT_EQ(ra->ledger.entry(sid, cat).value(),
+                rb->ledger.entry(sid, cat).value())
+          << energy::to_string(cat) << " server " << sid;
+    }
+  }
+  EXPECT_EQ(ra->events_processed, rb->events_processed);
+}
+
+TEST(EventFleetEngine, InertFaultConfigMatchesFaultFree) {
+  EventFleetEngineConfig cfg = inert_fault_base_config();
+  {
+    SCOPED_TRACE("zero tier latencies");
+    expect_inert_faults_match(cfg);
+  }
+  cfg.gateway_latency = Seconds{0.3};
+  cfg.region_latency = Seconds{0.3};
+  cfg.root_latency = Seconds{0.3};
+  {
+    SCOPED_TRACE("0.3 s tier latencies");
+    expect_inert_faults_match(cfg);
+  }
+  // IoT collection with uplink collisions: the retransmitted share books
+  // as kRetry on both paths.
+  cfg.system.iot_collection = true;
+  cfg.system.net.device.uplink.collision_probability = 0.3;
+  SCOPED_TRACE("IoT collection with collisions");
+  expect_inert_faults_match(cfg);
+}
+
+// The round table's `aggregated` column is what the coordinator actually
+// averaged: link losses and deadline drops first, then the coordinator's
+// own update drop roll.
+TEST(EventFleetEngine, AggregatedColumnMatchesRecordUnderUpdateDrops) {
+  EventFleetEngineConfig cfg = fault_path_config();
+  cfg.system.update_drop_probability = 0.3;
+  obs::Telemetry tel;
+  EventFleetEngine engine(cfg);
+  const auto r = [&] {
+    obs::TelemetryScope scope(tel);
+    return engine.run();
+  }();
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  const auto& records = r->training.record.all();
+  ASSERT_EQ(tel.rounds.size(), records.size());
+  const auto rounds = tel.rounds.snapshot();
+  const auto& aggregated = *rounds.column("aggregated");
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(aggregated[i],
+              static_cast<double>(records[i].updates_aggregated))
+        << "round " << i;
+  }
 }
 
 TEST(EventFleetEngine, TierLatenciesExtendTheMakespan) {
@@ -608,6 +780,8 @@ TEST(EventFleetEngine, MultiHopZeroConfigMatchesGoldenFingerprint) {
   EXPECT_EQ(r->link_drops, 0u);
   EXPECT_EQ(r->link_wait.value(), 0.0);
   EXPECT_EQ(r->link_util_peak, 0.0);
+  // Two hop arrivals per upload on top of the point-to-point events.
+  EXPECT_EQ(r->events_processed, kGoldenTieredEvents + 10u * 8u * 2u);
 }
 
 // Bit-identity for any thread count at N = 1k, and the zero-config
@@ -701,6 +875,8 @@ constexpr RoundPath kRoundPaths[] = {
     {"SharedFcfsGolden", shared_fcfs_golden_config},
     {"Csma", jittered_csma_config},
     {"FaultPath", fault_path_config},
+    {"FaultJitterLossyLan", fault_jitter_lossy_lan_config},
+    {"TightDeadlineCrashes", tight_deadline_crash_config},
     {"CongestedMultiHop", [] { return congested_config(32); }},
     {"VirtualPopulation", virtual_population_config},
 };
@@ -908,6 +1084,8 @@ TEST(EventFleetEngine, TracedRunIsGoldenWithBoundedSampledTracks) {
   }();
   ASSERT_TRUE(r.ok()) << r.error().message;
   expect_golden(*r);  // bit-for-bit the untraced result
+  EXPECT_EQ(r->events_processed, kGoldenTieredEvents);
+  EXPECT_EQ(r->queue_high_water, kGoldenTieredQueueHighWater);
 
   // The sampler bounds per-server lanes; coordinator/tier lanes stay on.
   std::size_t edge_tracks = 0;

@@ -225,6 +225,30 @@ TEST(FeiSystem, InvalidConfigRejected) {
   EXPECT_FALSE(FeiSystem(cfg2).run().ok());
 }
 
+// Collision energy books as kRetry on the fault path too: a deadline that
+// never binds routes the round through the fault filter, and the IoT
+// categories must read exactly what the fault-free run books.
+TEST(FeiSystem, FaultPathBooksIotCollisionsAsRetry) {
+  auto cfg = small_config();
+  cfg.iot_collection = true;
+  cfg.net.device.uplink.collision_probability = 0.3;
+  cfg.fl.max_rounds = 3;
+  auto inert = cfg;
+  inert.round_deadline = Seconds{1e9};
+  const auto ref = FeiSystem(cfg).run();
+  const auto faulty = FeiSystem(inert).run();
+  ASSERT_TRUE(ref.ok()) << ref.error().message;
+  ASSERT_TRUE(faulty.ok()) << faulty.error().message;
+  for (const auto cat : {energy::EnergyCategory::kDataCollection,
+                         energy::EnergyCategory::kRetry}) {
+    EXPECT_GT(ref->ledger.category_total(cat).value(), 0.0)
+        << energy::to_string(cat);
+    EXPECT_EQ(ref->ledger.category_total(cat).value(),
+              faulty->ledger.category_total(cat).value())
+        << energy::to_string(cat);
+  }
+}
+
 TEST(FeiSystem, EnergyModelUsesConfiguredLink) {
   auto cfg = small_config();
   cfg.model.input_dim = 784;

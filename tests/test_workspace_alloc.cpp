@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "data/synth_digits.h"
+#include "energy/power_model.h"
 #include "ml/logistic_regression.h"
 #include "ml/mlp.h"
 #include "ml/model_bank.h"
@@ -215,7 +216,7 @@ TEST(WorkspaceAlloc, EventQueueCascadeIsAllocationFree) {
 
 // The typed-path satellite pin: a warmed-up event-fleet ROUND LOOP —
 // N = 1k fleet, faults on, so the dispatch fans across download/train/
-// upload chains, fault outcomes, deadline drops and tier completions —
+// upload chains, dropped members and tier completions —
 // schedules and runs with ZERO steady-state allocations.  FleetEvent is a
 // 40-byte POD (nothing to box, unlike std::function), and both typed
 // queues only grow their backing storage, so after one warm-up round the
@@ -227,15 +228,20 @@ template <class Q>
 std::size_t typed_fleet_round_loop_allocations() {
   constexpr std::size_t kServers = 1000;
   constexpr std::size_t kSelected = 100;  // K per round
+  constexpr auto kTraining =
+      static_cast<std::uint32_t>(energy::EdgeState::kTraining);
+  constexpr std::uint32_t kDownloadCut = drop_code(
+      DropReason::kDeadline,
+      static_cast<std::uint32_t>(energy::EdgeState::kDownloading));
   Q queue;
   queue.reserve(4 * kSelected);
   std::size_t fired = 0;
   Seconds round_start{0.0};
 
   // One round: K per-server chains (download → E epochs → upload), every
-  // 7th server a fault chain (download cut → retry → crash or deadline
-  // drop), plus the tier completion events — the engine's event shapes,
-  // with the same re-entrant schedule-from-dispatch structure.
+  // 7th server a fault chain (a dropped download, then a crash or deadline
+  // drop in training), plus the tier completion events — the engine's event
+  // shapes, with the same re-entrant schedule-from-dispatch structure.
   auto dispatch = [&](const FleetEvent& ev, Seconds at) {
     ++fired;
     switch (ev.kind) {
@@ -255,11 +261,14 @@ std::size_t typed_fleet_round_loop_allocations() {
         queue.schedule_at(at + Seconds{0.02}, next);  // equal-time ties
         break;
       }
-      case FleetEventKind::kFaultDownloadCut: {
+      case FleetEventKind::kDropped: {
+        if (ev.b != kDownloadCut) break;  // the follow-up is a terminal
         FleetEvent retry;
-        retry.kind = (ev.a % 3 == 0) ? FleetEventKind::kFaultTrainCrash
-                                     : FleetEventKind::kFaultDeadlineDrop;
+        retry.kind = FleetEventKind::kDropped;
         retry.a = ev.a;
+        retry.b = drop_code(
+            (ev.a % 3 == 0) ? DropReason::kCrash : DropReason::kDeadline,
+            kTraining);
         retry.t0 = at;
         queue.schedule_at(at + Seconds{0.005}, retry);
         break;
@@ -274,9 +283,12 @@ std::size_t typed_fleet_round_loop_allocations() {
       const std::uint32_t sid =
           static_cast<std::uint32_t>((i * 97) % kServers);
       FleetEvent ev;
-      ev.kind = (sid % 7 == 0) ? FleetEventKind::kFaultDownloadCut
-                               : FleetEventKind::kDownloadDone;
+      ev.kind = FleetEventKind::kDownloadDone;
       ev.a = sid;
+      if (sid % 7 == 0) {  // a download cut by the deadline
+        ev.kind = FleetEventKind::kDropped;
+        ev.b = kDownloadCut;
+      }
       queue.schedule_at(round_start + Seconds{1e-4 * (sid % 29)}, ev);
     }
     FleetEvent root;
