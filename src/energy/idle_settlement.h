@@ -1,9 +1,9 @@
 // Lazy idle-waiting settlement for fleet-scale engines.
 //
 // Charging every non-selected server p_wait·round_duration at the end of
-// every round, as FeiSystem does, is an O(N) pass per round that dominates
-// once N reaches 10^6.  The charges are fully determined by the round durations
-// alone, so they can be settled lazily: the schedule records one waiting
+// every round is an O(N) pass per round that dominates once N reaches 10^6.
+// The charges are fully determined by the round durations alone, so they
+// can be settled lazily: the schedule records one waiting
 // charge per completed round, and a server's ledger row is brought up to
 // date only when something actually happens to it (it gets selected, or
 // the run ends).

@@ -10,8 +10,8 @@
 //
 // The NUMERIC aggregation (Eq. 2) deliberately stays flat at the root:
 // summing per-gateway partial averages re-associates the floating-point
-// reduction, which would break the bit-identity contract against
-// FeiSystem.  Tiering therefore bounds *fan-in of the completion /
+// reduction, which would break the bit-identity contract against the
+// FeiSystem pins.  Tiering therefore bounds *fan-in of the completion /
 // communication structure* — the thing that has a timing and energy cost —
 // while the root still reduces the K surviving updates in index order.
 #pragma once

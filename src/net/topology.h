@@ -41,6 +41,9 @@ class Topology {
   [[nodiscard]] DeviceFleet& fleet(std::size_t edge) {
     return fleets_.at(edge);
   }
+  [[nodiscard]] const DeviceFleet& fleet(std::size_t edge) const {
+    return fleets_.at(edge);
+  }
   /// The edge↔coordinator LAN link of edge server `edge`.
   [[nodiscard]] WifiLan& lan(std::size_t edge) { return lans_.at(edge); }
 

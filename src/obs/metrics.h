@@ -1,5 +1,5 @@
 // Metrics registry: named counters, gauges and fixed-bucket histograms for
-// the whole simulator (round.stragglers, link.retries, energy.joules.*,
+// the whole simulator (fleet.rounds, link.retries, energy.joules.*,
 // pool.queue_depth, gemm.ns, ...).
 //
 // Counters and histograms are sharded across a small fixed set of slots;

@@ -26,11 +26,14 @@ AsyncFeiSystem::AsyncFeiSystem(AsyncFeiConfig config)
     : config_(std::move(config)) {}
 
 Result<AsyncRunResult> AsyncFeiSystem::run() {
-  FeiSystemConfig base = config_.base;
-  FeiSystem substrate(base);
-  if (const auto st = substrate.prepare(); !st.ok()) return st.error();
-  auto& clients = substrate.clients();
-  auto& topology = substrate.topology();
+  const FeiSystemConfig& base = config_.base;
+  Population population;
+  if (const auto st = population.build(population_config_for(base));
+      !st.ok()) {
+    return st.error();
+  }
+  auto& clients = population.clients();
+  auto& topology = population.topology();
 
   if (config_.mixing_alpha <= 0.0 || config_.mixing_alpha > 1.0) {
     return Error::invalid_argument("async: alpha must be in (0, 1]");
@@ -209,7 +212,7 @@ Result<AsyncRunResult> AsyncFeiSystem::run() {
       if (eval_now) {
         auto params = eval_model->parameters();
         std::copy(global.begin(), global.end(), params.begin());
-        const auto eval = eval_model->evaluate(substrate.test_set().view());
+        const auto eval = eval_model->evaluate(population.test_set().view());
         rec.global_loss = eval.loss;
         rec.test_accuracy = eval.accuracy;
         result.final_accuracy = eval.accuracy;

@@ -259,9 +259,8 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
         ml::quantized_wire_size(param_count, sys.upload_quant_bits);
   }
 
-  // Same seed derivations as FeiSystem; the dispatch scan consumes these
-  // streams serially in selection order, so a fault-free materialized run
-  // matches FeiSystem bit for bit.
+  // The dispatch scan consumes these streams serially in selection order
+  // (the order the FeiSystem.*MatchesGolden pins fix).
   Rng jitter_rng(sys.seed * 104729 + 5);
   Rng straggler_rng(sys.seed * 15485863 + 7);
   net::CsmaCell csma(sys.csma, Rng(sys.seed * 48611 + 9));
@@ -273,8 +272,8 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
   };
   std::vector<double> persistent_slowdown;
   if (sys.straggler_persistent && sys.straggler_fraction > 0.0) {
-    // Same draws as FeiSystem; the O(N) array only exists when the knob is
-    // on (it is one of the few remaining per-server allocations).
+    // The O(N) array only exists when the knob is on (it is one of the few
+    // remaining per-server allocations).
     persistent_slowdown.assign(n_servers, 1.0);
     for (auto& f : persistent_slowdown) {
       if (straggler_rng.bernoulli(sys.straggler_fraction)) {
@@ -815,9 +814,9 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
   // ---- one round: the dispatch scan, then the drain ---------------------
   // The scan books step 1 (IoT collection) and times each selected server's
   // download and training in selection order, which is the order the
-  // FeiSystem RNG streams and the FCFS chain are consumed in.  Every other
-  // booking lands on its event boundary.  A failure (crash, deadline, lost
-  // transfer) resolves its aggregation tier through a kDropped event; a
+  // jitter and straggler streams and the FCFS chain are consumed in.  Every
+  // other booking lands on its event boundary.  A failure (crash, deadline,
+  // lost transfer) resolves its aggregation tier through a kDropped event; a
   // reboot is implicit: CrashProcess's down interval ends and the server is
   // selectable again.
   auto simulate_round = [&](std::size_t round,
@@ -1044,6 +1043,12 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
         if (!faults) simulate_round(record.round, record.selected, updates);
         record_round(record);
       });
+  if (sys.fl.checkpoint_every != 0) {
+    coordinator.set_checkpoint_sink([&](const fl::TrainingCheckpoint& cp) {
+      result.last_checkpoint = cp;
+    });
+  }
+  if (resume_.has_value()) coordinator.resume_from(*resume_);
 
   auto outcome = coordinator.run();
   if (!outcome.ok()) return outcome.error();

@@ -1,16 +1,16 @@
-// Fleet-scale FEI engine: the round model of FeiSystem (steps 1-4, priced
-// by Eqs. 3-4) as a discrete-event simulation on a calendar queue, so idle
-// servers cost nothing per round and N = 10^6 becomes tractable.
-//
-// What changes relative to the 20-server FeiSystem:
+// The FEI round engine: the paper's round model (steps 1-4, priced by
+// Eqs. 3-4) as a discrete-event simulation on a calendar queue, so idle
+// servers cost nothing per round and N = 10^6 becomes tractable.  It is the
+// only implementation of the round model: FeiSystem, the N = 20 prototype
+// experiment, is this engine's preset with every timeline and trace track
+// kept (sampled_timelines = trace_tracks.max_tracks = N).
 //
 //   - Per-server phase completions are EVENTS (download-done, epoch-done,
 //     upload-done, dropped) scheduled on the event queue; the round
 //     clock is whatever the queue drained to, not an O(N) barrier sweep.
 //   - Energy streams through one CompactEnergyAccumulator per server (O(1)
-//     memory) instead of a PowerStateTimeline; a configurable, evenly
-//     spaced subset of servers keeps full EdgeServerSim timelines for
-//     Fig. 3-style traces and the tracer.
+//     memory); a configurable, evenly spaced subset of servers keeps full
+//     EdgeServerSim timelines for Fig. 3-style traces and the tracer.
 //   - Aggregation is hierarchical: device → gateway → regional coordinator
 //     → root (fl::TierPlan), each tier's fan-in bounded by configuration.
 //     A gateway completes when its last selected member resolves, a region
@@ -31,20 +31,22 @@
 //     WifiLanConfig instead of per-server channel objects.  Requires a
 //     loss-free LAN and no IoT collection; under those conditions the run
 //     is bit-identical to a materialized one.
-//   - Fault injection draws each transfer's fault plan from a per-(server,
-//     round) counted RNG stream (RngStreamFamily) instead of FeiSystem's
-//     one shared stream, so a server's fault fate does not depend on which
-//     other servers were scanned before it.
+//   - Periodic checkpoint autosave (fl.checkpoint_every) lands in
+//     EventFleetRunResult::last_checkpoint; resume_from() continues a run
+//     from one, round numbering included.
 //
 // Determinism contract (pinned by tests/test_event_fleet.cpp): results are
 // byte-identical for any thread count and shard size, and — with zero tier
-// latencies, uniform selection, faults off and no data pooling —
-// byte-identical to FeiSystem.  The argument: the dispatch scan consumes
-// the FeiSystem RNG streams serially in selection order; uploads drain in
-// the queue's (time, FIFO) order, which is FeiSystem's (train_end,
-// selection index) order; every event and every ledger write runs on the
-// calling thread; and the only pool work — the sharded O(N) passes and the
-// coordinator's training — touches disjoint per-server state.
+// latencies, uniform selection and no data pooling — byte-identical to the
+// FeiSystem.*MatchesGolden pins, which were recorded from the standalone
+// round simulation FeiSystem ran before it became this preset.  The
+// argument: the dispatch scan consumes the jitter, straggler and CSMA
+// streams serially in selection order; uploads drain in the queue's (time,
+// FIFO) order, which is (train_end, selection index) order; transfer fault
+// plans draw from per-(round, server, direction) streams; every event and
+// every ledger write runs on the calling thread; and the only pool work —
+// the sharded O(N) passes and the coordinator's training — touches disjoint
+// per-server state.
 //
 // Trained models route through the coordinator's ml::ModelBank batched
 // path — the DES replaces the *timing* layer, not the fused training hot
@@ -54,6 +56,7 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/result.h"
@@ -62,6 +65,7 @@
 #include "energy/compact_accumulator.h"
 #include "energy/ledger.h"
 #include "energy/timeline.h"
+#include "fl/checkpoint.h"
 #include "fl/coordinator.h"
 #include "fl/tiering.h"
 #include "net/link_queue.h"
@@ -82,13 +86,12 @@ struct EventFleetEngineConfig {
   std::size_t shard_size = 1024;
 
   /// Servers keeping a full PowerStateTimeline, evenly spaced over the
-  /// fleet.  Clamped to N; set to N to retain every timeline, as FeiSystem
-  /// does.
+  /// fleet.  Clamped to N; N retains every timeline (the FeiSystem preset).
   std::size_t sampled_timelines = 8;
 
   /// Data pooling for very large fleets: generate P < N distinct local
   /// datasets and map server k to pool shard k mod P.  0 keeps the full
-  /// per-server population (byte-identical to FeiSystem).  Mandatory
+  /// per-server population (the FeiSystem preset's world).  Mandatory
   /// (0 < P < N) in virtual-population mode: without pooling the dataset
   /// itself is O(N) and the virtual mode's memory argument is void.
   std::size_t data_pool_shards = 0;
@@ -99,8 +102,8 @@ struct EventFleetEngineConfig {
   fl::TierConfig tiers;
 
   /// Per-hop aggregation latencies.  All zero (the default) keeps the
-  /// makespan — and therefore every energy bit — identical to FeiSystem;
-  /// nonzero values model the tier hops' communication cost.
+  /// makespan — and therefore every energy bit — independent of the tier
+  /// plan; nonzero values model the tier hops' communication cost.
   Seconds gateway_latency{0.0};
   Seconds region_latency{0.0};
   Seconds root_latency{0.0};
@@ -118,8 +121,8 @@ struct EventFleetEngineConfig {
   /// true: replace the O(N)-per-round partial-Fisher–Yates selection with
   /// the O(K) Floyd sampler (fl::ScalableUniformSelection).  Still exactly
   /// uniform, but a different random stream — selections (and therefore
-  /// results) no longer match FeiSystem for the same seed.  The knob the
-  /// N = 1M bench row turns on.
+  /// results) no longer match the FeiSystem preset for the same seed.  The
+  /// knob the N = 1M bench row turns on.
   bool scalable_selection = false;
 
   /// Which of the sampled-timeline mirrors also own a per-server trace
@@ -193,12 +196,14 @@ struct EventFleetRunResult {
   double link_util_peak = 0.0;     // max per-round single-link utilization
   /// Deepest the event queue got across the run.
   std::size_t queue_high_water = 0;
+  /// Most recent periodic autosave (set when system.fl.checkpoint_every >
+  /// 0): what a restarted coordinator would resume_from().
+  std::optional<fl::TrainingCheckpoint> last_checkpoint;
 
   [[nodiscard]] Joules measured_energy() const { return ledger.total(); }
 
-  /// Sum of per-server accumulator energies, added in server order — the
-  /// quantity that matches a FeiSystem run's summed timeline energies bit
-  /// for bit.
+  /// Sum of per-server accumulator energies, added in server order — bit
+  /// for bit the summed energies of full per-server timelines.
   [[nodiscard]] Joules accumulated_energy() const {
     Joules total{0.0};
     for (const auto& acc : accumulators) total += acc.total_energy();
@@ -216,6 +221,15 @@ class EventFleetEngine {
 
   /// Runs the federated loop under the event-driven timing simulation.
   [[nodiscard]] Result<EventFleetRunResult> run();
+
+  /// The next run() resumes training from `checkpoint` (e.g. a periodic
+  /// autosave recovered after a coordinator crash): ω is restored and round
+  /// numbering continues, so fl.max_rounds means "this many MORE rounds".
+  /// The ledger and clock of the resumed run start from zero; the fault
+  /// streams are keyed by the continued round numbers.
+  void resume_from(fl::TrainingCheckpoint checkpoint) {
+    resume_ = std::move(checkpoint);
+  }
 
   [[nodiscard]] const EventFleetEngineConfig& config() const {
     return config_;
@@ -242,6 +256,7 @@ class EventFleetEngine {
 
   EventFleetEngineConfig config_;
   bool prepared_ = false;
+  std::optional<fl::TrainingCheckpoint> resume_;
   Population population_;
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_ = nullptr;

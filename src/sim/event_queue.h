@@ -1,7 +1,7 @@
 // Minimal discrete-event simulation engine.  Events are closures ordered by
-// simulated time (FIFO within equal timestamps).  The FEI system simulation
-// schedules per-server phase completions (download done, training done,
-// upload done) through this queue; everything downstream reads time from it.
+// simulated time (FIFO within equal timestamps).  AsyncFeiSystem schedules
+// its per-server task completions through this queue; the round engine
+// (EventFleetEngine) runs on the typed CalendarQueue instead.
 #pragma once
 
 #include <cstdint>

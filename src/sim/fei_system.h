@@ -122,9 +122,16 @@ struct FeiRunResult {
   [[nodiscard]] Joules measured_energy() const { return ledger.total(); }
 };
 
+class EventFleetEngine;
+
+/// The paper's prototype experiment: the EventFleetEngine preset that keeps
+/// every server's full power-state timeline (sampled_timelines = N) and
+/// traces every server's track.  The round model, the fault path and the
+/// checkpoint handling are the engine's.
 class FeiSystem {
  public:
   explicit FeiSystem(FeiSystemConfig config);
+  ~FeiSystem();
 
   /// Builds data/clients lazily, then runs the federated loop with full
   /// timing and energy simulation.
@@ -135,53 +142,31 @@ class FeiSystem {
   /// numbering continues, so fl.max_rounds means "this many MORE rounds".
   /// The energy ledger and clock of the resumed run start from zero — they
   /// cover only the resumed segment.
-  void resume_from(fl::TrainingCheckpoint checkpoint) {
-    resume_ = std::move(checkpoint);
-  }
+  void resume_from(fl::TrainingCheckpoint checkpoint);
 
   /// The closed-form energy model matching this system's configuration
   /// (used by benches to lay the Eq. 12 bound over the measured curve).
   [[nodiscard]] energy::FeiEnergyModel energy_model() const;
 
-  [[nodiscard]] const FeiSystemConfig& config() const { return config_; }
+  [[nodiscard]] const FeiSystemConfig& config() const;
 
   /// Test-set accessor (valid after prepare()/run()).
-  [[nodiscard]] const data::Dataset& test_set() const {
-    return population_.test_set();
-  }
+  [[nodiscard]] const data::Dataset& test_set() const;
 
-  /// Mutable access to the built population (valid after prepare()) — for
-  /// alternative coordination protocols layered on the same substrate,
-  /// e.g. AsyncFeiSystem.
-  [[nodiscard]] std::vector<fl::Client>& clients() {
-    return population_.clients();
-  }
-  [[nodiscard]] net::Topology& topology() { return population_.topology(); }
+  /// The built network (valid after prepare()/run()), e.g. to read the IoT
+  /// fleets' battery state after a collection run.
+  [[nodiscard]] const net::Topology& topology() const;
 
   /// Forces data/client construction without running (benches that only
   /// need the substrate).
   [[nodiscard]] Status prepare();
 
  private:
-  /// PopulationConfig slice of this system's configuration — the exact
-  /// recipe the fleet engine reuses to build a byte-identical world.
-  [[nodiscard]] PopulationConfig population_config() const;
-
-  /// Any fault knob on → the fault-aware round simulation replaces the
-  /// fault-free observer path (which stays byte-identical to the seed).
-  [[nodiscard]] bool fault_injection_active() const {
-    return config_.net.link_faults.enabled() ||
-           config_.round_deadline.value() > 0.0 || config_.crashes.enabled();
-  }
-
-  FeiSystemConfig config_;
-  bool prepared_ = false;
-  std::optional<fl::TrainingCheckpoint> resume_;
-  Population population_;
+  std::unique_ptr<EventFleetEngine> engine_;
 };
 
-/// The PopulationConfig a FeiSystemConfig implies (shared with
-/// EventFleetEngine, which adds data pooling on top for very large N).
+/// The PopulationConfig a FeiSystemConfig implies (EventFleetEngine adds
+/// data pooling on top for very large N; AsyncFeiSystem uses it as is).
 [[nodiscard]] PopulationConfig population_config_for(
     const FeiSystemConfig& config);
 

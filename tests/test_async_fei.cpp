@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ios>
 #include <set>
 
 namespace eefei::sim {
@@ -33,6 +34,34 @@ TEST(AsyncFei, RunsAndLearns) {
   EXPECT_EQ(r->updates.size(), 120u);
   EXPECT_GT(r->final_accuracy, 0.55);
   EXPECT_GT(r->wall_clock.value(), 0.0);
+}
+
+// Pinned output: ledger total and final accuracy as hexfloats, for the
+// default run and for one with a lossy LAN and persistent stragglers (so
+// the per-server channel streams and the straggler draws are consumed).
+void expect_async_pinned(const AsyncFeiConfig& cfg, double ledger_total,
+                         double final_accuracy) {
+  AsyncFeiSystem system(cfg);
+  const auto r = system.run();
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  EXPECT_EQ(r->ledger.total().value(), ledger_total)
+      << std::hexfloat << r->ledger.total().value();
+  EXPECT_EQ(r->final_accuracy, final_accuracy)
+      << std::hexfloat << r->final_accuracy;
+}
+
+TEST(AsyncFei, SmallRunMatchesGolden) {
+  expect_async_pinned(small_async(), 0x1.8a9533300dc49p+4,
+                      0x1.2740da740da74p-1);
+}
+
+TEST(AsyncFei, LossyLanStragglersMatchGolden) {
+  auto cfg = small_async();
+  cfg.base.net.lan.loss_probability = 0.2;
+  cfg.base.timing_jitter = 0.05;
+  cfg.base.straggler_fraction = 0.5;
+  cfg.base.straggler_persistent = true;
+  expect_async_pinned(cfg, 0x1.26f5894468526p+5, 0x1.0da740da740dap-1);
 }
 
 TEST(AsyncFei, StopsAtTarget) {

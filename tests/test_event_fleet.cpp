@@ -1,8 +1,9 @@
 // Fleet engine: golden byte-identity against the pre-fleet FeiSystem
-// fingerprint, per-server equivalence with a live FeiSystem, pinned
-// fingerprints for the jittered N = 1k, CSMA and fault paths, thread-count
-// invariance on every path, the virtual-population contract, tier latency
-// semantics, multi-hop backhaul, telemetry, and config validation.
+// fingerprint, the FeiSystem preset's per-config pins, checkpoint autosave
+// and resume, pinned fingerprints for the jittered N = 1k, CSMA and fault
+// paths, thread-count invariance on every path, the virtual-population
+// contract, tier latency semantics, multi-hop backhaul, telemetry, and
+// config validation.
 #include "sim/event_fleet.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <ios>
 #include <ostream>
 #include <set>
 #include <span>
@@ -220,56 +222,52 @@ TEST(EventFleetEngine, ThreadCountInvariant) {
   expect_golden(*r);
 }
 
-// Per-server equality with a live FeiSystem: its timelines against the
-// fleet engine's accumulators, and the two ledgers row by row.
-void expect_matches_fei_system(const FeiRunResult& ref,
-                               const EventFleetRunResult& fleet) {
-  EXPECT_EQ(ref.ledger.total().value(), fleet.ledger.total().value());
-  EXPECT_EQ(ref.wall_clock.value(), fleet.wall_clock.value());
-  EXPECT_EQ(ref.training.final_params, fleet.training.final_params);
-  ASSERT_EQ(ref.timelines.size(), fleet.accumulators.size());
-  for (std::size_t sid = 0; sid < ref.timelines.size(); ++sid) {
-    EXPECT_EQ(ref.timelines[sid].total_energy().value(),
-              fleet.accumulators[sid].total_energy().value())
-        << "server " << sid;
-    EXPECT_EQ(ref.ledger.server_total(sid).value(),
-              fleet.ledger.server_total(sid).value())
-        << "server " << sid;
-  }
-}
-
-TEST(EventFleetEngine, MatchesFeiSystemBitwise) {
-  FeiSystem reference(golden_config());
-  const auto ref = reference.run();
-  ASSERT_TRUE(ref.ok()) << ref.error().message;
-
+// Checkpoint autosave and resume on the engine itself.  Every server joins
+// every round (K = N, so selection draws cannot differ between segments)
+// and the links are lossy: the fault streams are keyed by round number, so
+// a segment resumed at round 3 vetoes exactly the updates the continuous
+// run vetoed and lands on the same parameters.
+TEST(EventFleetEngine, CheckpointAutosaveAndResume) {
   EventFleetEngineConfig cfg;
   cfg.system = golden_config();
-  cfg.sampled_timelines = 20;
-  EventFleetEngine engine(cfg);
-  const auto fleet = engine.run();
-  ASSERT_TRUE(fleet.ok()) << fleet.error().message;
-  expect_matches_fei_system(*ref, *fleet);
-}
+  cfg.system.fl.clients_per_round = 20;
+  cfg.system.fl.max_rounds = 7;
+  cfg.system.fl.checkpoint_every = 3;
+  cfg.system.net.link_faults.loss_probability = 0.3;
+  cfg.system.net.link_faults.max_attempts = 2;
 
-// CSMA consumes one shared RNG in upload-completion order, so per-server
-// equality proves the queue's (time, FIFO) order is FeiSystem's upload
-// order.
-TEST(EventFleetEngine, CsmaContentionMatchesFeiSystem) {
-  FeiSystemConfig sys = golden_config();
-  sys.lan_contention = FeiSystemConfig::LanContention::kCsma;
-  sys.fl.max_rounds = 4;
+  EventFleetEngine continuous(cfg);
+  const auto full = continuous.run();
+  ASSERT_TRUE(full.ok()) << full.error().message;
+  ASSERT_TRUE(full->last_checkpoint.has_value());
+  EXPECT_EQ(full->last_checkpoint->rounds_completed, 6u);
+  EXPECT_GT(full->total_aborted_updates, 0u);
 
-  FeiSystem reference(sys);
-  const auto ref = reference.run();
-  ASSERT_TRUE(ref.ok()) << ref.error().message;
+  EventFleetEngineConfig first_cfg = cfg;
+  first_cfg.system.fl.max_rounds = 4;
+  EventFleetEngine first(first_cfg);
+  const auto seg1 = first.run();
+  ASSERT_TRUE(seg1.ok()) << seg1.error().message;
+  ASSERT_TRUE(seg1->last_checkpoint.has_value());
+  EXPECT_EQ(seg1->last_checkpoint->rounds_completed, 3u);
 
-  EventFleetEngineConfig cfg;
-  cfg.system = sys;
-  EventFleetEngine engine(cfg);
-  const auto fleet = engine.run();
-  ASSERT_TRUE(fleet.ok()) << fleet.error().message;
-  expect_matches_fei_system(*ref, *fleet);
+  EventFleetEngine second(first_cfg);
+  second.resume_from(*seg1->last_checkpoint);
+  const auto seg2 = second.run();
+  ASSERT_TRUE(seg2.ok()) << seg2.error().message;
+  EXPECT_EQ(seg2->training.record.round(0).round, 3u);
+  EXPECT_EQ(seg2->training.record.last().round, 6u);
+  ASSERT_TRUE(seg2->last_checkpoint.has_value());
+  EXPECT_EQ(seg2->last_checkpoint->rounds_completed, 6u);
+  EXPECT_EQ(seg2->training.final_params, full->training.final_params);
+
+  // No autosave without checkpoint_every.
+  EventFleetEngineConfig off = first_cfg;
+  off.system.fl.checkpoint_every = 0;
+  EventFleetEngine plain(off);
+  const auto r = plain.run();
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  EXPECT_FALSE(r->last_checkpoint.has_value());
 }
 
 TEST(EventFleetEngine, DataPoolingRunsAndFullPoolIsIdentity) {
@@ -445,6 +443,134 @@ TEST(EventFleetEngine, CsmaContentionMatchesGolden) {
                  .params_crc = 0x775d0bbeu,
                  .events_processed = 132,
                  .queue_high_water = 20});
+}
+
+// FeiSystem is the engine's N-timeline preset.  Its output is pinned per
+// config: the ledger total and wall clock as hexfloats, a CRC over every
+// server's (seven ledger cells, timeline energy, timeline interval count)
+// in server order, and a CRC over the final parameters.  The values were
+// recorded from the standalone FeiSystem round simulation the preset
+// replaced, so each pin also proves the preset books what it booked.
+struct FeiPin {
+  double ledger_total = 0.0;
+  double wall_clock = 0.0;
+  std::uint32_t per_server_crc = 0;
+  std::uint32_t params_crc = 0;
+};
+
+void expect_fei_pinned(const FeiRunResult& r, const FeiPin& pin) {
+  EXPECT_EQ(r.ledger.total().value(), pin.ledger_total)
+      << std::hexfloat << r.ledger.total().value();
+  EXPECT_EQ(r.wall_clock.value(), pin.wall_clock)
+      << std::hexfloat << r.wall_clock.value();
+  const std::size_t n = r.ledger.num_servers();
+  ASSERT_EQ(r.timelines.size(), n);
+  std::vector<double> per_server;
+  per_server.reserve(n * (energy::kNumEnergyCategories + 2));
+  for (std::size_t sid = 0; sid < n; ++sid) {
+    for (std::size_t c = 0; c < energy::kNumEnergyCategories; ++c) {
+      per_server.push_back(
+          r.ledger.entry(sid, static_cast<energy::EnergyCategory>(c))
+              .value());
+    }
+    per_server.push_back(r.timelines[sid].total_energy().value());
+    per_server.push_back(
+        static_cast<double>(r.timelines[sid].intervals().size()));
+  }
+  EXPECT_EQ(crc_of(per_server), pin.per_server_crc)
+      << std::hex << crc_of(per_server);
+  EXPECT_EQ(crc_of(r.training.final_params), pin.params_crc)
+      << std::hex << crc_of(r.training.final_params);
+}
+
+FeiRunResult run_fei(const FeiSystemConfig& cfg) {
+  FeiSystem system(cfg);
+  auto r = system.run();
+  EXPECT_TRUE(r.ok()) << r.error().message;
+  return r.ok() ? std::move(r).value() : FeiRunResult{};
+}
+
+TEST(FeiSystem, FcfsMatchesGolden) {
+  const FeiRunResult r = run_fei(golden_config());
+  EXPECT_EQ(r.ledger.total().value(), kGoldenLedgerTotal);
+  EXPECT_EQ(r.wall_clock.value(), kGoldenWallClock);
+  expect_fei_pinned(r, {.ledger_total = 0x1.fe8f44bc615ffp+7,
+                        .wall_clock = 0x1.850c37394590cp+3,
+                        .per_server_crc = 0xac1ba856u,
+                        .params_crc = 0x5278de24u});
+}
+
+// CSMA draws one shared RNG in upload-completion order and, with jitter on,
+// so does every upload leg.
+TEST(FeiSystem, CsmaJitterMatchesGolden) {
+  expect_fei_pinned(run_fei(jittered_csma_config().system),
+                    {.ledger_total = 0x1.a2e39b550459fp+6,
+                     .wall_clock = 0x1.57620d3b14d3ep+2,
+                     .per_server_crc = 0xbeef81e4u,
+                     .params_crc = 0x775d0bbeu});
+}
+
+// Every fault-free knob at once: IoT collection, idle charging, jitter,
+// persistent stragglers, a lossy LAN, 4-bit uploads and update drops.
+TEST(FeiSystem, AllKnobsFaultFreeMatchesGolden) {
+  FeiSystemConfig cfg = golden_config();
+  cfg.iot_collection = true;
+  cfg.charge_idle_servers = true;
+  cfg.timing_jitter = 0.05;
+  cfg.straggler_fraction = 0.25;
+  cfg.straggler_persistent = true;
+  cfg.net.lan.loss_probability = 0.1;
+  cfg.upload_quant_bits = 4;
+  cfg.update_drop_probability = 0.1;
+  expect_fei_pinned(run_fei(cfg), {.ledger_total = 0x1.cb2877f9f7c3bp+15,
+                                   .wall_clock = 0x1.f4e3937d8302p+2,
+                                   .per_server_crc = 0x74a18d65u,
+                                   .params_crc = 0xa68a1054u});
+}
+
+// A 0.6 s deadline against ~1.5 s rounds and crashes every 0.5 s on
+// average: deadline drops and crashes decide which updates aggregate.
+TEST(FeiSystem, DeadlineAndCrashesMatchGolden) {
+  FeiSystemConfig cfg = golden_config();
+  cfg.round_deadline = Seconds{0.6};
+  cfg.crashes.mtbf = Seconds{0.5};
+  cfg.crashes.mttr = Seconds{0.2};
+  cfg.fl.overselect = 2;
+  const FeiRunResult r = run_fei(cfg);
+  EXPECT_GT(r.total_straggler_drops, 0u);
+  EXPECT_GT(r.total_crashed_servers, 0u);
+  expect_fei_pinned(r, {.ledger_total = 0x1.3706274ab4b32p+6,
+                        .wall_clock = 0x1.3333333333333p+2,
+                        .per_server_crc = 0x9946a247u,
+                        .params_crc = 0x6c6653f3u});
+}
+
+// Checkpoint autosave every 2 rounds over 5 rounds, then a 3-round segment
+// resumed from the last autosave (after round 4).
+TEST(FeiSystem, CheckpointResumeMatchesGolden) {
+  FeiSystemConfig cfg = golden_config();
+  cfg.fl.checkpoint_every = 2;
+  cfg.fl.max_rounds = 5;
+  const FeiRunResult first = run_fei(cfg);
+  ASSERT_TRUE(first.last_checkpoint.has_value());
+  EXPECT_EQ(first.last_checkpoint->rounds_completed, 4u);
+  EXPECT_EQ(crc_of(first.last_checkpoint->params), 0x775d0bbeu)
+      << std::hex << crc_of(first.last_checkpoint->params);
+  expect_fei_pinned(first, {.ledger_total = 0x1.3f198af5bcdaep+7,
+                            .wall_clock = 0x1.e64f450796f2dp+2,
+                            .per_server_crc = 0xe3382c23u,
+                            .params_crc = 0xb3e469fbu});
+
+  cfg.fl.max_rounds = 3;
+  FeiSystem second(cfg);
+  second.resume_from(*first.last_checkpoint);
+  const auto resumed = second.run();
+  ASSERT_TRUE(resumed.ok()) << resumed.error().message;
+  EXPECT_EQ(resumed->training.record.round(0).round, 4u);
+  expect_fei_pinned(*resumed, {.ledger_total = 0x1.7eeb738d4906bp+6,
+                               .wall_clock = 0x1.23c9296af42b5p+2,
+                               .per_server_crc = 0x3cd8f00eu,
+                               .params_crc = 0xc5a97423u});
 }
 
 FeiSystemConfig faulty_config() {

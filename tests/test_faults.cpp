@@ -323,7 +323,7 @@ TEST(FaultDefaults, ByteIdenticalWithTelemetryEnabled) {
   // The run really was recorded, not silently skipped.
   EXPECT_FALSE(telemetry.tracer.empty());
   const auto snapshot = telemetry.metrics.snapshot();
-  EXPECT_EQ(snapshot.counter_value("round.count"), 8.0);
+  EXPECT_EQ(snapshot.counter_value("fleet.rounds"), 8.0);
 }
 
 TEST(FaultRuns, DeterministicPerSeed) {

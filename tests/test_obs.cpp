@@ -435,7 +435,7 @@ TEST(TracedRuns, MetricsMirrorMatchesLedgerAfterFaultyRun) {
   }
   EXPECT_DOUBLE_EQ(snapshot.counter_value("link.retries"),
                    static_cast<double>(r->total_retries));
-  EXPECT_DOUBLE_EQ(snapshot.counter_value("round.count"), 6.0);
+  EXPECT_DOUBLE_EQ(snapshot.counter_value("fleet.rounds"), 6.0);
 }
 
 TEST(TracedRuns, MetricsMirrorSurvivesAsyncReclassify) {
