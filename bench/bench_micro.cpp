@@ -16,7 +16,6 @@
 #include "energy/meter.h"
 #include "fl/aggregator.h"
 #include "ml/logistic_regression.h"
-#include "ml/mlp.h"
 #include "ml/serialize.h"
 #include "obs/telemetry.h"
 #include "core/acs.h"
@@ -308,20 +307,6 @@ void BM_PowerMeterCapture(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PowerMeterCapture);
-
-void BM_MlpLossAndGradient(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const data::Dataset ds = make_batch(n, 28);
-  ml::MlpConfig cfg;
-  ml::Mlp model(cfg);
-  std::vector<double> grad(model.parameter_count());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.loss_and_gradient(ds.view(), grad));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_MlpLossAndGradient)->Arg(100)->Arg(500);
 
 void BM_FeiSystemRun(benchmark::State& state) {
   // End-to-end FedAvg + event-driven energy simulation, scaled down to a

@@ -6,35 +6,12 @@
 namespace eefei::core {
 
 Result<AcsSolution> AcsSolver::solve(const EnergyObjective& objective) const {
-  auto best = solve_from(objective, config_.initial_k, config_.initial_e);
-  if (config_.extra_starts == 0) return best;
-
-  // Multistart: spread additional starts across the feasible box and keep
-  // the best converged solution.
-  const auto n = static_cast<double>(objective.n());
-  for (std::size_t i = 0; i < config_.extra_starts; ++i) {
-    const double frac =
-        static_cast<double>(i + 1) / static_cast<double>(config_.extra_starts + 1);
-    const double k0 = 1.0 + frac * (n - 1.0);
-    const auto e_max = objective.bound().max_feasible_epochs(k0);
-    const double e0 =
-        e_max.has_value() ? 1.0 + frac * (*e_max - 1.0) * 0.9 : 1.0;
-    auto candidate = solve_from(objective, k0, e0);
-    if (!candidate.ok()) continue;
-    if (!best.ok() || candidate->objective_int < best->objective_int) {
-      best = std::move(candidate);
-    }
-  }
-  return best;
-}
-
-Result<AcsSolution> AcsSolver::solve_from(const EnergyObjective& objective,
-                                          double k0, double e0) const {
   const auto& bound = objective.bound();
 
   // Start from a feasible point: project the configured initial point onto
   // the feasible domain.
-  double k = std::clamp(k0, 1.0, static_cast<double>(objective.n()));
+  double k =
+      std::clamp(config_.initial_k, 1.0, static_cast<double>(objective.n()));
   {
     const auto k_min = bound.min_feasible_servers(1.0);
     if (!k_min.has_value() ||
@@ -45,7 +22,7 @@ Result<AcsSolution> AcsSolver::solve_from(const EnergyObjective& objective,
     k = std::max(k, *k_min * (1.0 + 1e-9));
     k = std::min(k, static_cast<double>(objective.n()));
   }
-  double e = std::max(1.0, e0);
+  double e = std::max(1.0, config_.initial_e);
   {
     const auto e_max = bound.max_feasible_epochs(k);
     if (!e_max.has_value()) {

@@ -31,11 +31,6 @@ struct AcsConfig {
   /// Round the continuous solution to the best feasible integer lattice
   /// point at the end (K, E, T are integers in the real system).
   bool integerize = true;
-  /// Extra starting points beyond (initial_k, initial_e), spread over the
-  /// feasible box.  Alternating search on a biconvex function can in
-  /// principle stop at a partial optimum; multistart takes the best of
-  /// several basins.  0 = plain Algorithm 1.
-  std::size_t extra_starts = 0;
 };
 
 struct AcsIterate {
@@ -62,18 +57,14 @@ class AcsSolver {
  public:
   explicit AcsSolver(AcsConfig config = {}) : config_(config) {}
 
-  /// Runs Algorithm 1 on `objective` (multistarted when configured; the
-  /// returned solution is the best across starts).  Fails if the feasible
-  /// domain is empty (ε unreachable for every (K, E)).
+  /// Runs Algorithm 1 on `objective` from (initial_k, initial_e).  Fails
+  /// if the feasible domain is empty (ε unreachable for every (K, E)).
   [[nodiscard]] Result<AcsSolution> solve(
       const EnergyObjective& objective) const;
 
   [[nodiscard]] const AcsConfig& config() const { return config_; }
 
  private:
-  [[nodiscard]] Result<AcsSolution> solve_from(
-      const EnergyObjective& objective, double k0, double e0) const;
-
   AcsConfig config_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace eefei::fl {
 
@@ -13,97 +12,14 @@ Client::Client(ClientId id, const data::Shard* shard, ClientConfig config)
   assert(shard_->feature_dim() == config_.model.input_dim);
 }
 
-void Client::ensure_model() {
-  if (model_ != nullptr) return;
-  model_ = ml::make_model(config_.model);
-  grad_buffer_.assign(model_->parameter_count(), 0.0);
-}
-
 std::size_t Client::num_samples() const {
   const std::size_t n = shard_->size();
   return config_.sample_limit == 0 ? n : std::min(n, config_.sample_limit);
 }
 
-ml::BatchView Client::batch() const {
+ml::BatchView Client::local_batch() const {
   return config_.sample_limit == 0 ? shard_->view()
                                    : shard_->prefix_view(config_.sample_limit);
-}
-
-LocalTrainResult Client::train(std::span<const double> global_params,
-                               std::size_t epochs, std::size_t round) {
-  ensure_model();
-  assert(global_params.size() == model_->parameter_count());
-  auto params = model_->parameters();
-  std::copy(global_params.begin(), global_params.end(), params.begin());
-
-  // Per-round decay: lr_t = lr0 · decay^t, constant across the E local
-  // epochs of round t (every client sees the same synchronized schedule).
-  ml::SgdConfig sgd = config_.sgd;
-  sgd.learning_rate *= std::pow(sgd.decay, static_cast<double>(round));
-  sgd.decay = 1.0;
-  ml::SgdOptimizer opt(sgd);
-
-  const ml::BatchView view = batch();
-  LocalTrainResult result;
-  result.client = id_;
-  result.epochs_run = epochs;
-  result.samples_used = view.size();
-
-  auto apply_proximal = [&] {
-    if (config_.proximal_mu > 0.0) {
-      // FedProx: ∇ += μ (ω − ω_t).
-      for (std::size_t i = 0; i < grad_buffer_.size(); ++i) {
-        grad_buffer_[i] +=
-            config_.proximal_mu * (params[i] - global_params[i]);
-      }
-    }
-  };
-
-  if (config_.batch_size == 0 || config_.batch_size >= view.size()) {
-    // Full-batch GD: one step per epoch (the paper's prototype).
-    for (std::size_t e = 0; e < epochs; ++e) {
-      const double loss = model_->loss_and_gradient(view, grad_buffer_);
-      if (e == 0) result.initial_loss = loss;
-      apply_proximal();
-      opt.step(params, grad_buffer_);
-    }
-  } else {
-    // Mini-batch SGD: shuffled sweeps, one step per batch.  The shuffle
-    // stream is seeded per (client, round) so runs stay reproducible.
-    const std::size_t n = view.size();
-    const std::size_t d = view.feature_dim;
-    std::vector<std::size_t> order(n);
-    for (std::size_t i = 0; i < n; ++i) order[i] = i;
-    Rng shuffle_rng(0x9e3779b9u * (id_ + 1) + 0x85ebca6bu * (round + 1));
-    std::vector<double> batch_features(config_.batch_size * d);
-    std::vector<int> batch_labels(config_.batch_size);
-    for (std::size_t e = 0; e < epochs; ++e) {
-      shuffle_rng.shuffle(order);
-      for (std::size_t start = 0; start < n;
-           start += config_.batch_size) {
-        const std::size_t count = std::min(config_.batch_size, n - start);
-        for (std::size_t i = 0; i < count; ++i) {
-          const std::size_t src = order[start + i];
-          std::copy(view.features.begin() + src * d,
-                    view.features.begin() + (src + 1) * d,
-                    batch_features.begin() + i * d);
-          batch_labels[i] = view.labels[src];
-        }
-        const ml::BatchView mini{
-            {batch_features.data(), count * d},
-            {batch_labels.data(), count},
-            d};
-        const double loss = model_->loss_and_gradient(mini, grad_buffer_);
-        if (e == 0 && start == 0) result.initial_loss = loss;
-        apply_proximal();
-        opt.step(params, grad_buffer_);
-      }
-    }
-  }
-  result.final_loss = model_->evaluate(view).loss;
-  if (epochs == 0) result.initial_loss = result.final_loss;
-  result.params.assign(params.begin(), params.end());
-  return result;
 }
 
 double Client::local_loss(std::span<const double> params) const {
@@ -111,7 +27,7 @@ double Client::local_loss(std::span<const double> params) const {
   auto p = probe->parameters();
   assert(params.size() == p.size());
   std::copy(params.begin(), params.end(), p.begin());
-  return probe->evaluate(batch()).loss;
+  return probe->evaluate(local_batch()).loss;
 }
 
 }  // namespace eefei::fl

@@ -1,11 +1,10 @@
-// FL client — the model-training role of one edge server.  Given the global
-// parameters it runs E epochs of full-batch gradient descent on its local
-// shard (the paper's prototype uses full-batch SGD, §VI-A) and returns the
-// updated parameter vector.
+// FL client — the model-training role of one edge server: its local shard
+// (or the sample_limit prefix of it) and its training config.  The
+// coordinator trains every selected client's E epochs of full-batch
+// gradient descent (the paper's prototype, §VI-A) through ml::ModelBank.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -34,28 +33,12 @@ struct ClientConfig {
   ml::SgdConfig sgd;
   /// Cap on local samples per round (n_k).  0 means the full shard.
   std::size_t sample_limit = 0;
-  /// Mini-batch size per SGD step.  0 = full batch (the paper's setup,
-  /// SVI-A); otherwise each local epoch sweeps the shard in shuffled
-  /// mini-batches of this size (one optimizer step per batch).
-  std::size_t batch_size = 0;
-  /// FedProx proximal coefficient μ: adds μ·(ω − ω_t) to every local
-  /// gradient, pulling updates toward the received global model.  0
-  /// disables (plain FedAvg, the paper's algorithm).  Useful under
-  /// non-IID allocations (§VI-C).
-  double proximal_mu = 0.0;
 };
 
 class Client {
  public:
   /// `shard` must outlive the client.
   Client(ClientId id, const data::Shard* shard, ClientConfig config);
-
-  /// Runs `epochs` full-batch GD steps from `global_params`.  `round` is
-  /// the global round index t: the paper's schedule (§VI-A) uses learning
-  /// rate 0.01·0.99^t, held constant within a round, synchronized across
-  /// clients by the coordinator.
-  [[nodiscard]] LocalTrainResult train(std::span<const double> global_params,
-                                       std::size_t epochs, std::size_t round);
 
   [[nodiscard]] ClientId id() const { return id_; }
   [[nodiscard]] std::size_t num_samples() const;
@@ -65,35 +48,14 @@ class Client {
   /// by the convergence-constant calibration.
   [[nodiscard]] double local_loss(std::span<const double> params) const;
 
-  /// The batch train() sweeps each round (full shard or the sample_limit
-  /// prefix) — what the coordinator hands to ml::ModelBank.
-  [[nodiscard]] ml::BatchView local_batch() const { return batch(); }
-
-  /// True when this client's train() takes exactly the path ModelBank
-  /// replicates: a logistic-regression model, full-batch GD (no mini-batch
-  /// shuffling), plain FedAvg (no proximal term) and momentum-free SGD.
-  /// The coordinator falls back to the serial path otherwise.
-  [[nodiscard]] bool bank_eligible() const {
-    return config_.model.kind == ml::ModelKind::kLogisticRegression &&
-           (config_.batch_size == 0 ||
-            config_.batch_size >= num_samples()) &&
-           config_.proximal_mu == 0.0 && config_.sgd.momentum == 0.0;
-  }
+  /// The batch a round trains on: the full shard, or its sample_limit
+  /// prefix — what the coordinator hands to ml::ModelBank.
+  [[nodiscard]] ml::BatchView local_batch() const;
 
  private:
-  [[nodiscard]] ml::BatchView batch() const;
-
-  /// Materializes the local model on first use.  A fleet of 100k clients
-  /// would cost ~13 GB with eagerly-built models; lazily a client is a few
-  /// hundred bytes until it is actually selected to train.  make_model is
-  /// deterministic, so lazy construction cannot change results.
-  void ensure_model();
-
   ClientId id_;
   const data::Shard* shard_;
   ClientConfig config_;
-  std::unique_ptr<ml::Model> model_;  // lazily built, reused across rounds
-  std::vector<double> grad_buffer_;   // reused across epochs
 };
 
 }  // namespace eefei::fl

@@ -60,8 +60,8 @@ Result<TrainingOutcome> Coordinator::run() {
   }
 
   // ω_0 comes from a freshly constructed model: the all-zero vector for
-  // the paper's (convex) logistic regression, a proper random init for
-  // non-convex models like the MLP (zero init would be a dead network).
+  // the paper's (convex) logistic regression unless the spec asks for a
+  // random init.
   const auto init_model = ml::make_model(clients_->client(0).config().model);
   const std::size_t param_count = init_model->parameter_count();
   std::vector<double> global(init_model->parameters().begin(),
@@ -92,7 +92,6 @@ Result<TrainingOutcome> Coordinator::run() {
   TrainingOutcome outcome;
   std::size_t cumulative_epochs = 0;
   Rng drop_rng(config_.drop_seed);
-  ServerOptimizer server_opt(config_.server_optimizer);
   std::vector<double> client_average(param_count, 0.0);
 
   for (std::size_t t = start_round_; t < start_round_ + config_.max_rounds;
@@ -119,14 +118,7 @@ Result<TrainingOutcome> Coordinator::run() {
     }
 
     // Local training — every client trains from ω_t at the round-t lr.
-    // Eligible rounds go through the batched ModelBank path (bit-identical
-    // to the serial loop below); the serial path is the reference and the
-    // fallback for mini-batch / FedProx / momentum / MLP configs.
     std::vector<LocalTrainResult> updates(selected.size());
-    auto train_one = [&](std::size_t i) {
-      updates[i] =
-          clients_->client(selected[i]).train(global, config_.local_epochs, t);
-    };
     {
       const std::uint64_t t0 =
           sk_train_wall != nullptr ? wall_clock_src->wall_now_ns() : 0;
@@ -134,12 +126,9 @@ Result<TrainingOutcome> Coordinator::run() {
           obs::tracer(), "fl.train", "host.fl",
           {{"round", static_cast<double>(t)},
            {"clients", static_cast<double>(selected.size())}});
-      if (!train_batched(global, selected, t, updates)) {
-        if (pool) {
-          pool->parallel_for(selected.size(), train_one);
-        } else {
-          for (std::size_t i = 0; i < selected.size(); ++i) train_one(i);
-        }
+      if (const auto st = train_round(global, selected, t, updates);
+          !st.ok()) {
+        return st.error();
       }
       if (sk_train_wall != nullptr) {
         sk_train_wall->record(
@@ -208,9 +197,12 @@ Result<TrainingOutcome> Coordinator::run() {
           !st.ok()) {
         return st.error();
       }
-      // ω_{t+1} from the aggregated average (Eq. 2 when the server rule is
-      // plain averaging with lr 1.0, FedAvgM/FedAdam otherwise).
-      server_opt.step(global, client_average);
+      // ω_{t+1} = the aggregated average (Eq. 2), written as ω −= ω − avg
+      // rather than ω = avg: the two can differ in the last bit, and every
+      // pinned trajectory was recorded with this form.
+      for (std::size_t i = 0; i < param_count; ++i) {
+        global[i] -= global[i] - client_average[i];
+      }
     }
     // else: every update was lost this round — ω carries over unchanged.
 
@@ -297,31 +289,27 @@ Result<TrainingOutcome> Coordinator::run() {
   return outcome;
 }
 
-bool Coordinator::train_batched(std::span<const double> global,
+Status Coordinator::train_round(std::span<const double> global,
                                 std::span<const ClientId> selected,
                                 std::size_t round,
                                 std::vector<LocalTrainResult>& updates) {
-  if (!config_.batched_training || selected.empty()) return false;
   const ClientConfig& cfg0 = clients_->client(selected[0]).config();
   for (const ClientId id : selected) {
-    const Client& client = clients_->client(id);
-    if (!client.bank_eligible()) return false;
-    // The bank trains every model with one shape and schedule; mixed
-    // populations fall back to the per-client path.
-    const ClientConfig& cfg = client.config();
-    if (cfg.model.kind != cfg0.model.kind ||
-        cfg.model.input_dim != cfg0.model.input_dim ||
+    // The bank trains every model with one shape and one schedule.
+    const ClientConfig& cfg = clients_->client(id).config();
+    if (cfg.model.input_dim != cfg0.model.input_dim ||
         cfg.model.num_classes != cfg0.model.num_classes ||
         cfg.model.activation != cfg0.model.activation ||
         cfg.model.l2_lambda != cfg0.model.l2_lambda ||
         cfg.sgd.learning_rate != cfg0.sgd.learning_rate ||
         cfg.sgd.decay != cfg0.sgd.decay) {
-      return false;
+      return Error::invalid_argument(
+          "coordinator: selected clients disagree on model shape or sgd "
+          "schedule");
     }
   }
 
-  // The round-t learning rate, evaluated with the exact expression
-  // Client::train uses (constant across the E local epochs).
+  // The paper's round-t learning rate, constant across the E local epochs.
   const double lr = cfg0.sgd.learning_rate *
                     std::pow(cfg0.sgd.decay, static_cast<double>(round));
 
@@ -364,16 +352,7 @@ bool Coordinator::train_batched(std::span<const double> global,
   } else {
     for (std::size_t b = 0; b < banks; ++b) run_chunk(b);
   }
-  return true;
-}
-
-double Coordinator::evaluate_loss(std::span<const double> params) const {
-  ml::Model& model = eval_model();
-  auto p = model.parameters();
-  std::copy(params.begin(), params.end(), p.begin());
-  return ml::evaluate_sharded(model, test_set_->view(), pool_,
-                              eval_workspaces_)
-      .loss;
+  return Status::success();
 }
 
 ThreadPool* Coordinator::acquire_pool() {
@@ -390,7 +369,7 @@ ThreadPool* Coordinator::acquire_pool() {
   return pool_;
 }
 
-ml::Model& Coordinator::eval_model() const {
+ml::Model& Coordinator::eval_model() {
   if (!eval_model_) {
     eval_model_ = ml::make_model(clients_->client(0).config().model);
   }

@@ -18,7 +18,6 @@
 #include "fl/client.h"
 #include "fl/client_pool.h"
 #include "fl/selection.h"
-#include "fl/server_optimizer.h"
 #include "fl/training_record.h"
 #include "ml/model_bank.h"
 #include "ml/serialize.h"
@@ -36,15 +35,13 @@ struct CoordinatorConfig {
   /// Reference minimum loss F(ω_*) for the gap criterion.
   double f_star = 0.0;
   AggregationRule aggregation = AggregationRule::kUniformMean;
-  /// Server-side optimizer applied to the aggregated average (kAverage
-  /// with lr = 1.0 reproduces the paper's Eq. 2 exactly).
-  ServerOptimizerConfig server_optimizer;
   /// Evaluate every this many rounds (1 = every round).
   std::size_t eval_every = 1;
-  /// Worker threads for parallel local training and sharded test-set
-  /// evaluation.  0 or 1 = run serially; a count matching the process-wide
-  /// shared pool borrows it instead of spawning threads.  Results are
-  /// bit-identical for any value (deterministic chunked reduction).
+  /// Worker threads for local training (one ml::ModelBank per worker) and
+  /// sharded test-set evaluation.  0 or 1 = run serially; a count matching
+  /// the process-wide shared pool borrows it instead of spawning threads.
+  /// Results are bit-identical for any value (independent models,
+  /// deterministic chunked reduction).
   std::size_t threads = 0;
   /// Lossy-upload extension: quantize each uploaded model to this many
   /// bits per parameter (4/8/16).  0 or 32 = exact float upload.
@@ -61,14 +58,6 @@ struct CoordinatorConfig {
   /// Autosave a TrainingCheckpoint to the registered sink every this many
   /// completed rounds (0 = off).
   std::size_t checkpoint_every = 0;
-  /// Batched multi-model local training: eligible rounds (logistic-
-  /// regression clients on the full-batch FedAvg path, any K) train
-  /// through ml::ModelBank — whole-batch SIMD epoch kernels, one bank per
-  /// worker — instead of one Client::train call per model.  Results are
-  /// bit-identical to the serial path for any K and thread count (pinned
-  /// by tests/test_model_bank.cpp); disable to force the per-client
-  /// reference.
-  bool batched_training = true;
   /// No-op, kept so existing callers compile (see
   /// ml::ModelBank::set_pack_cache): the bank no longer packs feature rows.
   bool pack_cache = false;
@@ -81,8 +70,11 @@ struct TrainingOutcome {
   std::size_t rounds_run = 0;         // T actually executed this run
   std::size_t total_local_epochs = 0; // Σ_t Σ_{k∈𝒦_t} E
 
-  /// Checkpoint that resumes exactly where this run stopped.
-  /// `first_round` is the absolute index of this run's first round.
+  /// Checkpoint of ω and the round count where this run stopped.
+  /// `first_round` is the absolute index of this run's first round.  A
+  /// resume restarts the selection and drop streams at their seeds, so
+  /// with K < N it trains other cohorts than the uninterrupted run would;
+  /// only round-robin selection or K = N continues that run.
   [[nodiscard]] TrainingCheckpoint checkpoint(
       std::size_t first_round = 0) const {
     return {final_params, first_round + rounds_run};
@@ -133,7 +125,8 @@ class Coordinator {
               CoordinatorConfig config,
               std::unique_ptr<SelectionPolicy> policy);
 
-  /// Runs the federated loop.  Fails if there are no clients or K = 0.
+  /// Runs the federated loop.  Fails if there are no clients, K = 0, or a
+  /// round's selected clients disagree on model shape or sgd schedule.
   [[nodiscard]] Result<TrainingOutcome> run();
 
   void set_round_observer(RoundObserver observer) {
@@ -160,17 +153,14 @@ class Coordinator {
   [[nodiscard]] const CoordinatorConfig& config() const { return config_; }
 
  private:
-  [[nodiscard]] double evaluate_loss(std::span<const double> params) const;
-
-  /// Batched local training for one round: partitions the selected clients
-  /// into one contiguous chunk per worker, each trained by that worker's
-  /// ModelBank.  Returns false — leaving `updates` untouched — when any
-  /// selected client is ineligible (see Client::bank_eligible) or the
-  /// clients' training configs disagree; the caller then runs the serial
-  /// per-client path.
-  bool train_batched(std::span<const double> global,
-                     std::span<const ClientId> selected, std::size_t round,
-                     std::vector<LocalTrainResult>& updates);
+  /// Local training for one round: partitions the selected clients into
+  /// one contiguous chunk per worker, each trained by that worker's
+  /// ModelBank.  Fails — leaving `updates` untouched — when the selected
+  /// clients disagree on model shape or sgd schedule.
+  [[nodiscard]] Status train_round(std::span<const double> global,
+                                   std::span<const ClientId> selected,
+                                   std::size_t round,
+                                   std::vector<LocalTrainResult>& updates);
 
   /// Pool for this config's thread count: null for serial, the shared
   /// process-wide pool when sizes match, else a lazily-created pool owned
@@ -178,8 +168,8 @@ class Coordinator {
   [[nodiscard]] ThreadPool* acquire_pool();
 
   /// Evaluation model matching the clients' spec, created once and reused
-  /// by every evaluation (run() rounds and evaluate_loss()).
-  [[nodiscard]] ml::Model& eval_model() const;
+  /// by every evaluation round.
+  [[nodiscard]] ml::Model& eval_model();
 
   /// Owns the dense view when constructed from a raw vector<Client>.
   std::unique_ptr<DenseClientPool> owned_clients_view_;
@@ -198,11 +188,10 @@ class Coordinator {
   /// once per round and every selected client's download references it,
   /// instead of one serialization (and allocation) per client.
   ml::ModelBlob round_payload_;
-  mutable std::unique_ptr<ml::Model> eval_model_;
-  mutable std::vector<ml::Workspace> eval_workspaces_;
-  /// One bank (and task list) per worker for the batched training path,
-  /// reused across rounds so steady-state training is allocation-free
-  /// inside the banks.
+  std::unique_ptr<ml::Model> eval_model_;
+  std::vector<ml::Workspace> eval_workspaces_;
+  /// One bank (and task list) per worker, reused across rounds so
+  /// steady-state training is allocation-free inside the banks.
   std::vector<ml::ModelBank> train_banks_;
   std::vector<std::vector<ml::ModelBank::Task>> bank_tasks_;
 };

@@ -69,13 +69,11 @@ struct EvalSums {
 /// grow, so a warmed workspace makes repeated calls allocation-free.  A
 /// workspace may be shared across models but never across threads.  Storage
 /// is 64-byte aligned (ml/aligned.h) so kernels start on lane boundaries.
-/// The buffers never grow with the batch: they hold one row of class or
-/// hidden activations, or at most kEvalChunk rows of class activations in
+/// The buffer never grows with the batch: it holds one row of class
+/// activations, or at most kEvalChunk rows in
 /// LogisticRegression::evaluate_sums, so a workspace stays cache-resident.
 struct Workspace {
-  AlignedVector probs;    // class activations (one row, or an eval chunk)
-  AlignedVector hidden;   // per-row hidden activations (MLP)
-  AlignedVector scratch;  // per-row backprop buffer (MLP)
+  AlignedVector probs;  // class activations (one row, or an eval chunk)
 
   /// Grows `buf` to at least `n` and returns the first `n` elements
   /// (contents unspecified — kernels fully overwrite their spans).

@@ -123,8 +123,8 @@ void ModelBank::train(std::span<const double> global, std::span<Task> tasks) {
       for (std::size_t j = 0; j < c; ++j) step(wc + j, gb[j]);
     }
 
-    // Final evaluation at the trained parameters — the serial client's
-    // model->evaluate(view).
+    // Final evaluation at the trained parameters — the serial reference's
+    // model.evaluate(batch).
     double loss_sum = 0.0;
     forward(task, params, loss_sum);
     task.final_loss = loss_sum / static_cast<double>(n) + penalty(params);

@@ -16,9 +16,10 @@
 //     the update step reads it back transposed, once per epoch.
 //
 // Determinism contract: train() is memcmp-equal to running the serial
-// reference — fl::Client::train's full-batch path over
-// LogisticRegression::loss_and_gradient / evaluate — once per model, for
-// any K, any model order, any thread count and every SIMD backend.  The
+// reference — tests/serial_reference.h: E full-batch steps of
+// LogisticRegression::loss_and_gradient and w −= lr·g, then evaluate —
+// once per model, for any K, any model order, any thread count and every
+// SIMD backend.  The
 // argument, piece by piece:
 //
 //   - Models are independent and trained in order: no pass reads another
@@ -35,8 +36,8 @@
 //     gradient is read back by exact copies.
 //   - The update is the serial element sequence g·(1/n), + λ·w, w −= lr·g,
 //     fused per element — no step reads another element's result.
-//   - The round-constant learning rate lr0 · decay^t matches the serial
-//     client's SgdOptimizer schedule because pow(1.0, n) == 1.0 exactly.
+//   - The learning rate is the caller's, constant across the epochs, as
+//     in the reference.
 //
 // tests/test_model_bank.cpp pins all of this, plus the allocation-free
 // steady state: buffers only grow, so repeated rounds of stable shape

@@ -1,32 +1,24 @@
-// Declarative model specification + factory, so the FL layer can train any
-// registered architecture without compile-time coupling.  The spec is a
-// plain value (copyable config), which keeps ClientConfig/FeiSystemConfig
-// serializable-by-assignment.
+// Declarative model specification + factory for the paper's Table II
+// model.  The spec is a plain value (copyable config), which keeps
+// ClientConfig/FeiSystemConfig serializable-by-assignment.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
+#include "common/rng.h"
 #include "ml/logistic_regression.h"
-#include "ml/mlp.h"
 #include "ml/model.h"
 
 namespace eefei::ml {
 
-enum class ModelKind {
-  kLogisticRegression,  // the paper's Table II model (default)
-  kMlp,                 // one-hidden-layer ReLU network (extension)
-};
-
 struct ModelSpec {
-  ModelKind kind = ModelKind::kLogisticRegression;
   std::size_t input_dim = 784;
   std::size_t num_classes = 10;
-  Activation activation = Activation::kSoftmax;  // LR head only
+  Activation activation = Activation::kSoftmax;
   double l2_lambda = 0.0;
-  double init_stddev = 0.0;        // LR random init (0 = zero init)
-  std::size_t hidden_units = 64;   // MLP only
-  std::uint64_t init_seed = 1;     // deterministic non-convex init
+  double init_stddev = 0.0;     // random init (0 = zero init)
+  std::uint64_t init_seed = 1;  // seed of the random init
 
   [[nodiscard]] LogisticRegressionConfig lr_config() const {
     LogisticRegressionConfig cfg;
@@ -38,44 +30,20 @@ struct ModelSpec {
     return cfg;
   }
 
-  [[nodiscard]] MlpConfig mlp_config() const {
-    MlpConfig cfg;
-    cfg.input_dim = input_dim;
-    cfg.hidden_units = hidden_units;
-    cfg.num_classes = num_classes;
-    cfg.l2_lambda = l2_lambda;
-    cfg.init_seed = init_seed;
-    return cfg;
-  }
-
   [[nodiscard]] std::size_t parameter_count() const {
-    switch (kind) {
-      case ModelKind::kLogisticRegression:
-        return input_dim * num_classes + num_classes;
-      case ModelKind::kMlp:
-        return Mlp::parameter_count_for(mlp_config());
-    }
-    return 0;
+    return input_dim * num_classes + num_classes;
   }
 };
 
 /// Builds a fresh model per the spec.  Construction is deterministic:
-/// two models from the same spec start with identical parameters (clients
-/// rely on this when reconstructing the architecture from config).
+/// two models from the same spec start with identical parameters.
 [[nodiscard]] inline std::unique_ptr<Model> make_model(
     const ModelSpec& spec) {
-  switch (spec.kind) {
-    case ModelKind::kLogisticRegression: {
-      if (spec.init_stddev > 0.0) {
-        Rng rng(spec.init_seed);
-        return std::make_unique<LogisticRegression>(spec.lr_config(), &rng);
-      }
-      return std::make_unique<LogisticRegression>(spec.lr_config());
-    }
-    case ModelKind::kMlp:
-      return std::make_unique<Mlp>(spec.mlp_config());
+  if (spec.init_stddev > 0.0) {
+    Rng rng(spec.init_seed);
+    return std::make_unique<LogisticRegression>(spec.lr_config(), &rng);
   }
-  return nullptr;
+  return std::make_unique<LogisticRegression>(spec.lr_config());
 }
 
 }  // namespace eefei::ml

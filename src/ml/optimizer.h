@@ -1,43 +1,14 @@
-// SGD with the paper's learning-rate schedule (initial 0.01, multiplicative
-// decay 0.99 per step), plus optional momentum for the extension studies.
+// The paper's learning-rate schedule (§VI-A): initial rate 0.01, decayed
+// by 0.99 per global round t and held constant across the E local epochs
+// of that round, so every client in round t steps with
+// learning_rate · decay^t (see fl::Coordinator and ml::ModelBank).
 #pragma once
-
-#include <cstddef>
-#include <span>
-#include <vector>
 
 namespace eefei::ml {
 
 struct SgdConfig {
   double learning_rate = 0.01;  // paper §VI-A
-  double decay = 0.99;          // multiplicative per-epoch decay, paper §VI-A
-  double momentum = 0.0;        // 0 disables the velocity buffer
-};
-
-class SgdOptimizer {
- public:
-  explicit SgdOptimizer(SgdConfig config) : config_(config) {}
-
-  /// params -= lr_t * grad (with optional momentum), then decays lr.
-  void step(std::span<double> params, std::span<const double> grad);
-
-  /// Current (already decayed) learning rate.
-  [[nodiscard]] double learning_rate() const;
-  [[nodiscard]] std::size_t steps_taken() const { return steps_; }
-  [[nodiscard]] const SgdConfig& config() const { return config_; }
-
-  /// Resets the decay schedule and momentum state (new training run).
-  void reset();
-
-  /// Fast-forwards the schedule as if `steps` steps had been taken — used
-  /// when a client resumes from a given global round so every client sees
-  /// the schedule position the synchronized prototype would.
-  void advance_schedule(std::size_t steps) { steps_ += steps; }
-
- private:
-  SgdConfig config_;
-  std::size_t steps_ = 0;
-  std::vector<double> velocity_;
+  double decay = 0.99;          // multiplicative per-round decay, §VI-A
 };
 
 }  // namespace eefei::ml

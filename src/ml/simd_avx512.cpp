@@ -173,7 +173,7 @@ void rows_small_c(const double* x, std::size_t d, std::size_t c,
   if (has_s) acc[c - 1] = as;
 }
 
-// c > 16, c % 8 == 0 (e.g. the 784×256 MLP layer): zmm sweeps with the
+// c > 16, c % 8 == 0 (e.g. a 784×256 weight block): zmm sweeps with the
 // k-blocks taken two at a time.  For a fixed column j the fused update is
 // (acc + t0) + t1 — exactly the two sequential acc += t of the per-block
 // order, so the bits match; the sparse-skip still tests each 4-block.

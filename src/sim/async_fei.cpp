@@ -4,6 +4,7 @@
 #include <cmath>
 #include <optional>
 
+#include "ml/model_bank.h"
 #include "ml/model_spec.h"
 #include "ml/quantize.h"
 #include "ml/serialize.h"
@@ -63,6 +64,12 @@ Result<AsyncRunResult> AsyncFeiSystem::run() {
                              eval_model->parameters().end());
 
   const std::size_t param_count = base.model.parameter_count();
+  // Each completed task trains as a one-task bank (every population
+  // client carries base.model and base.sgd).
+  ml::ModelBank bank;
+  bank.configure(base.model.lr_config());
+  ml::ModelBank::Task task;
+  task.epochs = base.fl.local_epochs;
   net::Message msg;
   msg.payload_bytes = ml::wire_size(param_count);
 
@@ -187,8 +194,12 @@ Result<AsyncRunResult> AsyncFeiSystem::run() {
       in_flight[server].reset();
       // The actual computation happens lazily at completion time, using
       // the snapshot the server pulled at dispatch.
-      auto update = clients[server].train(snapshot, base.fl.local_epochs,
-                                          applied / workers);
+      task.batch = clients[server].local_batch();
+      task.learning_rate =
+          base.sgd.learning_rate *
+          std::pow(base.sgd.decay, static_cast<double>(applied / workers));
+      bank.train(snapshot, {&task, 1});
+      const auto update = bank.params_of(0);
 
       const std::size_t staleness = version - start_version;
       const double alpha_s =
@@ -196,7 +207,7 @@ Result<AsyncRunResult> AsyncFeiSystem::run() {
           std::pow(1.0 + static_cast<double>(staleness),
                    config_.staleness_exponent);
       for (std::size_t i = 0; i < global.size(); ++i) {
-        global[i] = (1.0 - alpha_s) * global[i] + alpha_s * update.params[i];
+        global[i] = (1.0 - alpha_s) * global[i] + alpha_s * update[i];
       }
       ++version;
 

@@ -137,52 +137,6 @@ TEST(Acs, RespectsResidual) {
   EXPECT_EQ(sol->iterations, 1u);
 }
 
-}  // namespace
-}  // namespace eefei::core
-
-namespace eefei::core {
-namespace {
-
-TEST(AcsMultistart, MatchesSingleStartOnBiconvexProblem) {
-  // On the truly biconvex EE-FEI objective every start converges to the
-  // same optimum, so multistart is a no-op (that it is available guards
-  // callers who plug in non-biconvex objective variants).
-  energy::ConvergenceConstants c = energy::paper_reference_constants();
-  const ConvergenceBound bound(c, 0.05);
-  const EnergyObjective obj(bound, 7.79e-5 * 3000.0 + 3.34e-3, 0.381, 20);
-  AcsConfig single;
-  AcsConfig multi;
-  multi.extra_starts = 6;
-  const auto a = AcsSolver(single).solve(obj);
-  const auto b = AcsSolver(multi).solve(obj);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->k_int, b->k_int);
-  EXPECT_EQ(a->e_int, b->e_int);
-  EXPECT_NEAR(a->objective_int, b->objective_int, 1e-9);
-}
-
-TEST(AcsMultistart, NeverWorseAcrossShapes) {
-  for (const double a1 : {0.005, 0.05, 0.15}) {
-    for (const double b1 : {0.05, 0.381, 5.0}) {
-      energy::ConvergenceConstants c = energy::paper_reference_constants();
-      c.a1 = a1;
-      const ConvergenceBound bound(c, 0.05);
-      const EnergyObjective obj(bound, 7.79e-5 * 3000.0 + 3.34e-3, b1, 20);
-      AcsConfig multi;
-      multi.extra_starts = 4;
-      const auto single = AcsSolver().solve(obj);
-      const auto best = AcsSolver(multi).solve(obj);
-      if (!single.ok()) {
-        EXPECT_FALSE(best.ok());
-        continue;
-      }
-      ASSERT_TRUE(best.ok());
-      EXPECT_LE(best->objective_int, single->objective_int + 1e-9);
-    }
-  }
-}
-
 // The headline result as a test: the default calibration must keep
 // producing the paper's K*=1 / ~49.8% savings even as the library evolves.
 TEST(HeadlineResult, PaperSavingsAreStable) {

@@ -1,4 +1,4 @@
-// Checkpoint/resume and mini-batch SGD tests.
+// Checkpoint/resume tests.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,6 +7,7 @@
 #include "data/synth_digits.h"
 #include "fl/checkpoint.h"
 #include "fl/coordinator.h"
+#include "serial_reference.h"
 
 namespace eefei::fl {
 namespace {
@@ -17,7 +18,7 @@ struct World {
   std::vector<data::Shard> shards;
   std::vector<Client> clients;
 
-  explicit World(std::size_t batch_size = 0) {
+  World() {
     data::SynthDigitsConfig dcfg;
     dcfg.image_side = 12;
     dcfg.seed = 71;
@@ -30,7 +31,6 @@ struct World {
     ccfg.model.input_dim = 144;
     ccfg.sgd.learning_rate = 0.1;
     ccfg.sgd.decay = 0.99;
-    ccfg.batch_size = batch_size;
     for (std::size_t k = 0; k < 4; ++k) {
       clients.emplace_back(k, &shards[k], ccfg);
     }
@@ -195,64 +195,30 @@ TEST(Checkpoint, EvalEveryZeroIsRejected) {
 }
 
 TEST(Checkpoint, ResumeContinuesLrSchedule) {
-  // After resuming at round 100, the client must train with lr·decay^100,
-  // not the fresh-run lr.
+  // A run resumed at round 100 trains with lr·decay^100, not the fresh-run
+  // lr: its one K = 1 round lands exactly on the serial reference's round
+  // 100 step, which moves the parameters far less than a round-0 step.
   World w;
   const std::vector<double> zeros(144 * 10 + 10, 0.0);
-  const auto fresh = w.clients[0].train(zeros, 1, 0);
-  const auto late = w.clients[0].train(zeros, 1, 100);
+  auto cfg = config(1);
+  cfg.clients_per_round = 1;
+  cfg.local_epochs = 1;
+  Coordinator coord(&w.clients, &w.test, cfg,
+                    std::make_unique<UniformRandomSelection>(Rng(5)));
+  coord.resume_from(TrainingCheckpoint{zeros, 100});
+  const auto outcome = coord.run();
+  ASSERT_TRUE(outcome.ok());
+  const ClientId k = outcome->record.round(0).selected[0];
+  const auto late = reference::train_serial(w.clients[k], zeros, 1, 100);
+  EXPECT_EQ(outcome->final_params, late.params);
+
+  const auto fresh = reference::train_serial(w.clients[k], zeros, 1, 0);
   double fresh_norm = 0, late_norm = 0;
   for (std::size_t i = 0; i < zeros.size(); ++i) {
     fresh_norm += fresh.params[i] * fresh.params[i];
     late_norm += late.params[i] * late.params[i];
   }
   EXPECT_LT(late_norm, fresh_norm * std::pow(0.99, 150));
-}
-
-TEST(MiniBatch, SweepsTakeMultipleSteps) {
-  // With batch 15 on a 60-sample shard, one epoch = 4 optimizer steps, so
-  // the parameters move further than one full-batch step at the same lr.
-  World full_batch(0), mini(15);
-  const std::vector<double> zeros(144 * 10 + 10, 0.0);
-  const auto a = full_batch.clients[0].train(zeros, 1, 0);
-  const auto b = mini.clients[0].train(zeros, 1, 0);
-  double na = 0, nb = 0;
-  for (std::size_t i = 0; i < zeros.size(); ++i) {
-    na += a.params[i] * a.params[i];
-    nb += b.params[i] * b.params[i];
-  }
-  EXPECT_GT(nb, na * 2.0);
-}
-
-TEST(MiniBatch, ConvergesInFederatedLoop) {
-  World w(10);
-  auto cfg = config(40);
-  Coordinator coord(&w.clients, &w.test, cfg,
-                    std::make_unique<UniformRandomSelection>(Rng(5)));
-  const auto outcome = coord.run();
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_GT(outcome->record.last().test_accuracy, 0.6);
-  EXPECT_LT(outcome->record.last().global_loss,
-            outcome->record.round(0).global_loss * 0.7);
-}
-
-TEST(MiniBatch, DeterministicPerClientAndRound) {
-  World a(8), b(8);
-  const std::vector<double> zeros(144 * 10 + 10, 0.0);
-  const auto ua = a.clients[1].train(zeros, 3, 7);
-  const auto ub = b.clients[1].train(zeros, 3, 7);
-  EXPECT_EQ(ua.params, ub.params);
-  // A different round shuffles differently.
-  const auto uc = b.clients[1].train(zeros, 3, 8);
-  EXPECT_NE(ua.params, uc.params);
-}
-
-TEST(MiniBatch, OversizedBatchFallsBackToFullBatch) {
-  World full_batch(0), oversized(10000);
-  const std::vector<double> zeros(144 * 10 + 10, 0.0);
-  const auto a = full_batch.clients[2].train(zeros, 2, 0);
-  const auto b = oversized.clients[2].train(zeros, 2, 0);
-  EXPECT_EQ(a.params, b.params);
 }
 
 }  // namespace

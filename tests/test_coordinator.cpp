@@ -4,11 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "data/partition.h"
 #include "data/synth_digits.h"
 #include "ml/logistic_regression.h"
-#include "ml/optimizer.h"
 
 namespace eefei::fl {
 namespace {
@@ -162,6 +162,25 @@ TEST(Coordinator, InvalidConfigsRejected) {
                   std::make_unique<UniformRandomSelection>(Rng(9)));
     EXPECT_FALSE(c.run().ok());
   }
+}
+
+TEST(Coordinator, RejectsSelectedClientsWithDisagreeingConfigs) {
+  // One ModelBank trains every selected client at one shape and one rate,
+  // so a round whose selected clients disagree on the sgd schedule fails
+  // with a named error instead of quietly training some other way.
+  World w;
+  ClientConfig faster = w.clients[1].config();
+  faster.sgd.learning_rate *= 2.0;
+  w.clients[1] = Client(1, &w.shards[1], faster);
+  auto cfg = basic_config();
+  cfg.clients_per_round = w.clients.size();  // every round selects both
+  Coordinator c(&w.clients, &w.test, cfg,
+                std::make_unique<UniformRandomSelection>(Rng(12)));
+  const auto outcome = c.run();
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.error().code, Error::Code::kInvalidArgument);
+  EXPECT_NE(outcome.error().message.find("disagree"), std::string::npos)
+      << outcome.error().message;
 }
 
 TEST(Coordinator, InitialParamsRespected) {

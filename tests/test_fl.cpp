@@ -1,5 +1,6 @@
-// Tests for the FL substrate: client local training, FedAvg aggregation,
-// selection policies and the training record.
+// Tests for the FL substrate: client local training (through the serial
+// reference ModelBank is pinned to), FedAvg aggregation, selection
+// policies and the training record.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include "fl/client.h"
 #include "fl/selection.h"
 #include "fl/training_record.h"
+#include "serial_reference.h"
 
 namespace eefei::fl {
 namespace {
@@ -41,7 +43,7 @@ TEST(Client, TrainingReducesLocalLoss) {
   Client client(0, &w.shards[0], w.ccfg);
   const std::size_t dim = 144 * 10 + 10;
   const std::vector<double> zeros(dim, 0.0);
-  const auto result = client.train(zeros, 30, 0);
+  const auto result = reference::train_serial(client, zeros, 30, 0);
   EXPECT_EQ(result.client, 0u);
   EXPECT_EQ(result.epochs_run, 30u);
   EXPECT_EQ(result.samples_used, w.shards[0].size());
@@ -53,7 +55,7 @@ TEST(Client, ZeroEpochsReturnsGlobalModel) {
   SmallWorld w;
   Client client(0, &w.shards[0], w.ccfg);
   std::vector<double> global(144 * 10 + 10, 0.1);
-  const auto result = client.train(global, 0, 0);
+  const auto result = reference::train_serial(client, global, 0, 0);
   EXPECT_EQ(result.params, global);
   EXPECT_DOUBLE_EQ(result.initial_loss, result.final_loss);
 }
@@ -62,8 +64,9 @@ TEST(Client, LaterRoundsUseSmallerLearningRate) {
   SmallWorld w;
   Client client(0, &w.shards[0], w.ccfg);
   const std::vector<double> zeros(144 * 10 + 10, 0.0);
-  const auto early = client.train(zeros, 1, 0);
-  const auto late = client.train(zeros, 1, 200);  // lr ≈ 0.05·0.99^200
+  const auto early = reference::train_serial(client, zeros, 1, 0);
+  // lr ≈ 0.05·0.99^200
+  const auto late = reference::train_serial(client, zeros, 1, 200);
   // The late-round step must move the parameters much less.
   double early_norm = 0, late_norm = 0;
   for (std::size_t i = 0; i < zeros.size(); ++i) {
@@ -80,7 +83,7 @@ TEST(Client, SampleLimitRestrictsBatch) {
   Client client(0, &w.shards[0], limited);
   EXPECT_EQ(client.num_samples(), 10u);
   const std::vector<double> zeros(144 * 10 + 10, 0.0);
-  EXPECT_EQ(client.train(zeros, 1, 0).samples_used, 10u);
+  EXPECT_EQ(reference::train_serial(client, zeros, 1, 0).samples_used, 10u);
 }
 
 TEST(Client, LocalLossMatchesInitialTrainLoss) {
@@ -88,7 +91,7 @@ TEST(Client, LocalLossMatchesInitialTrainLoss) {
   Client client(1, &w.shards[1], w.ccfg);
   const std::vector<double> zeros(144 * 10 + 10, 0.0);
   const double probe = client.local_loss(zeros);
-  const auto result = client.train(zeros, 5, 0);
+  const auto result = reference::train_serial(client, zeros, 5, 0);
   EXPECT_NEAR(probe, result.initial_loss, 1e-12);
 }
 

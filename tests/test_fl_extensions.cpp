@@ -1,6 +1,5 @@
 // Tests for the FL extensions: quantized uploads, update-loss injection
-// (failure tolerance), FedProx proximal regularization and straggler
-// simulation.
+// (failure tolerance) and straggler simulation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,7 +18,7 @@ struct World {
   std::vector<data::Shard> shards;
   std::vector<fl::Client> clients;
 
-  explicit World(double proximal_mu = 0.0) {
+  World() {
     data::SynthDigitsConfig dcfg;
     dcfg.image_side = 12;
     dcfg.seed = 31;
@@ -32,7 +31,6 @@ struct World {
     ccfg.model.input_dim = 144;
     ccfg.sgd.learning_rate = 0.1;
     ccfg.sgd.decay = 0.995;
-    ccfg.proximal_mu = proximal_mu;
     for (std::size_t k = 0; k < 4; ++k) {
       clients.emplace_back(k, &shards[k], ccfg);
     }
@@ -142,27 +140,6 @@ TEST(FailureInjection, ZeroProbabilityAggregatesEverything) {
   for (const auto& r : outcome->record.all()) {
     EXPECT_EQ(r.updates_aggregated, r.clients_selected);
   }
-}
-
-TEST(FedProx, ProximalTermShrinksLocalDrift) {
-  World plain(0.0), prox(1.0);
-  const std::vector<double> global(144 * 10 + 10, 0.0);
-  const auto u_plain = plain.clients[0].train(global, 20, 0);
-  const auto u_prox = prox.clients[0].train(global, 20, 0);
-  double d_plain = 0, d_prox = 0;
-  for (std::size_t i = 0; i < global.size(); ++i) {
-    d_plain += u_plain.params[i] * u_plain.params[i];
-    d_prox += u_prox.params[i] * u_prox.params[i];
-  }
-  EXPECT_LT(d_prox, d_plain) << "mu > 0 must pull updates toward the anchor";
-}
-
-TEST(FedProx, ZeroMuMatchesPlainFedAvg) {
-  World a(0.0), b(0.0);
-  const std::vector<double> global(144 * 10 + 10, 0.0);
-  const auto ua = a.clients[1].train(global, 10, 2);
-  const auto ub = b.clients[1].train(global, 10, 2);
-  EXPECT_EQ(ua.params, ub.params);
 }
 
 TEST(Stragglers, SlowdownStretchesMakespanOnly) {

@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "ml/kernels.h"
+#include "ml/model_spec.h"
 
 namespace eefei::ml {
 namespace {
@@ -249,6 +250,33 @@ TEST(LogisticRegression, SigmoidHeadAlsoLearns) {
     }
   }
   EXPECT_GT(model.evaluate(fx.view()).accuracy, 0.95);
+}
+
+TEST(ModelSpec, ParameterCountMatchesFactory) {
+  ModelSpec spec;
+  spec.input_dim = 10;
+  spec.num_classes = 4;
+  const auto model = make_model(spec);
+  EXPECT_EQ(model->parameter_count(), 10u * 4u + 4u);
+  EXPECT_EQ(spec.parameter_count(), model->parameter_count());
+}
+
+TEST(ModelSpec, FactoryIsDeterministic) {
+  // A seeded random init: two models from one spec start bit-identical.
+  ModelSpec spec;
+  spec.input_dim = 8;
+  spec.num_classes = 3;
+  spec.init_stddev = 0.3;
+  spec.init_seed = 9;
+  const auto a = make_model(spec);
+  const auto b = make_model(spec);
+  const auto pa = a->parameters();
+  const auto pb = b->parameters();
+  ASSERT_EQ(pa.size(), pb.size());
+  EXPECT_NE(pa[0], 0.0);
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    ASSERT_EQ(pa[i], pb[i]);
+  }
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
 // The ModelBank determinism contract (model_bank.h): batched multi-model
-// training is memcmp-equal to the serial reference — one fl::Client::train
-// call per model — for any K (odd counts included), heterogeneous local
-// sample counts, mixed epoch budgets, every compiled SIMD backend and any
-// coordinator thread count.  The CI scalar-fallback job (-DEEFEI_SIMD=OFF)
-// runs this same file against the scalar table, and EEFEI_SIMD_ISA jobs
-// pin the other backends, so one golden body covers every dispatch flavour.
+// training is memcmp-equal to the serial reference — one
+// reference::train_serial call per model (serial_reference.h) — for any K
+// (odd counts included), heterogeneous local sample counts, mixed epoch
+// budgets and every compiled SIMD backend, and the coordinator's bank
+// partition reproduces the serial-path trajectory at any thread count.
+// The CI scalar-fallback job (-DEEFEI_SIMD=OFF) runs this same file
+// against the scalar table, and EEFEI_SIMD_ISA jobs pin the other
+// backends, so one golden body covers every dispatch flavour.
 #include "ml/model_bank.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -18,7 +21,9 @@
 #include "fl/client.h"
 #include "fl/coordinator.h"
 #include "fl/selection.h"
+#include "ml/serialize.h"
 #include "ml/simd.h"
+#include "serial_reference.h"
 
 namespace eefei::ml {
 namespace {
@@ -77,7 +82,7 @@ void expect_bank_matches_serial(BankWorld& w, std::size_t epochs,
 
   std::vector<fl::LocalTrainResult> serial;
   for (auto& client : w.clients) {
-    serial.push_back(client.train(global, epochs, round));
+    serial.push_back(reference::train_serial(client, global, epochs, round));
   }
 
   ModelBank bank;
@@ -109,7 +114,7 @@ TEST(ModelBank, OddKHeterogeneousBatchesMatchSerialBitwise) {
 
 TEST(ModelBank, DecayedRoundLearningRateMatchesSerialBitwise) {
   // Round 37: lr = 0.05·0.99³⁷ must be reproduced through the same pow
-  // expression the serial SgdOptimizer evaluates.
+  // expression the serial reference evaluates.
   BankWorld w;
   expect_bank_matches_serial(w, /*epochs=*/4, /*round=*/37);
 }
@@ -121,7 +126,7 @@ TEST(ModelBank, SingleModelBankMatchesSerialBitwise) {
 
 TEST(ModelBank, MixedEpochBudgetsIncludingZero) {
   // Per-task epoch budgets exercise the shrinking active set; epochs == 0
-  // must reproduce the serial client's initial == final loss contract.
+  // must reproduce the serial reference's initial == final loss contract.
   BankWorld w;
   const std::size_t dim = w.ccfg.model.parameter_count();
   const auto global = make_global(dim, 99);
@@ -139,7 +144,8 @@ TEST(ModelBank, MixedEpochBudgetsIncludingZero) {
   bank.train(global, tasks);
 
   for (std::size_t i = 0; i < w.clients.size(); ++i) {
-    const auto serial = w.clients[i].train(global, epochs[i], 0);
+    const auto serial =
+        reference::train_serial(w.clients[i], global, epochs[i], 0);
     const auto params = bank.params_of(i);
     EXPECT_EQ(0, std::memcmp(params.data(), serial.params.data(),
                              params.size() * sizeof(double)))
@@ -177,7 +183,8 @@ TEST(ModelBank, RepeatedRoundsReuseArenasAndStayIdentical) {
       }
       bank.train(global, tasks);
       for (std::size_t i = 0; i < w->clients.size(); ++i) {
-        const auto serial = w->clients[i].train(global, 3, 0);
+        const auto serial =
+            reference::train_serial(w->clients[i], global, 3, 0);
         const auto params = bank.params_of(i);
         EXPECT_EQ(0, std::memcmp(params.data(), serial.params.data(),
                                  params.size() * sizeof(double)))
@@ -200,7 +207,7 @@ struct CoordWorld {
   std::vector<data::Shard> shards;
   std::vector<Client> clients;
 
-  explicit CoordWorld(std::size_t servers = 12, double proximal_mu = 0.0) {
+  explicit CoordWorld(std::size_t servers = 12) {
     data::SynthDigitsConfig dcfg;
     dcfg.image_side = 12;
     dcfg.seed = 51;
@@ -214,7 +221,6 @@ struct CoordWorld {
     ccfg.model.num_classes = 10;
     ccfg.sgd.learning_rate = 0.05;
     ccfg.sgd.decay = 0.99;
-    ccfg.proximal_mu = proximal_mu;
     clients.reserve(servers);
     for (std::size_t k = 0; k < servers; ++k) {
       clients.emplace_back(k, &shards[k], ccfg);
@@ -222,14 +228,13 @@ struct CoordWorld {
   }
 };
 
-TrainingOutcome run_world(CoordWorld& w, bool batched, std::size_t threads,
-                          std::size_t clients_per_round = 7) {
+TrainingOutcome run_world(CoordWorld& w, std::size_t threads,
+                          std::size_t clients_per_round) {
   CoordinatorConfig cfg;
   cfg.clients_per_round = clients_per_round;
   cfg.local_epochs = 4;
   cfg.max_rounds = 6;
   cfg.threads = threads;
-  cfg.batched_training = batched;
   Coordinator coord(&w.clients, &w.test, cfg,
                     std::make_unique<UniformRandomSelection>(Rng(9)));
   auto outcome = coord.run();
@@ -237,45 +242,45 @@ TrainingOutcome run_world(CoordWorld& w, bool batched, std::size_t threads,
   return std::move(outcome).value();
 }
 
+// The trajectory of the serial per-client path (one full-batch client
+// trained after another, the reference in serial_reference.h), recorded
+// before that path was deleted: CRC-32 of the final parameters' bytes and
+// every round's global loss.
+struct SerialPin {
+  std::size_t k;
+  std::uint32_t params_crc;
+  std::vector<double> global_loss;
+};
+
 TEST(ModelBank, CoordinatorBatchedMatchesSerialForAnyThreadCount) {
-  // The end-to-end pin behind CoordinatorConfig::batched_training's
-  // "bit-identical" promise: the serial per-client path and the batched
-  // path at 1/2/3/5 workers all land on the same global trajectory — for
-  // an odd K through the bank partition and for K = 1, which also trains
-  // through the bank.
-  for (const std::size_t k : {std::size_t{7}, std::size_t{1}}) {
+  // The bank partition at 1/2/3/5 workers lands on the serial path's
+  // global trajectory — for an odd K split across banks and for K = 1.
+  const std::vector<SerialPin> pins = {
+      {7, 0x17c56631u,
+       {0x1.23c7178086d1fp+1, 0x1.211eafec79497p+1, 0x1.1ee35705498a8p+1,
+        0x1.1cac045042074p+1, 0x1.1a99463a79888p+1, 0x1.181edf54f3bbcp+1}},
+      {1, 0xdc793c76u,
+       {0x1.23b6dd9307753p+1, 0x1.2122b0517bac4p+1, 0x1.1f6b666945981p+1,
+        0x1.1d988bbe54b58p+1, 0x1.1b8795b783a8ap+1, 0x1.19c386ef354p+1}},
+  };
+  for (const SerialPin& pin : pins) {
     CoordWorld w;
-    const auto reference = run_world(w, /*batched=*/false, /*threads=*/0, k);
     for (const std::size_t threads : {std::size_t{0}, std::size_t{2},
                                       std::size_t{3}, std::size_t{5}}) {
-      const auto batched = run_world(w, /*batched=*/true, threads, k);
-      ASSERT_EQ(batched.final_params.size(), reference.final_params.size());
-      EXPECT_EQ(0,
-                std::memcmp(batched.final_params.data(),
-                            reference.final_params.data(),
-                            reference.final_params.size() * sizeof(double)))
-          << "K=" << k << " threads=" << threads;
-      ASSERT_EQ(batched.record.rounds(), reference.record.rounds());
-      for (std::size_t t = 0; t < reference.record.rounds(); ++t) {
-        EXPECT_EQ(batched.record.round(t).global_loss,
-                  reference.record.round(t).global_loss)
-            << "K=" << k << " threads=" << threads << " round " << t;
+      const auto run = run_world(w, threads, pin.k);
+      const auto crc = ml::crc32(std::span<const std::uint8_t>(
+          reinterpret_cast<const std::uint8_t*>(run.final_params.data()),
+          run.final_params.size() * sizeof(double)));
+      EXPECT_EQ(crc, pin.params_crc)
+          << "K=" << pin.k << " threads=" << threads << std::hex
+          << " crc=0x" << crc;
+      ASSERT_EQ(run.record.rounds(), pin.global_loss.size());
+      for (std::size_t t = 0; t < pin.global_loss.size(); ++t) {
+        EXPECT_EQ(run.record.round(t).global_loss, pin.global_loss[t])
+            << "K=" << pin.k << " threads=" << threads << " round " << t;
       }
     }
   }
-}
-
-TEST(ModelBank, IneligibleClientsFallBackToSerialPathIdentically) {
-  // FedProx clients are outside the bank's contract (bank_eligible() is
-  // false) — batched_training must quietly take the per-client path and
-  // produce the exact same run.
-  CoordWorld serial_world(8, /*proximal_mu=*/0.01);
-  CoordWorld batched_world(8, /*proximal_mu=*/0.01);
-  const auto reference = run_world(serial_world, false, 0);
-  const auto fallback = run_world(batched_world, true, 2);
-  EXPECT_EQ(0, std::memcmp(fallback.final_params.data(),
-                           reference.final_params.data(),
-                           reference.final_params.size() * sizeof(double)));
 }
 
 }  // namespace

@@ -112,8 +112,6 @@ TEST(Population, EachKeyFieldRendersDistinctData) {
 
 TEST(Population, NonKeyFieldsShareData) {
   const std::vector<Mutation> other_fields = {
-      {"model.kind",
-       [](PopulationConfig& c) { c.model.kind = ml::ModelKind::kMlp; }},
       {"model.num_classes",
        [](PopulationConfig& c) { c.model.num_classes = 12; }},
       {"model.l2_lambda",

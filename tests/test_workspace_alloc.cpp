@@ -12,7 +12,6 @@
 #include "data/synth_digits.h"
 #include "energy/power_model.h"
 #include "ml/logistic_regression.h"
-#include "ml/mlp.h"
 #include "ml/model_bank.h"
 #include "sim/calendar_queue.h"
 #include "sim/event_queue.h"
@@ -101,19 +100,6 @@ TEST(WorkspaceAlloc, LogisticRegressionHotPathIsAllocationFree) {
   EXPECT_EQ(0u, steady_state_allocations([&] {
     (void)model.predict(ds.view().slice(0, 1).features);
   }));
-}
-
-TEST(WorkspaceAlloc, MlpHotPathIsAllocationFree) {
-  const auto ds = make_batch(200);
-  MlpConfig cfg;
-  cfg.input_dim = 144;
-  cfg.hidden_units = 32;
-  Mlp model(cfg);
-  std::vector<double> grad(model.parameter_count());
-
-  EXPECT_EQ(0u, steady_state_allocations(
-                    [&] { (void)model.loss_and_gradient(ds.view(), grad); }));
-  EXPECT_EQ(0u, steady_state_allocations([&] { (void)model.evaluate(ds.view()); }));
 }
 
 TEST(WorkspaceAlloc, ExplicitWorkspaceIsAllocationFreeOnceWarm) {
