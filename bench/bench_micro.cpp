@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the performance-critical kernels:
-// the LR forward/backward pass, FedAvg aggregation, model serialization,
-// synthetic-digit rendering, the event queue and the power meter.
+// the LR forward/backward pass, ModelBank rounds, FedAvg aggregation,
+// model serialization, synthetic-digit rendering, the event queue and the
+// power meter.
 #include <benchmark/benchmark.h>
 
 #include <cassert>
@@ -10,12 +11,14 @@
 
 #include "bench_json.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "data/synth_digits.h"
 #include "ml/aligned.h"
 #include "ml/simd.h"
 #include "energy/meter.h"
 #include "fl/aggregator.h"
 #include "ml/logistic_regression.h"
+#include "ml/model_bank.h"
 #include "ml/serialize.h"
 #include "obs/telemetry.h"
 #include "core/acs.h"
@@ -149,7 +152,7 @@ void RunAccumulateEpoch(benchmark::State& state,
       const double* x = ds.view().features.data() + (m % pool) * n * d;
       table.accumulate_rows_tiled(x, n, d, c, w[m].data(), acc.data(),
                                   stride);
-      table.accumulate_outer_transposed(x, n, d, c, err.data(), stride,
+      table.accumulate_outer_transposed(x, n, d, d, c, err.data(), stride,
                                         gt[m].data());
     }
     benchmark::DoNotOptimize(acc.data());
@@ -175,6 +178,49 @@ void BM_AccumulateEpochScalar(benchmark::State& state) {
 BENCHMARK(BM_AccumulateEpochScalar)
     ->Args({1, 250, 784, 10})->Args({10, 250, 784, 10})
     ->Args({2000, 4, 16, 10});
+
+// One round of ModelBank::train: K models of n samples at side×side
+// pixels, E epochs, on a pool of `workers` (1 = serial).  The paper rows
+// (n = 250, 28×28, E = 20) show the pooled schedule at its optimum K = 1
+// and at K = 5 (4 whole models + 1 split); the fleet row (K = 10, n = 50,
+// 12×12, E = 3 on 4 workers) is below the split cutoff, so its two
+// leftover models train whole.  gflops counts 4·n·d·c per model-epoch.
+void BM_ModelBankTrain(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const auto side = static_cast<std::size_t>(state.range(2));
+  const auto epochs = static_cast<std::size_t>(state.range(3));
+  const auto workers = static_cast<std::size_t>(state.range(4));
+  const data::Dataset ds = make_batch(k * n, side);
+  ml::LogisticRegressionConfig cfg;
+  cfg.input_dim = side * side;
+  ml::ModelBank bank;
+  bank.configure(cfg);
+  std::vector<ml::ModelBank::Task> tasks(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    tasks[i].batch = ds.view().slice(i * n, n);
+    tasks[i].epochs = epochs;
+    tasks[i].learning_rate = 0.02;
+  }
+  const std::vector<double> global(bank.parameter_count(), 0.0);
+  ThreadPool pool(workers);
+  ThreadPool* const use = workers > 1 ? &pool : nullptr;
+  for (auto _ : state) {
+    bank.train(global, tasks, use);
+    benchmark::DoNotOptimize(bank.params_of(0).data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["flops"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * 4.0 *
+          static_cast<double>(k * n * cfg.input_dim * cfg.num_classes *
+                              epochs),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ModelBankTrain)
+    ->Args({1, 250, 28, 20, 1})->Args({1, 250, 28, 20, 2})
+    ->Args({5, 250, 28, 20, 1})->Args({5, 250, 28, 20, 2})
+    ->Args({10, 50, 12, 3, 4})
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_LrLossAndGradient(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -116,6 +116,14 @@ void ThreadPool::worker_loop() {
   }
 }
 
+void ThreadPool::post(std::function<void()> fn) {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    tasks_.push({std::move(fn), nullptr});
+  }
+  cv_.notify_one();
+}
+
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   // Zero-length loops must be free: no submission lock, no queue traffic,

@@ -97,6 +97,13 @@ class ThreadPool {
     return result;
   }
 
+  /// Enqueues fn with no future and no telemetry hooks.  Nothing waits
+  /// for it: it may start after its submitter has returned, or run inline
+  /// at pool destruction, so fn must own (or check the liveness of)
+  /// everything it touches.  ml::ModelBank's pooled training posts its
+  /// helpers this way so a helper that never gets a worker blocks nothing.
+  void post(std::function<void()> fn);
+
   /// Applies fn(i) for i in [0, n) and waits for all.  Work is submitted in
   /// contiguous index chunks (a few per worker) instead of one task per
   /// index, so tiny per-index bodies don't drown in queue overhead.  Runs

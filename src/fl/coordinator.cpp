@@ -93,6 +93,8 @@ Result<TrainingOutcome> Coordinator::run() {
   std::size_t cumulative_epochs = 0;
   Rng drop_rng(config_.drop_seed);
   std::vector<double> client_average(param_count, 0.0);
+  // Reused across rounds, so each update keeps its parameter buffer.
+  std::vector<LocalTrainResult> updates;
 
   for (std::size_t t = start_round_; t < start_round_ + config_.max_rounds;
        ++t) {
@@ -118,7 +120,7 @@ Result<TrainingOutcome> Coordinator::run() {
     }
 
     // Local training — every client trains from ω_t at the round-t lr.
-    std::vector<LocalTrainResult> updates(selected.size());
+    updates.resize(selected.size());
     {
       const std::uint64_t t0 =
           sk_train_wall != nullptr ? wall_clock_src->wall_now_ns() : 0;
@@ -314,43 +316,35 @@ Status Coordinator::train_round(std::span<const double> global,
                     std::pow(cfg0.sgd.decay, static_cast<double>(round));
 
   const std::size_t k = selected.size();
-  const std::size_t banks =
-      pool_ != nullptr ? std::min(k, pool_->size()) : std::size_t{1};
-  if (train_banks_.size() < banks) train_banks_.resize(banks);
-  if (bank_tasks_.size() < banks) bank_tasks_.resize(banks);
-
-  // One contiguous chunk of models per bank.  Models are independent, so
-  // the partition (and the thread count) cannot change any model's bits.
-  auto run_chunk = [&](std::size_t b) {
-    const std::size_t begin = k * b / banks;
-    const std::size_t end = k * (b + 1) / banks;
-    ml::ModelBank& bank = train_banks_[b];
-    bank.configure(cfg0.model.lr_config());
-    std::vector<ml::ModelBank::Task>& tasks = bank_tasks_[b];
-    tasks.resize(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      ml::ModelBank::Task& task = tasks[i - begin];
-      task.batch = clients_->client(selected[i]).local_batch();
-      task.epochs = config_.local_epochs;
-      task.learning_rate = lr;
-    }
-    bank.train(global, tasks);
-    for (std::size_t i = begin; i < end; ++i) {
-      const ml::ModelBank::Task& task = tasks[i - begin];
-      const auto params = bank.params_of(i - begin);
-      LocalTrainResult& update = updates[i];
-      update.client = clients_->client(selected[i]).id();
-      update.params.assign(params.begin(), params.end());
-      update.initial_loss = task.initial_loss;
-      update.final_loss = task.final_loss;
-      update.epochs_run = config_.local_epochs;
-      update.samples_used = task.batch.size();
-    }
+  bank_.configure(cfg0.model.lr_config());
+  tasks_.resize(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    ml::ModelBank::Task& task = tasks_[i];
+    task.batch = clients_->client(selected[i]).local_batch();
+    task.epochs = config_.local_epochs;
+    task.learning_rate = lr;
+  }
+  bank_.train(global, tasks_, pool_);
+  // The updates are filled on the pool: their parameter buffers are then
+  // allocated in the workers' malloc arenas, as when each worker's bank
+  // filled its own.  Allocated on this thread they fragment its heap
+  // (fleet_faults, K = 2200: +3.5 MB peak RSS).
+  const auto collect = [&](std::size_t i) {
+    const ml::ModelBank::Task& task = tasks_[i];
+    const auto params = bank_.params_of(i);
+    LocalTrainResult& update = updates[i];
+    update.client = clients_->client(selected[i]).id();
+    update.params.assign(params.begin(), params.end());
+    update.initial_loss = task.initial_loss;
+    update.final_loss = task.final_loss;
+    update.epochs_run = config_.local_epochs;
+    update.samples_used = task.batch.size();
+    update.aggregated = true;
   };
-  if (pool_ != nullptr && banks > 1) {
-    pool_->parallel_for(banks, run_chunk);
+  if (pool_ != nullptr) {
+    pool_->parallel_for(k, collect);
   } else {
-    for (std::size_t b = 0; b < banks; ++b) run_chunk(b);
+    for (std::size_t i = 0; i < k; ++i) collect(i);
   }
   return Status::success();
 }

@@ -37,11 +37,12 @@ struct CoordinatorConfig {
   AggregationRule aggregation = AggregationRule::kUniformMean;
   /// Evaluate every this many rounds (1 = every round).
   std::size_t eval_every = 1;
-  /// Worker threads for local training (one ml::ModelBank per worker) and
-  /// sharded test-set evaluation.  0 or 1 = run serially; a count matching
+  /// Worker threads for local training (ml::ModelBank's pooled schedule)
+  /// and sharded test-set evaluation.  0 or 1 = run serially; a count matching
   /// the process-wide shared pool borrows it instead of spawning threads.
-  /// Results are bit-identical for any value (independent models,
-  /// deterministic chunked reduction).
+  /// Results are bit-identical for any value (independent models, a
+  /// split model's per-element op order kept, deterministic chunked
+  /// reduction).
   std::size_t threads = 0;
   /// Lossy-upload extension: quantize each uploaded model to this many
   /// bits per parameter (4/8/16).  0 or 32 = exact float upload.
@@ -153,10 +154,9 @@ class Coordinator {
   [[nodiscard]] const CoordinatorConfig& config() const { return config_; }
 
  private:
-  /// Local training for one round: partitions the selected clients into
-  /// one contiguous chunk per worker, each trained by that worker's
-  /// ModelBank.  Fails — leaving `updates` untouched — when the selected
-  /// clients disagree on model shape or sgd schedule.
+  /// Local training for one round: one pooled ModelBank call over every
+  /// selected client.  Fails — leaving `updates` untouched — when the
+  /// selected clients disagree on model shape or sgd schedule.
   [[nodiscard]] Status train_round(std::span<const double> global,
                                    std::span<const ClientId> selected,
                                    std::size_t round,
@@ -190,10 +190,10 @@ class Coordinator {
   ml::ModelBlob round_payload_;
   std::unique_ptr<ml::Model> eval_model_;
   std::vector<ml::Workspace> eval_workspaces_;
-  /// One bank (and task list) per worker, reused across rounds so
-  /// steady-state training is allocation-free inside the banks.
-  std::vector<ml::ModelBank> train_banks_;
-  std::vector<std::vector<ml::ModelBank::Task>> bank_tasks_;
+  /// The round's bank and task list, reused across rounds so steady-state
+  /// training is allocation-free inside the bank.
+  ml::ModelBank bank_;
+  std::vector<ml::ModelBank::Task> tasks_;
 };
 
 }  // namespace eefei::fl

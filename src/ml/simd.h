@@ -84,17 +84,22 @@ struct KernelTable {
   void (*accumulate_rows_tiled)(const double* x, std::size_t n, std::size_t d,
                                 std::size_t c, const double* w, double* acc,
                                 std::size_t acc_stride);
-  /// Whole-batch backward into a TRANSPOSED gradient gt (c rows of d):
-  ///   gt[j·d + k] += x[s·d + k] · err[s·err_stride + j],  s ascending.
-  /// Element gt[j·d + k] receives exactly the sequence that out[k·c + j]
+  /// Whole-batch backward into a TRANSPOSED gradient gt (c rows), over the
+  /// first d columns of rows `ld` apart in both x and gt:
+  ///   gt[j·ld + k] += x[s·ld + k] · err[s·err_stride + j],  s ascending.
+  /// Element gt[j·ld + k] receives exactly the sequence that out[k·c + j]
   /// receives from n sequential accumulate_outer calls — one mul and one
   /// add per live (s, k), the same skip set — so after the exact transpose
   /// the bits match.  The transposed layout lets the kernel vectorize over
   /// k and hold a block of the accumulator in registers across the whole
-  /// sample sweep.
+  /// sample sweep.  ld > d covers a k strip: x and gt point at its first
+  /// column, which must sit on the 4-block grid of the full row so the
+  /// strip's blocks (and d%4 tail) are the full call's, element for
+  /// element.  Strips therefore partition the gradient without moving a
+  /// bit.
   void (*accumulate_outer_transposed)(const double* x, std::size_t n,
-                                      std::size_t d, std::size_t c,
-                                      const double* err,
+                                      std::size_t d, std::size_t ld,
+                                      std::size_t c, const double* err,
                                       std::size_t err_stride, double* gt);
   Isa isa = Isa::kScalar;
 };

@@ -547,13 +547,13 @@ struct GroupMasks {
 };
 
 // C classes × P adjacent 8-k groups: lane i of a[p][jj] is
-// gt[(j + jj)·d + k + 8p + i], held in registers across the whole
+// gt[(j + jj)·ld + k + 8p + i], held in registers across the whole
 // ascending-s sweep.  Per live lane the update is a + x·err — the
 // accumulate_outer element update — and dead lanes are left untouched by
-// the masked add.  Rows are d doubles apart, so the hardware prefetchers
+// the masked add.  Rows are ld doubles apart, so the hardware prefetchers
 // cannot follow the sweep; it prefetches the rows a few samples ahead.
 template <std::size_t C, std::size_t P>
-void outer_strip(const double* x, std::size_t n, std::size_t d,
+void outer_strip(const double* x, std::size_t n, std::size_t ld,
                  const double* err, std::size_t err_stride, double* g,
                  GroupMasks<P> m) {
   __m512d a[P][C];
@@ -561,7 +561,7 @@ void outer_strip(const double* x, std::size_t n, std::size_t d,
   for (std::size_t p = 0; p < P; ++p) {
 #pragma GCC unroll 16
     for (std::size_t jj = 0; jj < C; ++jj) {
-      a[p][jj] = _mm512_maskz_loadu_pd(m.lanes[p], g + jj * d + 8 * p);
+      a[p][jj] = _mm512_maskz_loadu_pd(m.lanes[p], g + jj * ld + 8 * p);
     }
   }
   const __m512d zero = _mm512_setzero_pd();
@@ -570,7 +570,7 @@ void outer_strip(const double* x, std::size_t n, std::size_t d,
       // Lines of the group's first and last lanes (and the one between);
       // single groups are the row's last ≤ 2, where the first line suffices.
       const char* ahead =
-          reinterpret_cast<const char*>(x + (s + kOuterAhead) * d);
+          reinterpret_cast<const char*>(x + (s + kOuterAhead) * ld);
       _mm_prefetch(ahead, _MM_HINT_T0);
       if constexpr (P == 2) {
         _mm_prefetch(ahead + 64, _MM_HINT_T0);
@@ -582,7 +582,7 @@ void outer_strip(const double* x, std::size_t n, std::size_t d,
     unsigned any = 0;
 #pragma GCC unroll 2
     for (std::size_t p = 0; p < P; ++p) {
-      xv[p] = _mm512_maskz_loadu_pd(m.lanes[p], x + s * d + 8 * p);
+      xv[p] = _mm512_maskz_loadu_pd(m.lanes[p], x + s * ld + 8 * p);
       live[p] = live_lanes(_mm512_cmp_pd_mask(xv[p], zero, _CMP_NEQ_UQ),
                            m.blocked[p]);
       any |= live[p];
@@ -603,7 +603,7 @@ void outer_strip(const double* x, std::size_t n, std::size_t d,
   for (std::size_t p = 0; p < P; ++p) {
 #pragma GCC unroll 16
     for (std::size_t jj = 0; jj < C; ++jj) {
-      _mm512_mask_storeu_pd(g + jj * d + 8 * p, m.lanes[p], a[p][jj]);
+      _mm512_mask_storeu_pd(g + jj * ld + 8 * p, m.lanes[p], a[p][jj]);
     }
   }
 }
@@ -626,25 +626,25 @@ constexpr auto kOuterStrips =
     make_outer_strips<P>(std::make_index_sequence<kOuterStripLanes>{});
 
 template <std::size_t P>
-void outer_strips(const double* x, std::size_t n, std::size_t d,
+void outer_strips(const double* x, std::size_t n, std::size_t ld,
                   std::size_t c, const double* err, std::size_t err_stride,
                   double* gt, GroupMasks<P> m) {
   for (std::size_t j = 0; j < c; j += kOuterStripLanes) {
     const std::size_t strip =
         c - j < kOuterStripLanes ? c - j : kOuterStripLanes;
-    kOuterStrips<P>[strip](x, n, d, err + j, err_stride, gt + j * d, m);
+    kOuterStrips<P>[strip](x, n, ld, err + j, err_stride, gt + j * ld, m);
   }
 }
 
 void outer_transposed_avx512(const double* x, std::size_t n, std::size_t d,
-                             std::size_t c, const double* err,
+                             std::size_t ld, std::size_t c, const double* err,
                              std::size_t err_stride, double* gt) {
   const std::size_t d_blocked = d - d % 4;
   std::size_t k = 0;
   // Pairs of whole 8-k groups inside the blocked range, then single
   // groups with partial-lane and d%4-tail masks.
   for (; k + 16 <= d_blocked; k += 16) {
-    outer_strips<2>(x + k, n, d, c, err, err_stride, gt + k,
+    outer_strips<2>(x + k, n, ld, c, err, err_stride, gt + k,
                     {{0xff, 0xff}, {0xff, 0xff}});
   }
   for (; k < d; k += 8) {
@@ -653,7 +653,7 @@ void outer_transposed_avx512(const double* x, std::size_t n, std::size_t d,
     const auto lanes = static_cast<__mmask8>((1u << width) - 1);
     const auto blocked =
         static_cast<__mmask8>(full >= 8 ? 0xffu : (1u << full) - 1);
-    outer_strips<1>(x + k, n, d, c, err, err_stride, gt + k,
+    outer_strips<1>(x + k, n, ld, c, err, err_stride, gt + k,
                     {{lanes}, {blocked}});
   }
 }

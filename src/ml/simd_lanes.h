@@ -513,18 +513,18 @@ void accumulate_rows_tiled_impl(const double* x, std::size_t n, std::size_t d,
 inline constexpr std::size_t kOuterAhead = 8;
 
 /// One 4-block × C classes of accumulate_outer_transposed: lane i of a[jj]
-/// is g[jj·d + i] = gt[(j + jj)·d + k + i], loaded once, updated for every
+/// is g[jj·ld + i] = gt[(j + jj)·ld + k + i], loaded once, updated for every
 /// live sample in ascending s, stored once.
 template <class B, std::size_t C>
-void outer_transposed_strip(const double* x, std::size_t n, std::size_t d,
+void outer_transposed_strip(const double* x, std::size_t n, std::size_t ld,
                             const double* err, std::size_t err_stride,
                             double* g) {
   typename B::Vec a[C];
 #pragma GCC unroll 16
-  for (std::size_t jj = 0; jj < C; ++jj) a[jj] = B::loadu(g + jj * d);
+  for (std::size_t jj = 0; jj < C; ++jj) a[jj] = B::loadu(g + jj * ld);
   for (std::size_t s = 0; s < n; ++s) {
-    if (s + kOuterAhead < n) __builtin_prefetch(x + (s + kOuterAhead) * d);
-    const double* xs = x + s * d;
+    if (s + kOuterAhead < n) __builtin_prefetch(x + (s + kOuterAhead) * ld);
+    const double* xs = x + s * ld;
     if (!block_live(xs)) continue;
     const auto vx = B::loadu(xs);
     const double* es = err + s * err_stride;
@@ -534,7 +534,7 @@ void outer_transposed_strip(const double* x, std::size_t n, std::size_t d,
     }
   }
 #pragma GCC unroll 16
-  for (std::size_t jj = 0; jj < C; ++jj) B::storeu(g + jj * d, a[jj]);
+  for (std::size_t jj = 0; jj < C; ++jj) B::storeu(g + jj * ld, a[jj]);
 }
 
 /// Classes per 4-lane strip.  12 accumulators fit the 16 AVX2 registers
@@ -549,8 +549,8 @@ inline constexpr std::size_t kOuterStripLanes = 12;
 /// skip.
 template <class B>
 void accumulate_outer_transposed_impl(const double* x, std::size_t n,
-                                      std::size_t d, std::size_t c,
-                                      const double* err,
+                                      std::size_t d, std::size_t ld,
+                                      std::size_t c, const double* err,
                                       std::size_t err_stride, double* gt) {
   using StripFn = void (*)(const double*, std::size_t, std::size_t,
                            const double*, std::size_t, double*);
@@ -566,18 +566,18 @@ void accumulate_outer_transposed_impl(const double* x, std::size_t n,
     for (std::size_t j = 0; j < c; j += kOuterStripLanes) {
       const std::size_t strip =
           c - j < kOuterStripLanes ? c - j : kOuterStripLanes;
-      kStrips[strip](x + k, n, d, err + j, err_stride, gt + j * d + k);
+      kStrips[strip](x + k, n, ld, err + j, err_stride, gt + j * ld + k);
     }
   }
   for (std::size_t k = d_blocked; k < d; ++k) {
     for (std::size_t j = 0; j < c; ++j) {
-      double g = gt[j * d + k];
+      double g = gt[j * ld + k];
       for (std::size_t s = 0; s < n; ++s) {
-        const double xv = x[s * d + k];
+        const double xv = x[s * ld + k];
         if (xv == 0.0) continue;
         g += xv * err[s * err_stride + j];
       }
-      gt[j * d + k] = g;
+      gt[j * ld + k] = g;
     }
   }
 }

@@ -14,17 +14,19 @@
 namespace eefei {
 namespace {
 
+// 200 samples per server puts an iid model (200·144·10 per epoch) above
+// ModelBank's split cutoff, so K mod W leftover models train as a team.
 sim::FeiSystemConfig small_config(sim::PartitionScheme scheme,
-                                  std::size_t threads) {
+                                  std::size_t threads, std::size_t k) {
   sim::FeiSystemConfig cfg;
   cfg.num_servers = 6;
-  cfg.samples_per_server = 40;
+  cfg.samples_per_server = 200;
   cfg.test_samples = 200;
   cfg.data.image_side = 12;
   cfg.model.input_dim = 144;
   cfg.model.num_classes = 10;
   cfg.sgd.learning_rate = 0.05;
-  cfg.fl.clients_per_round = 3;
+  cfg.fl.clients_per_round = k;
   cfg.fl.local_epochs = 5;
   cfg.fl.max_rounds = 3;
   cfg.fl.threads = threads;
@@ -33,9 +35,11 @@ sim::FeiSystemConfig small_config(sim::PartitionScheme scheme,
   return cfg;
 }
 
-void expect_identical_outcomes(sim::PartitionScheme scheme) {
-  sim::FeiSystem serial(small_config(scheme, 0));
-  sim::FeiSystem parallel(small_config(scheme, 8));
+void expect_identical_outcomes(sim::PartitionScheme scheme, std::size_t k,
+                               std::size_t threads) {
+  SCOPED_TRACE(testing::Message() << "K=" << k << " threads=" << threads);
+  sim::FeiSystem serial(small_config(scheme, 0, k));
+  sim::FeiSystem parallel(small_config(scheme, threads, k));
   const auto a = serial.run();
   const auto b = parallel.run();
   ASSERT_TRUE(a.ok());
@@ -59,16 +63,26 @@ void expect_identical_outcomes(sim::PartitionScheme scheme) {
   }
 }
 
+// K = 3 and K = 1 against 2, 4 and 8 workers: whole-model chunks, split
+// leftover models, and K < W where every model is split.
+void expect_identical_at_any_thread_count(sim::PartitionScheme scheme) {
+  for (const std::size_t k : {3, 1}) {
+    for (const std::size_t threads : {2, 4, 8}) {
+      expect_identical_outcomes(scheme, k, threads);
+    }
+  }
+}
+
 TEST(Determinism, ParallelTrainingIsBitIdenticalIid) {
-  expect_identical_outcomes(sim::PartitionScheme::kIid);
+  expect_identical_at_any_thread_count(sim::PartitionScheme::kIid);
 }
 
 TEST(Determinism, ParallelTrainingIsBitIdenticalShards) {
-  expect_identical_outcomes(sim::PartitionScheme::kShards);
+  expect_identical_at_any_thread_count(sim::PartitionScheme::kShards);
 }
 
 TEST(Determinism, ParallelTrainingIsBitIdenticalDirichlet) {
-  expect_identical_outcomes(sim::PartitionScheme::kDirichlet);
+  expect_identical_at_any_thread_count(sim::PartitionScheme::kDirichlet);
 }
 
 TEST(Determinism, GridSearchParallelMatchesSerial) {

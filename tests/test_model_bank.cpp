@@ -2,8 +2,9 @@
 // training is memcmp-equal to the serial reference — one
 // reference::train_serial call per model (serial_reference.h) — for any K
 // (odd counts included), heterogeneous local sample counts, mixed epoch
-// budgets and every compiled SIMD backend, and the coordinator's bank
-// partition reproduces the serial-path trajectory at any thread count.
+// budgets, every compiled SIMD backend and every pool size of the pooled
+// schedule, and the coordinator reproduces the serial-path trajectory at
+// any thread count.
 // The CI scalar-fallback job (-DEEFEI_SIMD=OFF) runs this same file
 // against the scalar table, and EEFEI_SIMD_ISA jobs pin the other
 // backends, so one golden body covers every dispatch flavour.
@@ -13,9 +14,13 @@
 
 #include <cmath>
 #include <cstdint>
+#include <chrono>
 #include <cstring>
+#include <future>
+#include <memory>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "data/partition.h"
 #include "data/synth_digits.h"
 #include "fl/client.h"
@@ -30,6 +35,7 @@ namespace {
 
 // A fleet world with deliberately ragged local batches: sample_limit
 // trims each shard to a different n_k, including a one-sample server.
+// `per_server` samples are rendered per server at `side`×`side` pixels.
 struct BankWorld {
   data::Dataset train;
   data::Dataset test;
@@ -41,16 +47,17 @@ struct BankWorld {
                      std::vector<std::size_t> limits = {0, 13, 1, 37, 24, 5,
                                                         30},
                      Activation activation = Activation::kSoftmax,
-                     double l2_lambda = 0.0) {
+                     double l2_lambda = 0.0, std::size_t per_server = 40,
+                     std::size_t side = 12) {
     data::SynthDigitsConfig dcfg;
-    dcfg.image_side = 12;
+    dcfg.image_side = side;
     dcfg.seed = 41;
     data::SynthDigits gen(dcfg);
-    train = gen.generate(servers * 40);
+    train = gen.generate(servers * per_server);
     test = gen.generate(200);
     Rng rng(42);
     shards = data::partition_iid(train, servers, rng).value();
-    ccfg.model.input_dim = 144;
+    ccfg.model.input_dim = side * side;
     ccfg.model.num_classes = 10;
     ccfg.model.activation = activation;
     ccfg.model.l2_lambda = l2_lambda;
@@ -74,7 +81,8 @@ std::vector<double> make_global(std::size_t n, std::uint64_t seed) {
 
 // Serial reference vs bank, bit-for-bit: parameters AND both loss outputs.
 void expect_bank_matches_serial(BankWorld& w, std::size_t epochs,
-                                std::size_t round) {
+                                std::size_t round,
+                                ThreadPool* pool = nullptr) {
   const std::size_t dim = w.ccfg.model.parameter_count();
   const auto global = make_global(dim, 7 + round);
   const double lr = w.ccfg.sgd.learning_rate *
@@ -93,7 +101,7 @@ void expect_bank_matches_serial(BankWorld& w, std::size_t epochs,
     tasks[i].epochs = epochs;
     tasks[i].learning_rate = lr;
   }
-  bank.train(global, tasks);
+  bank.train(global, tasks, pool);
 
   for (std::size_t i = 0; i < w.clients.size(); ++i) {
     const auto params = bank.params_of(i);
@@ -101,7 +109,9 @@ void expect_bank_matches_serial(BankWorld& w, std::size_t epochs,
     EXPECT_EQ(0, std::memcmp(params.data(), serial[i].params.data(),
                              params.size() * sizeof(double)))
         << "model " << i << " diverged (n_k=" << tasks[i].batch.size()
-        << ", ISA " << simd::isa_name(simd::active_isa()) << ")";
+        << ", K=" << w.clients.size()
+        << ", pool=" << (pool != nullptr ? pool->size() : 0) << ", ISA "
+        << simd::isa_name(simd::active_isa()) << ")";
     EXPECT_EQ(tasks[i].initial_loss, serial[i].initial_loss) << "model " << i;
     EXPECT_EQ(tasks[i].final_loss, serial[i].final_loss) << "model " << i;
   }
@@ -195,6 +205,72 @@ TEST(ModelBank, RepeatedRoundsReuseArenasAndStayIdentical) {
   }
 }
 
+TEST(ModelBank, PooledTrainMatchesSerialAtAnyWorkerCount) {
+  // The pooled schedule at every K mod W: whole-model chunks, leftover
+  // models split across the team (n_k = 400, 370, 300, 240) and leftover
+  // models too small to split (n_k = 13, 5, 1) in one call.  Sigmoid has
+  // c loss terms per row, and L2 adds the penalty and the λ·w step.
+  const std::vector<std::size_t> limits = {0, 13, 1, 370, 240, 5, 300};
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (const std::size_t workers : {1, 2, 3, 4}) {
+    pools.push_back(std::make_unique<ThreadPool>(workers));
+  }
+  for (const std::size_t k : {1, 3, 2, 5, 7}) {
+    BankWorld softmax(k, limits, Activation::kSoftmax, 0.0, 400);
+    BankWorld sigmoid(k, limits, Activation::kSigmoid, 1e-3, 400);
+    for (const auto& pool : pools) {
+      expect_bank_matches_serial(softmax, /*epochs=*/3, /*round=*/1,
+                                 pool.get());
+      expect_bank_matches_serial(sigmoid, /*epochs=*/2, /*round=*/4,
+                                 pool.get());
+    }
+  }
+}
+
+TEST(ModelBank, PooledSingleModelAtPaperShapeMatchesSerial) {
+  // K = 1 at the prototype's shape (n_k = 250, d = 784, c = 10), the
+  // paper's energy optimum: one model split across 2, 3 and 4 parties.
+  BankWorld w(1, {0}, Activation::kSoftmax, 0.0, 250, 28);
+  for (const std::size_t workers : {2, 3, 4}) {
+    ThreadPool pool(workers);
+    expect_bank_matches_serial(w, /*epochs=*/4, /*round=*/3, &pool);
+  }
+}
+
+TEST(ModelBank, ConcurrentAndNestedPooledCallsFinishAndMatchSerial) {
+  // Two threads train K = 1 on one 2-worker pool at once while a third
+  // call runs inside one of its tasks: helpers that never get a worker
+  // must block nothing, and every call lands on the serial bits.
+  BankWorld w(1, {0}, Activation::kSoftmax, 0.0, 400);
+  const auto global = make_global(w.ccfg.model.parameter_count(), 13);
+  const auto serial =
+      reference::train_serial(w.clients[0], global, /*epochs=*/6, 0);
+  ThreadPool pool(2);
+  const auto run = [&] {
+    ModelBank bank;
+    bank.configure(w.ccfg.model.lr_config());
+    std::vector<ModelBank::Task> tasks(1);
+    tasks[0].batch = w.clients[0].local_batch();
+    tasks[0].epochs = 6;
+    tasks[0].learning_rate = w.ccfg.sgd.learning_rate;
+    bank.train(global, tasks, &pool);
+    const auto params = bank.params_of(0);
+    return std::memcmp(params.data(), serial.params.data(),
+                       params.size() * sizeof(double)) == 0 &&
+           tasks[0].initial_loss == serial.initial_loss &&
+           tasks[0].final_loss == serial.final_loss;
+  };
+  std::vector<std::future<bool>> calls;
+  calls.push_back(std::async(std::launch::async, run));
+  calls.push_back(std::async(std::launch::async, run));
+  calls.push_back(pool.submit(run));
+  for (auto& call : calls) {
+    ASSERT_EQ(call.wait_for(std::chrono::seconds(60)),
+              std::future_status::ready);
+    EXPECT_TRUE(call.get());
+  }
+}
+
 }  // namespace
 }  // namespace eefei::ml
 
@@ -253,8 +329,8 @@ struct SerialPin {
 };
 
 TEST(ModelBank, CoordinatorBatchedMatchesSerialForAnyThreadCount) {
-  // The bank partition at 1/2/3/5 workers lands on the serial path's
-  // global trajectory — for an odd K split across banks and for K = 1.
+  // The pooled bank at 1/2/3/5 workers lands on the serial path's global
+  // trajectory — for an odd K over the pool and for K = 1.
   const std::vector<SerialPin> pins = {
       {7, 0x17c56631u,
        {0x1.23c7178086d1fp+1, 0x1.211eafec79497p+1, 0x1.1ee35705498a8p+1,

@@ -125,7 +125,7 @@ std::vector<double> batched_battery(const simd::KernelTable& t) {
       t.accumulate_rows_tiled(xs[m].data(), 1, s.d, s.c, ws[m].data(),
                               accs[m].data(), s.c);
       auto gt = transpose(outs[m], s.d, s.c);
-      t.accumulate_outer_transposed(xs[m].data(), 1, s.d, s.c,
+      t.accumulate_outer_transposed(xs[m].data(), 1, s.d, s.d, s.c,
                                     errs[m].data(), s.c, gt.data());
       outs[m] = transpose(gt, s.c, s.d);
     }
@@ -310,7 +310,8 @@ TEST(Simd, BatchedEntriesMatchPlainKernelsBitwise) {
   // every backend, n off the 4-sample tile and on and off the AVX-512
   // 8-sample lane group, every d % 4, odd block counts, every class count
   // of the register-resident AVX-512 kernels, and the skip predicate's
-  // edge values.  The reference is the scalar table's plain kernels.
+  // edge values, with the backward also run as k strips.  The reference
+  // is the scalar table's plain kernels.
   const auto* scalar = simd::kernels_for(simd::Isa::kScalar);
   ASSERT_NE(scalar, nullptr);
   const std::size_t ns[] = {1, 3, 4, 6, 8, 9, 15, 16, 17, 250};
@@ -352,8 +353,28 @@ TEST(Simd, BatchedEntriesMatchPlainKernelsBitwise) {
             t->accumulate_rows_tiled(x.data(), n, d, c, w.data(), acc.data(),
                                      stride);
             auto gt = transpose(out, d, c);
-            t->accumulate_outer_transposed(x.data(), n, d, c, err.data(),
+            // k strips on the 4-block grid (rows still d apart), as a
+            // pooled ModelBank partitions the gradient: each strip must
+            // land on the bits of the whole-row call.
+            std::vector<std::vector<double>> strips;
+            for (const std::size_t width : {4, 8, 16}) {
+              auto gs = gt;
+              for (std::size_t k0 = 0; k0 < d; k0 += width) {
+                const std::size_t k1 = std::min(d, k0 + width);
+                t->accumulate_outer_transposed(x.data() + k0, n, k1 - k0, d,
+                                               c, err.data(), stride,
+                                               gs.data() + k0);
+              }
+              strips.push_back(std::move(gs));
+            }
+            t->accumulate_outer_transposed(x.data(), n, d, d, c, err.data(),
                                            stride, gt.data());
+            for (std::size_t i = 0; i < strips.size(); ++i) {
+              EXPECT_EQ(0, std::memcmp(strips[i].data(), gt.data(),
+                                       gt.size() * sizeof(double)))
+                  << simd::isa_name(t->isa) << " strip width " << (4 << i)
+                  << " n=" << n << " d=" << d << " c=" << c;
+            }
             out = transpose(gt, c, d);
             EXPECT_EQ(0, std::memcmp(acc.data(), acc_ref.data(),
                                      acc.size() * sizeof(double)))
@@ -407,7 +428,7 @@ TEST(Simd, WholeBatchEntriesSkipExactlyTheDeadBlocks) {
           err[i] = static_cast<double>(1u << (i % c));
         }
         std::vector<double> gt(c * d, -0.0);
-        t->accumulate_outer_transposed(x.data(), n, d, c, err.data(), c,
+        t->accumulate_outer_transposed(x.data(), n, d, d, c, err.data(), c,
                                        gt.data());
         for (std::size_t j = 0; j < c; ++j) {
           for (std::size_t k = 0; k < d; ++k) {
@@ -482,7 +503,7 @@ TEST(Simd, WholeBatchEntriesSkipAlternatingDeadBlocksPerSample) {
         std::vector<double> err(n * c);
         for (std::size_t i = 0; i < err.size(); ++i) err[i] = 1.0 + i;
         std::vector<double> gt(c * d, -0.0);
-        t->accumulate_outer_transposed(x.data(), n, d, c, err.data(), c,
+        t->accumulate_outer_transposed(x.data(), n, d, d, c, err.data(), c,
                                        gt.data());
         for (std::size_t j = 0; j < c; ++j) {
           for (std::size_t k = 0; k < d; ++k) {
