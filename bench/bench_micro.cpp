@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the performance-critical kernels:
 // the LR forward/backward pass, ModelBank rounds, FedAvg aggregation,
-// model serialization, synthetic-digit rendering, the event queue and the
-// power meter.
+// O(K) client selection, model serialization, synthetic-digit rendering,
+// the event queue and the power meter.
 #include <benchmark/benchmark.h>
 
 #include <cassert>
@@ -17,6 +17,7 @@
 #include "ml/simd.h"
 #include "energy/meter.h"
 #include "fl/aggregator.h"
+#include "fl/selection.h"
 #include "ml/logistic_regression.h"
 #include "ml/model_bank.h"
 #include "ml/serialize.h"
@@ -284,6 +285,22 @@ void BM_FedAvgAggregate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FedAvgAggregate)->Arg(1)->Arg(10)->Arg(20);
+
+// One K-of-N draw of the fleet engine's sampler: fleet_faults' K′ = 2200 of
+// 10^5, and bench_fleet's K = 10 of 10^6.  Its cost must follow K, not K²
+// or N.
+void BM_ScalableSelect(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  fl::ScalableUniformSelection policy(Rng(29));
+  std::size_t round = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(policy.select(n, k, round++));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(k));
+}
+BENCHMARK(BM_ScalableSelect)->Args({100000, 2200})->Args({1000000, 10});
 
 void BM_SerializeModel(benchmark::State& state) {
   Rng rng(5);

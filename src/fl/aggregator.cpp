@@ -1,47 +1,38 @@
 #include "fl/aggregator.h"
 
-#include <algorithm>
-
 namespace eefei::fl {
 
 Status aggregate(std::span<const LocalTrainResult> updates,
                  AggregationRule rule, std::vector<double>& global_out) {
-  if (updates.empty()) {
-    return Error::invalid_argument("aggregate: no updates");
-  }
-  const std::size_t dim = updates.front().params.size();
+  std::size_t survivors = 0;
+  std::size_t dim = 0;
+  double total_samples = 0.0;
   for (const auto& u : updates) {
-    if (u.params.size() != dim) {
+    if (!u.aggregated) continue;
+    if (survivors++ == 0) {
+      dim = u.params.size();
+    } else if (u.params.size() != dim) {
       return Error::invalid_argument("aggregate: parameter size mismatch");
     }
+    total_samples += static_cast<double>(u.samples_used);
+  }
+  if (survivors == 0) {
+    return Error::invalid_argument("aggregate: no updates");
+  }
+  if (rule == AggregationRule::kSampleWeighted && total_samples <= 0.0) {
+    return Error::invalid_argument("aggregate: zero total samples");
   }
 
   global_out.assign(dim, 0.0);
-  switch (rule) {
-    case AggregationRule::kUniformMean: {
-      const double w = 1.0 / static_cast<double>(updates.size());
-      for (const auto& u : updates) {
-        for (std::size_t i = 0; i < dim; ++i) {
-          global_out[i] += w * u.params[i];
-        }
-      }
-      break;
-    }
-    case AggregationRule::kSampleWeighted: {
-      double total = 0.0;
-      for (const auto& u : updates) {
-        total += static_cast<double>(u.samples_used);
-      }
-      if (total <= 0.0) {
-        return Error::invalid_argument("aggregate: zero total samples");
-      }
-      for (const auto& u : updates) {
-        const double w = static_cast<double>(u.samples_used) / total;
-        for (std::size_t i = 0; i < dim; ++i) {
-          global_out[i] += w * u.params[i];
-        }
-      }
-      break;
+  const double uniform_weight = 1.0 / static_cast<double>(survivors);
+  for (const auto& u : updates) {
+    if (!u.aggregated) continue;
+    const double w =
+        rule == AggregationRule::kUniformMean
+            ? uniform_weight
+            : static_cast<double>(u.samples_used) / total_samples;
+    for (std::size_t i = 0; i < dim; ++i) {
+      global_out[i] += w * u.params[i];
     }
   }
   return Status::success();

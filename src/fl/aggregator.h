@@ -16,8 +16,10 @@ enum class AggregationRule {
   kSampleWeighted, // ω_{t+1} = Σ (n_k/n) ω_{k,t}
 };
 
-/// Aggregates local updates into `global_out` (resized to match).
-/// Fails if updates are empty or have mismatched parameter sizes.
+/// Aggregates the updates whose `aggregated` flag is set into `global_out`
+/// (resized to match), skipping the vetoed ones in place: each element sums
+/// the survivors' terms in update order.  Fails if no update survives or
+/// the survivors' parameter sizes differ.
 [[nodiscard]] Status aggregate(std::span<const LocalTrainResult> updates,
                                AggregationRule rule,
                                std::vector<double>& global_out);

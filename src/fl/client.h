@@ -2,6 +2,8 @@
 // (or the sample_limit prefix of it) and its training config.  The
 // coordinator trains every selected client's E epochs of full-batch
 // gradient descent (the paper's prototype, §VI-A) through ml::ModelBank.
+// A Client is an immutable value that draws no randomness, so a
+// ClientPool may build one on each access.
 #pragma once
 
 #include <cstddef>

@@ -10,7 +10,7 @@
 
 namespace eefei::fl {
 
-Coordinator::Coordinator(std::vector<Client>* clients,
+Coordinator::Coordinator(const std::vector<Client>* clients,
                          const data::Dataset* test_set,
                          CoordinatorConfig config,
                          std::unique_ptr<SelectionPolicy> policy)
@@ -24,7 +24,7 @@ Coordinator::Coordinator(std::vector<Client>* clients,
   assert(policy_ != nullptr);
 }
 
-Coordinator::Coordinator(ClientPool* pool, const data::Dataset* test_set,
+Coordinator::Coordinator(const ClientPool* pool, const data::Dataset* test_set,
                          CoordinatorConfig config,
                          std::unique_ptr<SelectionPolicy> policy)
     : clients_(pool),
@@ -178,24 +178,14 @@ Result<TrainingOutcome> Coordinator::run() {
             .aggregated = true;
       }
     }
-    // Aggregate over the surviving updates.  Copying the (large) parameter
-    // vectors into a survivors buffer is only needed when drops actually
-    // occurred; the common no-drop path aggregates the updates in place.
-    std::vector<LocalTrainResult> survivors;
-    std::size_t survivor_count = updates.size();
-    std::span<const LocalTrainResult> to_aggregate = updates;
-    if (config_.update_drop_probability > 0.0 || update_filter_) {
-      survivors.reserve(updates.size());
-      for (const auto& u : updates) {
-        if (u.aggregated) survivors.push_back(u);
-      }
-      survivor_count = survivors.size();
-      to_aggregate = survivors;
-    }
-
+    // Aggregate over the surviving updates, in place: aggregate() skips the
+    // ones a filter or the drop roll cleared.
+    const auto survivor_count = static_cast<std::size_t>(
+        std::count_if(updates.begin(), updates.end(),
+                      [](const LocalTrainResult& u) { return u.aggregated; }));
     if (survivor_count > 0) {
       if (const auto st =
-              aggregate(to_aggregate, config_.aggregation, client_average);
+              aggregate(updates, config_.aggregation, client_average);
           !st.ok()) {
         return st.error();
       }
@@ -295,10 +285,21 @@ Status Coordinator::train_round(std::span<const double> global,
                                 std::span<const ClientId> selected,
                                 std::size_t round,
                                 std::vector<LocalTrainResult>& updates) {
-  const ClientConfig& cfg0 = clients_->client(selected[0]).config();
-  for (const ClientId id : selected) {
+  // Each selected client is looked up once, here on the calling thread:
+  // the bank needs its batch, and the collect step below only its id.
+  const Client first = clients_->client(selected[0]);
+  const ClientConfig& cfg0 = first.config();
+  // The paper's round-t learning rate, constant across the E local epochs.
+  const double lr = cfg0.sgd.learning_rate *
+                    std::pow(cfg0.sgd.decay, static_cast<double>(round));
+
+  const std::size_t k = selected.size();
+  tasks_.resize(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const Client client = i == 0 ? first : clients_->client(selected[i]);
+    assert(client.id() == selected[i]);
     // The bank trains every model with one shape and one schedule.
-    const ClientConfig& cfg = clients_->client(id).config();
+    const ClientConfig& cfg = client.config();
     if (cfg.model.input_dim != cfg0.model.input_dim ||
         cfg.model.num_classes != cfg0.model.num_classes ||
         cfg.model.activation != cfg0.model.activation ||
@@ -309,21 +310,12 @@ Status Coordinator::train_round(std::span<const double> global,
           "coordinator: selected clients disagree on model shape or sgd "
           "schedule");
     }
-  }
-
-  // The paper's round-t learning rate, constant across the E local epochs.
-  const double lr = cfg0.sgd.learning_rate *
-                    std::pow(cfg0.sgd.decay, static_cast<double>(round));
-
-  const std::size_t k = selected.size();
-  bank_.configure(cfg0.model.lr_config());
-  tasks_.resize(k);
-  for (std::size_t i = 0; i < k; ++i) {
     ml::ModelBank::Task& task = tasks_[i];
-    task.batch = clients_->client(selected[i]).local_batch();
+    task.batch = client.local_batch();
     task.epochs = config_.local_epochs;
     task.learning_rate = lr;
   }
+  bank_.configure(cfg0.model.lr_config());
   bank_.train(global, tasks_, pool_);
   // The updates are filled on the pool: their parameter buffers are then
   // allocated in the workers' malloc arenas, as when each worker's bank
@@ -333,7 +325,7 @@ Status Coordinator::train_round(std::span<const double> global,
     const ml::ModelBank::Task& task = tasks_[i];
     const auto params = bank_.params_of(i);
     LocalTrainResult& update = updates[i];
-    update.client = clients_->client(selected[i]).id();
+    update.client = selected[i];
     update.params.assign(params.begin(), params.end());
     update.initial_loss = task.initial_loss;
     update.final_loss = task.final_loss;

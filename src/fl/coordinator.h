@@ -114,15 +114,17 @@ class Coordinator {
  public:
   /// `clients` and `test_set` must outlive the coordinator.  The policy is
   /// owned.  The global model starts at the zero vector (convex problem).
-  Coordinator(std::vector<Client>* clients, const data::Dataset* test_set,
+  Coordinator(const std::vector<Client>* clients,
+              const data::Dataset* test_set,
               CoordinatorConfig config,
               std::unique_ptr<SelectionPolicy> policy);
 
   /// Client-pool seam: the coordinator only ever needs "how many clients"
   /// and "give me client k", so any ClientPool works — a dense view over a
-  /// materialized vector, or a lazily-materializing pool for virtual
-  /// million-server populations.  `pool` must outlive the coordinator.
-  Coordinator(ClientPool* pool, const data::Dataset* test_set,
+  /// materialized vector, or a pool that builds clients on access for
+  /// virtual million-server populations.  `pool` must outlive the
+  /// coordinator.
+  Coordinator(const ClientPool* pool, const data::Dataset* test_set,
               CoordinatorConfig config,
               std::unique_ptr<SelectionPolicy> policy);
 
@@ -154,9 +156,10 @@ class Coordinator {
   [[nodiscard]] const CoordinatorConfig& config() const { return config_; }
 
  private:
-  /// Local training for one round: one pooled ModelBank call over every
-  /// selected client.  Fails — leaving `updates` untouched — when the
-  /// selected clients disagree on model shape or sgd schedule.
+  /// Local training for one round: one lookup per selected client, then
+  /// one pooled ModelBank call over all of them.  Fails — leaving `updates`
+  /// untouched — when the selected clients disagree on model shape or sgd
+  /// schedule.
   [[nodiscard]] Status train_round(std::span<const double> global,
                                    std::span<const ClientId> selected,
                                    std::size_t round,
@@ -173,7 +176,7 @@ class Coordinator {
 
   /// Owns the dense view when constructed from a raw vector<Client>.
   std::unique_ptr<DenseClientPool> owned_clients_view_;
-  ClientPool* clients_;
+  const ClientPool* clients_;
   const data::Dataset* test_set_;
   CoordinatorConfig config_;
   std::unique_ptr<SelectionPolicy> policy_;

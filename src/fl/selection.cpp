@@ -1,6 +1,7 @@
 #include "fl/selection.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 namespace eefei::fl {
@@ -26,20 +27,60 @@ std::vector<ClientId> ScalableUniformSelection::select(std::size_t n,
                                                        std::size_t k,
                                                        std::size_t /*round*/) {
   k = std::min(k, n);
-  // Floyd's algorithm: for j = n-k .. n-1 draw t uniform on [0, j]; insert
-  // t unless already sampled, else insert j.  Exactly uniform without
-  // replacement, k draws total, no O(n) id array.
-  std::vector<ClientId> ids;
-  ids.reserve(k);
-  auto contains = [&](ClientId v) {
-    return std::find(ids.begin(), ids.end(), v) != ids.end();
+  // Membership set for the draws: at least 2k slots keep the load at or
+  // under 1/2, so a probe sequence is O(1) expected.  Ids are < n, so the
+  // all-ones id marks an empty slot.
+  constexpr ClientId kEmpty = ~ClientId{0};
+  std::size_t capacity = 16;
+  while (capacity < 2 * k) capacity *= 2;
+  slots_.assign(capacity, kEmpty);
+  const int shift = 64 - std::countr_zero(capacity);
+  // Inserts v; false if it was already in the set.  Fibonacci hashing: the
+  // slot is the top log2(capacity) bits of v·2^64/φ.
+  const auto insert = [&](ClientId v) {
+    std::size_t i = (v * 0x9e3779b97f4a7c15ULL) >> shift;
+    for (; slots_[i] != kEmpty; i = (i + 1) & (capacity - 1)) {
+      if (slots_[i] == v) return false;
+    }
+    slots_[i] = v;
+    return true;
   };
+  // Floyd's algorithm: for j = n-k .. n-1 draw t uniform on [0, j]; insert
+  // t unless already sampled, else insert j (never sampled: every earlier
+  // id is below j).  Exactly uniform without replacement, k draws total,
+  // no O(n) id array.
+  picks_.clear();
   for (std::size_t j = n - k; j < n; ++j) {
-    const auto t =
-        static_cast<ClientId>(rng_.uniform_index(j + 1));
-    ids.push_back(contains(t) ? static_cast<ClientId>(j) : t);
+    const auto t = static_cast<ClientId>(rng_.uniform_index(j + 1));
+    if (insert(t)) {
+      picks_.push_back(t);
+    } else {
+      insert(j);
+      picks_.push_back(j);
+    }
   }
-  std::sort(ids.begin(), ids.end());
+  // The picks, sorted in O(k) expected: a uniform k-subset of [0, n)
+  // leaves about one id in each of k value buckets (bucket id·k/n,
+  // monotone in the id), so after a counting pass the insertion sort only
+  // reorders ids within a bucket.  The output is sorted for any picks.
+  // The pick list is kept because scanning the set's slots instead costs
+  // one unpredictable branch per slot (3x the whole draw at k = 2200).
+  const double scale = static_cast<double>(k) / static_cast<double>(n);
+  const auto bucket = [&](ClientId v) {
+    return std::min(static_cast<std::size_t>(static_cast<double>(v) * scale),
+                    k - 1);
+  };
+  bucket_end_.assign(k + 1, 0);
+  for (const ClientId v : picks_) ++bucket_end_[bucket(v) + 1];
+  for (std::size_t b = 1; b <= k; ++b) bucket_end_[b] += bucket_end_[b - 1];
+  std::vector<ClientId> ids(k);
+  for (const ClientId v : picks_) ids[bucket_end_[bucket(v)]++] = v;
+  for (std::size_t i = 1; i < k; ++i) {
+    const ClientId v = ids[i];
+    std::size_t at = i;
+    for (; at > 0 && ids[at - 1] > v; --at) ids[at] = ids[at - 1];
+    ids[at] = v;
+  }
   return ids;
 }
 

@@ -33,12 +33,15 @@ class UniformRandomSelection final : public SelectionPolicy {
   Rng rng_;
 };
 
-/// Uniform random K-of-N without replacement in O(K) time and memory
-/// (Floyd's sampling algorithm) — the million-server variant.  The partial
-/// Fisher–Yates of UniformRandomSelection is exactly uniform too, but its
-/// O(N) id array per round dominates a fleet round once N reaches 10^6.
-/// The two policies draw different variates, so their selections differ
-/// for the same seed; both are exactly uniform.
+/// Uniform random K-of-N without replacement in O(K) expected time and
+/// O(K) memory, independent of N (Floyd's sampling algorithm) — the
+/// million-server variant.  The K draws test membership in a hash set of
+/// at least 2K slots, and the sorted output comes from a bucket pass over
+/// the values, which are uniform.  The partial Fisher–Yates of
+/// UniformRandomSelection is exactly uniform too, but its O(N) id array
+/// per round dominates a fleet round once N reaches 10^6.  The two
+/// policies draw different variates, so their selections differ for the
+/// same seed; both are exactly uniform.
 class ScalableUniformSelection final : public SelectionPolicy {
  public:
   explicit ScalableUniformSelection(Rng rng) : rng_(rng) {}
@@ -47,6 +50,12 @@ class ScalableUniformSelection final : public SelectionPolicy {
 
  private:
   Rng rng_;
+  /// The round's id set (open addressing with linear probing over a
+  /// power-of-two table), its picks in draw order and the bucket offsets
+  /// that sort them, all reused across rounds.
+  std::vector<ClientId> slots_;
+  std::vector<ClientId> picks_;
+  std::vector<std::size_t> bucket_end_;
 };
 
 /// Deterministic rotation: round t takes clients [t·k, t·k+k) mod n.

@@ -557,8 +557,8 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
   CrashProcessConfig crash_cfg = sys.crashes;
   crash_cfg.seed =
       crash_cfg.seed * 2862933555777941757ULL + sys.seed * 977 + 3;
-  // CrashProcess keeps an O(N) timeline array — only pay for it when
-  // crashes are on.
+  // CrashProcess keeps an O(N) seed array (8 B per server) — only pay for
+  // it when crashes are on.
   std::unique_ptr<CrashProcess> crash_process;
   if (crash_cfg.enabled()) {
     crash_process = std::make_unique<CrashProcess>(n_servers, crash_cfg);

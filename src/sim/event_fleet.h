@@ -26,8 +26,8 @@
 //     per-cell addition order preserved — so the ledger is still
 //     bit-identical to an eager per-round sweep.
 //   - The population can be VIRTUAL: datasets and shards are built eagerly
-//     (same bytes as ever), but Client objects materialize lazily on first
-//     selection (fl::LazyClientPool) and LAN timings come from the shared
+//     (same bytes as ever), but a Client is built on each access
+//     (fl::LazyClientPool) and LAN timings come from the shared
 //     WifiLanConfig instead of per-server channel objects.  Requires a
 //     loss-free LAN and no IoT collection; under those conditions the run
 //     is bit-identical to a materialized one.

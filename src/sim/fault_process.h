@@ -3,11 +3,17 @@
 // independently per server, deterministically per seed.  The FEI simulation
 // consults it to decide whether a selected server is available at round
 // start and whether it crashes mid-phase (losing the work in progress).
+//
+// A fleet queries only the servers it selects, so the process keeps one
+// 8-byte seed per server (drawn up front, in server order, from the root
+// stream) and builds a server's timeline on its first query.  A timeline
+// depends only on its seed, so answers do not depend on query order.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -49,10 +55,13 @@ class CrashProcess {
     Seconds horizon{0.0};  // timeline is materialized up to here
   };
 
-  void extend(std::size_t server, Seconds until);
+  /// `server`'s timeline materialized up to `until`, built from its seed
+  /// on first use.
+  ServerTimeline& extend(std::size_t server, Seconds until);
 
   CrashProcessConfig config_;
-  std::vector<ServerTimeline> servers_;
+  std::vector<std::uint64_t> seeds_;  // empty when the process is disabled
+  std::unordered_map<std::size_t, ServerTimeline> timelines_;
 };
 
 }  // namespace eefei::sim

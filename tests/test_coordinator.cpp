@@ -4,11 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <string>
 
 #include "data/partition.h"
 #include "data/synth_digits.h"
 #include "ml/logistic_regression.h"
+#include "ml/serialize.h"
 
 namespace eefei::fl {
 namespace {
@@ -181,6 +184,63 @@ TEST(Coordinator, RejectsSelectedClientsWithDisagreeingConfigs) {
   EXPECT_EQ(outcome.error().code, Error::Code::kInvalidArgument);
   EXPECT_NE(outcome.error().message.find("disagree"), std::string::npos)
       << outcome.error().message;
+}
+
+TEST(Coordinator, VetoedUpdatesAggregateToPinnedParams) {
+  // An UpdateFilter vetoes a fixed pattern (round 3 loses every update),
+  // optionally on top of the coordinator's own drop roll.  The survivors are
+  // averaged in place, so each element must see the same additive sequence
+  // as when they were copied out first: final_params is pinned bitwise,
+  // serial and on a pool.  Shards are capped at different n_k so the
+  // sample-weighted rule differs from the mean.
+  struct Pin {
+    AggregationRule rule;
+    double drop;
+    std::uint32_t crc;
+  };
+  for (const Pin& pin :
+       {Pin{AggregationRule::kUniformMean, 0.0, 0x1b8682eeu},
+        Pin{AggregationRule::kSampleWeighted, 0.0, 0xbdc39432u},
+        Pin{AggregationRule::kSampleWeighted, 0.3, 0x9acd3079u}}) {
+    for (const std::size_t threads : {0u, 3u}) {
+      World w(6, 40);
+      for (std::size_t k = 0; k < w.clients.size(); ++k) {
+        ClientConfig capped = w.clients[k].config();
+        capped.sample_limit = 10 + 5 * k;
+        w.clients[k] = Client(k, &w.shards[k], capped);
+      }
+      auto cfg = basic_config();
+      cfg.clients_per_round = 4;
+      cfg.max_rounds = 8;
+      cfg.aggregation = pin.rule;
+      cfg.update_drop_probability = pin.drop;
+      cfg.threads = threads;
+      Coordinator coord(&w.clients, &w.test, cfg,
+                        std::make_unique<UniformRandomSelection>(Rng(13)));
+      coord.set_update_filter([](std::size_t round,
+                                 std::span<const ClientId> /*selected*/,
+                                 std::span<LocalTrainResult> updates) {
+        RoundFaultStats stats;
+        for (std::size_t i = 0; i < updates.size(); ++i) {
+          if (round == 3 || (round + i) % 3 == 1) {
+            updates[i].aggregated = false;
+            ++stats.aborted_updates;
+          }
+        }
+        return stats;
+      });
+      const auto outcome = coord.run();
+      ASSERT_TRUE(outcome.ok());
+      EXPECT_EQ(outcome->record.rounds(), 8u);
+      const auto& params = outcome->final_params;
+      const auto crc = ml::crc32(std::span<const std::uint8_t>(
+          reinterpret_cast<const std::uint8_t*>(params.data()),
+          params.size() * sizeof(double)));
+      EXPECT_EQ(crc, pin.crc)
+          << "rule " << static_cast<int>(pin.rule) << " drop " << pin.drop
+          << " threads " << threads << std::hex << " crc=0x" << crc;
+    }
+  }
 }
 
 TEST(Coordinator, InitialParamsRespected) {

@@ -5,8 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <numeric>
+#include <span>
+#include <vector>
 
+#include "common/rng.h"
 #include "energy/ledger.h"
+#include "ml/serialize.h"
 #include "net/fault.h"
 #include "obs/telemetry.h"
 #include "sim/fault_process.h"
@@ -217,6 +222,58 @@ TEST(CrashProcess, ServersFailIndependently) {
   ASSERT_TRUE(c0.has_value());
   ASSERT_TRUE(c1.has_value());
   EXPECT_NE(c0->value(), c1->value());
+}
+
+TEST(CrashProcess, ShuffledQueriesAnswerLikeThePin) {
+  // N = 10^5 servers: timelines are seeded up front in server order but
+  // built on first query, so the answers to a fixed (server, time) query
+  // set must not depend on the order the queries arrive in, and must equal
+  // the values recorded when every timeline was built eagerly.  Half the
+  // queries hit 64 servers over and over (timelines extended out of time
+  // order), half are spread over the whole fleet.
+  constexpr std::size_t kServers = 100000;
+  sim::CrashProcessConfig cfg;
+  cfg.mtbf = Seconds{40.0};
+  cfg.mttr = Seconds{4.0};
+  cfg.seed = 4242;
+  struct Query {
+    std::size_t server;
+    Seconds at;
+  };
+  std::vector<Query> queries;
+  Rng pick(17);
+  for (std::size_t i = 0; i < 4000; ++i) {
+    const std::size_t range = i % 2 == 0 ? 64 : kServers;
+    const auto server = static_cast<std::size_t>(pick.uniform_index(range));
+    queries.push_back({server, Seconds{pick.uniform(0.0, 400.0)}});
+  }
+  // Per query: is_down as 0/1, then the next crash in [at, at + 25 s) or
+  // -1; the last entry is crashes_before(200 s) after every query.
+  const auto answer = [&](std::span<const std::size_t> order) {
+    sim::CrashProcess proc(kServers, cfg);
+    std::vector<double> out(2 * queries.size() + 1);
+    for (const std::size_t q : order) {
+      const Query& query = queries[q];
+      out[2 * q] = proc.is_down(query.server, query.at) ? 1.0 : 0.0;
+      const auto crash = proc.next_crash_in(query.server, query.at,
+                                            query.at + Seconds{25.0});
+      out[2 * q + 1] = crash.has_value() ? crash->value() : -1.0;
+    }
+    out.back() = static_cast<double>(proc.crashes_before(Seconds{200.0}));
+    return out;
+  };
+  std::vector<std::size_t> order(queries.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const auto in_order = answer(order);
+  Rng(5).shuffle(order);
+  const auto shuffled = answer(order);
+  EXPECT_EQ(shuffled, in_order);
+
+  const auto crc = ml::crc32(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(shuffled.data()),
+      shuffled.size() * sizeof(double)));
+  EXPECT_EQ(crc, 0xc0a716bau) << std::hex << "crc=0x" << crc;
+  EXPECT_EQ(shuffled.back(), 8134.0) << shuffled.back();
 }
 
 // ------------------------------------------------------- ledger reclassify

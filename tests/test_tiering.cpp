@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
 #include "energy/idle_settlement.h"
 #include "fl/selection.h"
+#include "ml/serialize.h"
 
 namespace eefei::fl {
 namespace {
@@ -184,6 +187,34 @@ TEST(ScalableUniformSelection, CoversTheWholeRangeEventually) {
   }
   for (std::size_t d = 0; d < 10; ++d) {
     EXPECT_GT(decile_hits[d], 100u) << "decile " << d;
+  }
+}
+
+TEST(ScalableUniformSelection, MatchesParentDraws) {
+  // CRC of the sorted ids of six consecutive rounds, recorded before the
+  // membership test moved from a linear scan to a hash set: same draws,
+  // same collision rule, same sorted output.
+  struct Pin {
+    std::size_t n;
+    std::size_t k;
+    std::uint32_t crc;
+  };
+  for (const Pin& pin : {Pin{100000, 2200, 0x365f7baau},
+                         Pin{1000000, 10, 0x454f8fbeu},
+                         Pin{50, 50, 0xd117e6f4u}}) {
+    ScalableUniformSelection policy(Rng(pin.n * 613 + pin.k));
+    std::vector<std::uint64_t> ids;
+    for (std::size_t round = 0; round < 6; ++round) {
+      for (const auto id : policy.select(pin.n, pin.k, round)) {
+        ids.push_back(id);
+      }
+    }
+    ASSERT_EQ(ids.size(), 6 * pin.k);
+    const auto crc = ml::crc32(std::span<const std::uint8_t>(
+        reinterpret_cast<const std::uint8_t*>(ids.data()),
+        ids.size() * sizeof(std::uint64_t)));
+    EXPECT_EQ(crc, pin.crc) << "n=" << pin.n << " k=" << pin.k << std::hex
+                            << " crc=0x" << crc;
   }
 }
 
