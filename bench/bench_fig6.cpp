@@ -89,13 +89,13 @@ int main(int argc, char** argv) {
   inputs.energy = model;
   const auto plan = core::EeFeiPlanner(inputs).plan();
   if (plan.ok()) {
-    std::printf("theory optimum (bench scale): K*=%zu E*=%zu T*=%zu, "
-                "predicted %.4g J\n", plan->k, plan->e, plan->t,
-                plan->predicted_energy_j);
+    std::printf("theory optimum (n_k=%zu): K*=%zu E*=%zu T*=%zu, "
+                "predicted %.4g J\n", scale.samples_per_server, plan->k,
+                plan->e, plan->t, plan->predicted_energy_j);
     for (const auto& c : plan->comparisons) {
       if (c.feasible && c.baseline.e == 1 && c.baseline.k == 1) {
-        std::printf("theory savings vs K=1,E=1 (bench scale): %.1f%%\n",
-                    100.0 * c.savings);
+        std::printf("theory savings vs K=1,E=1 (n_k=%zu): %.1f%%\n",
+                    scale.samples_per_server, 100.0 * c.savings);
       }
     }
   }

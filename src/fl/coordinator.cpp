@@ -119,8 +119,11 @@ Result<TrainingOutcome> Coordinator::run() {
                                    selected.size()));
     }
 
-    // Local training — every client trains from ω_t at the round-t lr.
+    // Local training — every client trains from ω_t at the round-t lr —
+    // and, beside it, the simulation-layer filter, which decides which
+    // updates survive their link/deadline/crash fate before aggregation.
     updates.resize(selected.size());
+    RoundFaultStats fault_stats;
     {
       const std::uint64_t t0 =
           sk_train_wall != nullptr ? wall_clock_src->wall_now_ns() : 0;
@@ -128,7 +131,8 @@ Result<TrainingOutcome> Coordinator::run() {
           obs::tracer(), "fl.train", "host.fl",
           {{"round", static_cast<double>(t)},
            {"clients", static_cast<double>(selected.size())}});
-      if (const auto st = train_round(global, selected, t, updates);
+      if (const auto st =
+              train_round(global, selected, t, updates, fault_stats);
           !st.ok()) {
         return st.error();
       }
@@ -147,13 +151,6 @@ Result<TrainingOutcome> Coordinator::run() {
           return st.error();
         }
       }
-    }
-
-    // Fault injection: the simulation-layer filter decides which updates
-    // survived their link/deadline/crash fate, *before* aggregation.
-    RoundFaultStats fault_stats;
-    if (update_filter_) {
-      fault_stats = update_filter_(t, selected, updates);
     }
 
     // Failure injection: drop (still-surviving) updates with the configured
@@ -284,9 +281,10 @@ Result<TrainingOutcome> Coordinator::run() {
 Status Coordinator::train_round(std::span<const double> global,
                                 std::span<const ClientId> selected,
                                 std::size_t round,
-                                std::vector<LocalTrainResult>& updates) {
+                                std::vector<LocalTrainResult>& updates,
+                                RoundFaultStats& fault_stats) {
   // Each selected client is looked up once, here on the calling thread:
-  // the bank needs its batch, and the collect step below only its id.
+  // the bank needs its batch, and the update everything the filter reads.
   const Client first = clients_->client(selected[0]);
   const ClientConfig& cfg0 = first.config();
   // The paper's round-t learning rate, constant across the E local epochs.
@@ -314,24 +312,31 @@ Status Coordinator::train_round(std::span<const double> global,
     task.batch = client.local_batch();
     task.epochs = config_.local_epochs;
     task.learning_rate = lr;
+    LocalTrainResult& update = updates[i];
+    update.client = selected[i];
+    update.epochs_run = config_.local_epochs;
+    update.samples_used = task.batch.size();
+    update.aggregated = true;
   }
   bank_.configure(cfg0.model.lr_config());
-  bank_.train(global, tasks_, pool_);
-  // The updates are filled on the pool: their parameter buffers are then
-  // allocated in the workers' malloc arenas, as when each worker's bank
-  // filled its own.  Allocated on this thread they fragment its heap
+  if (update_filter_) {
+    bank_.train(global, tasks_, pool_, [&] {
+      fault_stats = update_filter_(round, selected, PendingUpdates(updates));
+    });
+  } else {
+    bank_.train(global, tasks_, pool_);
+  }
+  // The trained state is filled on the pool: the parameter buffers are
+  // then allocated in the workers' malloc arenas, as when each worker's
+  // bank filled its own.  Allocated on this thread they fragment its heap
   // (fleet_faults, K = 2200: +3.5 MB peak RSS).
   const auto collect = [&](std::size_t i) {
     const ml::ModelBank::Task& task = tasks_[i];
     const auto params = bank_.params_of(i);
     LocalTrainResult& update = updates[i];
-    update.client = selected[i];
     update.params.assign(params.begin(), params.end());
     update.initial_loss = task.initial_loss;
     update.final_loss = task.final_loss;
-    update.epochs_run = config_.local_epochs;
-    update.samples_used = task.batch.size();
-    update.aggregated = true;
   };
   if (pool_ != nullptr) {
     pool_->parallel_for(k, collect);

@@ -96,15 +96,44 @@ struct RoundFaultStats {
   std::size_t crashed_servers = 0;   // selected servers down or crashed
 };
 
-/// Pre-aggregation hook: decides which trained updates actually reach the
+/// An UpdateFilter's view of a round's updates.  The filter runs while the
+/// updates train, so it reads only what the round fixes before training —
+/// each update's n_k and E (its client is the filter's `selected[i]`) —
+/// and may veto an update.  Parameters and losses are not reachable
+/// through it.
+class PendingUpdates {
+ public:
+  PendingUpdates() = default;
+  explicit PendingUpdates(std::span<LocalTrainResult> updates)
+      : updates_(updates) {}
+
+  [[nodiscard]] std::size_t size() const { return updates_.size(); }
+  [[nodiscard]] std::size_t samples_used(std::size_t i) const {
+    return updates_[i].samples_used;
+  }
+  [[nodiscard]] std::size_t epochs_run(std::size_t i) const {
+    return updates_[i].epochs_run;
+  }
+  /// Update i does not reach the coordinator this round.
+  void veto(std::size_t i) { updates_[i].aggregated = false; }
+
+ private:
+  std::span<LocalTrainResult> updates_;
+};
+
+/// Pre-aggregation hook: decides which updates actually reach the
 /// coordinator this round (link failures, deadline stragglers, crashed
-/// servers) by clearing `LocalTrainResult::aggregated`.  The simulation
-/// layer installs this to run its timing/energy model *before* aggregation,
-/// so lost updates never influence ω.  A round may end with zero survivors —
-/// the coordinator then skips aggregation and keeps ω unchanged.
+/// servers) by vetoing them.  The simulation layer installs this to run
+/// its timing/energy model, so lost updates never influence ω.  An
+/// update's fate depends only on what PendingUpdates exposes, so the
+/// coordinator runs the filter on the calling thread while the pool's
+/// helpers train the round (ml::ModelBank's side job): it must touch
+/// nothing the training reads — the clients' batches or the bank.  A round
+/// may end with zero survivors — the coordinator then skips aggregation
+/// and keeps ω unchanged.
 using UpdateFilter = std::function<RoundFaultStats(
     std::size_t round, std::span<const ClientId> selected,
-    std::span<LocalTrainResult> updates)>;
+    PendingUpdates updates)>;
 
 /// Receives periodic checkpoint autosaves (see
 /// CoordinatorConfig::checkpoint_every).
@@ -157,13 +186,15 @@ class Coordinator {
 
  private:
   /// Local training for one round: one lookup per selected client, then
-  /// one pooled ModelBank call over all of them.  Fails — leaving `updates`
-  /// untouched — when the selected clients disagree on model shape or sgd
-  /// schedule.
+  /// one pooled ModelBank call over all of them, with the update filter
+  /// (if any) as the bank's side job; its stats land in `fault_stats`.
+  /// Fails — before training and filtering — when the selected clients
+  /// disagree on model shape or sgd schedule.
   [[nodiscard]] Status train_round(std::span<const double> global,
                                    std::span<const ClientId> selected,
                                    std::size_t round,
-                                   std::vector<LocalTrainResult>& updates);
+                                   std::vector<LocalTrainResult>& updates,
+                                   RoundFaultStats& fault_stats);
 
   /// Pool for this config's thread count: null for serial, the shared
   /// process-wide pool when sizes match, else a lazily-created pool owned

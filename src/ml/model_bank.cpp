@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <exception>
 #include <thread>
 #include <utility>
 
@@ -27,6 +28,16 @@ constexpr std::size_t kFeatureStrip = 16;
 /// splitting it measured slower (bench_micro BM_ModelBankTrain), at the
 /// paper shape (250·784·10 ≈ 2·10⁶) ~0.4 ms and splitting pays.
 constexpr std::size_t kSplitMinWork = std::size_t{1} << 18;
+
+/// Whole-model items are chunks of at least this much work n·d·c·(E + 1)
+/// — a claim is one contended atomic, well under a µs — and at most
+/// kChunksPerParty per party.  More chunks than parties let a party that
+/// starts late (a helper waiting for a worker, party 0 running the side
+/// job) find work left instead of stranding a fixed share.  At the
+/// fault-path fleet shape (K = 2200, n = 4, d = 16, c = 10, E = 1) that is
+/// 32 chunks on 2 parties.
+constexpr std::size_t kChunkMinWork = std::size_t{1} << 15;
+constexpr std::size_t kChunksPerParty = 16;
 
 std::size_t round_up(std::size_t n, std::size_t multiple) {
   return (n + multiple - 1) / multiple * multiple;
@@ -263,11 +274,16 @@ void ModelBank::claim(Team& team, std::uint64_t phase_seq,
   }
 }
 
-// Party 0: publishes `phase`, works on it, and returns when every item is
-// done — by whichever party claimed it.  Without a team it runs the items
-// in order.
+// Party 0: publishes `phase`, runs the pending side job (the first phase
+// of a call only), works on the phase, and returns when every item is done
+// — by whichever party claimed it.  Without a team it runs the side job,
+// then the items in order.
 void ModelBank::run_phase(Team* team, const Phase& phase) {
+  const auto run_side_job = [this] {
+    if (const auto* job = std::exchange(side_job_, nullptr)) (*job)();
+  };
   if (team == nullptr) {
+    run_side_job();
     for (std::size_t i = 0; i < phase.items; ++i) run_item(phase, 0, i);
     return;
   }
@@ -275,6 +291,7 @@ void ModelBank::run_phase(Team* team, const Phase& phase) {
   team->done.store(0, std::memory_order_relaxed);
   const std::uint64_t seq = ++team->phase_seq;
   team->work.store(seq << 32 | phase.items, std::memory_order_release);
+  run_side_job();
   claim(*team, seq, 0);
   Backoff backoff;
   while (team->done.load(std::memory_order_acquire) != phase.items) {
@@ -330,10 +347,13 @@ void ModelBank::help(const std::shared_ptr<Team>& team) {
 }
 
 void ModelBank::train(std::span<const double> global, std::span<Task> tasks,
-                      ThreadPool* pool) {
+                      ThreadPool* pool, const std::function<void()>& side_job) {
   assert(global.size() == param_count_);
   const std::size_t k = tasks.size();
-  if (k == 0) return;
+  if (k == 0) {
+    if (side_job) side_job();
+    return;
+  }
   const std::size_t d = config_.input_dim;
   const std::size_t c = config_.num_classes;
 
@@ -349,8 +369,8 @@ void ModelBank::train(std::span<const double> global, std::span<Task> tasks,
   }
 
   // The schedule: the first K − (K mod W) models and any leftover too
-  // small to split are whole-model items, one contiguous chunk per party;
-  // the other leftover models are split across every party.
+  // small to split are whole-model items, claimed in chunks; the other
+  // leftover models are split across every party.
   const std::size_t workers = pool != nullptr ? pool->size() : 1;
   const std::size_t leftover = k % workers;
   order_.clear();
@@ -365,9 +385,16 @@ void ModelBank::train(std::span<const double> global, std::span<Task> tasks,
   for (std::size_t i = k - leftover; i < k; ++i) {
     if (splits(i)) order_.push_back(i);
   }
-  const std::size_t chunks = std::min(whole, workers);
-  const std::size_t parties =
-      whole < k ? workers : std::max<std::size_t>(chunks, 1);
+  // Parties never outnumber the pool's workers, whatever the chunk count.
+  const std::size_t parties = whole < k ? workers : std::min(whole, workers);
+  std::size_t work = 0;
+  for (std::size_t i = 0; i < whole; ++i) {
+    const Task& t = tasks[order_[i]];
+    work += t.batch.size() * d * c * (t.epochs + 1);
+  }
+  const std::size_t chunks =
+      std::clamp(work / kChunkMinWork, std::min(whole, parties),
+                 std::min(whole, kChunksPerParty * parties));
 
   if (scratch_.size() < parties) scratch_.resize(parties);
   for (std::size_t p = 0; p < parties; ++p) {
@@ -383,11 +410,25 @@ void ModelBank::train(std::span<const double> global, std::span<Task> tasks,
       pool->post([team] { help(team); });
     }
   }
+  // The first phase published runs the side job.  A throwing side job
+  // must not unwind past helpers still joined to the team: training
+  // finishes first, then the exception propagates.
+  std::exception_ptr side_failure;
+  const std::function<void()> guarded = [&] {
+    try {
+      side_job();
+    } catch (...) {
+      side_failure = std::current_exception();
+    }
+  };
+  side_job_ = side_job ? &guarded : nullptr;
   if (whole > 0) run_phase(team.get(), {Kind::kWhole, chunks, tasks, whole});
   for (std::size_t i = whole; i < k; ++i) {
     train_split(team.get(), tasks, order_[i], parties);
   }
+  assert(side_job_ == nullptr);
   if (team) team->close();
+  if (side_failure) std::rethrow_exception(side_failure);
 }
 
 }  // namespace eefei::ml

@@ -16,17 +16,29 @@
 //     the update step reads it back transposed, once per epoch.
 //
 // Pooled schedule: train(global, tasks, pool) runs on the calling thread
-// (party 0) plus pool->size() − 1 helpers.  With W = pool->size(), the
-// first K − (K mod W) models are whole-model items, one contiguous chunk
-// per party.  Each of the K mod W leftover models is then trained by all
-// parties together: per epoch its forward is split by samples (whole
-// groups of 8), its backward and weight step by feature strips (16 k wide,
-// on the 4-block grid), and party 0 alone runs the loss reduction and the
-// bias gradient and step in between.  Leftover models whose per-epoch work
-// is too small to repay the hand-offs train as whole-model items instead.
-// Parties stay resident for the whole call and advance phases through
-// atomics; a phase ends when its items are done, so a helper that never
-// gets a worker blocks nothing, and party 0 can run every phase alone.
+// (party 0) plus up to pool->size() − 1 helpers; with W = pool->size()
+// there are never more than W parties.  The first K − (K mod W) models are
+// whole-model items, claimed dynamically in contiguous chunks: at least
+// one per party, at most 16 per party, each carrying at least 2^15 of
+// work n·d·c·(E + 1), so a party that starts late strands no work.  Each
+// of the K mod W leftover models is then trained by all parties together:
+// per epoch its forward is split by samples (whole groups of 8), its
+// backward and weight step by feature strips (16 k wide, on the 4-block
+// grid), and party 0 alone runs the loss reduction and the bias gradient
+// and step in between.  Leftover models whose per-epoch work is too small
+// to repay the hand-offs train as whole-model items instead.  Parties stay
+// resident for the whole call and advance phases through atomics; a phase
+// ends when its items are done, so a helper that never gets a worker
+// blocks nothing, and party 0 can run every phase alone.
+//
+// Side job: train(global, tasks, pool, side_job) runs side_job exactly
+// once, on the calling thread, inside the same thread budget: party 0
+// publishes the call's first phase (the whole-model phase, or else the
+// first split model's first forward), runs the job while the helpers claim
+// items, then claims what is left; serially, the job runs before any
+// training.  The job must touch nothing the bank reads or writes — the
+// bank, the tasks or their batches — so it cannot move a bit of the
+// training.  An exception from it propagates once training has finished.
 //
 // Determinism contract: train() is memcmp-equal to running the serial
 // reference — tests/serial_reference.h: E full-batch steps of
@@ -35,7 +47,9 @@
 // SIMD backend.  The argument, piece by piece:
 //
 //   - Models are independent: no pass reads another model's state, so
-//     which party trains a whole model cannot matter.
+//     which party trains a whole model, in which chunk, cannot matter.
+//     The side job touches no bank state, so running it only delays when
+//     party 0 starts claiming.
 //   - Per model the op order is the serial one re-phased: the serial fused
 //     loop runs forward(s), loss(s), outer(s), bias(s) per sample; the
 //     bank runs all forwards, then the loss/error row sweep, then all
@@ -66,6 +80,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -107,12 +122,14 @@ class ModelBank {
   }
 
   /// As above, on the calling thread plus up to pool->size() − 1 helpers
-  /// from `pool` (see the pooled schedule above).  nullptr or a one-worker
-  /// pool trains serially.  Bit-identical for every pool.  Safe to call
-  /// from inside one of the pool's own tasks, and from several threads at
-  /// once on distinct banks.
+  /// from `pool` (see the pooled schedule above), and runs `side_job`
+  /// (when non-empty) once on the calling thread while the helpers train
+  /// (see the side job above).  nullptr or a one-worker pool trains
+  /// serially.  Bit-identical for every pool.  Safe to call from inside
+  /// one of the pool's own tasks, and from several threads at once on
+  /// distinct banks.
   void train(std::span<const double> global, std::span<Task> tasks,
-             ThreadPool* pool);
+             ThreadPool* pool, const std::function<void()>& side_job = {});
 
   /// Trained parameters of task i after train().
   [[nodiscard]] std::span<const double> params_of(std::size_t i) const {
@@ -140,7 +157,7 @@ class ModelBank {
     Kind kind = Kind::kWhole;
     std::size_t items = 0;
     std::span<Task> tasks;
-    std::size_t whole = 0;  // kWhole: models order_[0, whole) in chunks
+    std::size_t whole = 0;  // kWhole: models order_[0, whole), `items` chunks
     std::size_t model = 0;  // kForward/kBackward: the split model
   };
 
@@ -177,6 +194,8 @@ class ModelBank {
   AlignedVector params_;            // K × param_stride_ parameter slots
   std::vector<Scratch> scratch_;    // one per party
   std::vector<std::size_t> order_;  // whole-model task indices, then split
+  /// The call's side job until the first phase has run it.
+  const std::function<void()>* side_job_ = nullptr;
 };
 
 }  // namespace eefei::ml

@@ -483,16 +483,15 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
 
   // ---- round state shared by the scan and the dispatch switch -----------
   // The FCFS chain, the round end watermark, the deadline, the round's
-  // fault counters and (when the scan runs as the coordinator's update
-  // filter) the updates it may veto.  All round-scoped — every event fires
-  // inside its own round's drain.
+  // fault counters and the updates the scan may veto.  All round-scoped —
+  // every event fires inside its own round's drain.
   Seconds lan_free{0.0};
   Seconds round_end{0.0};
   std::size_t uploads_pending = 0;
   const bool has_deadline = sys.round_deadline.value() > 0.0;
   Seconds deadline{0.0};
   fl::RoundFaultStats round_stats;
-  std::span<fl::LocalTrainResult> filter_updates;
+  fl::PendingUpdates round_updates;
   std::size_t round_events = 0;
   double round_link_util = 0.0;
 
@@ -641,15 +640,15 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
 
   // A selected server that will not upload this round: vetoes its update,
   // counts it, and returns the kDropped event that books and resolves it
-  // at `at`.  Only reachable with a fault knob on, i.e. inside the filter.
+  // at `at`.  Only reachable with a fault knob on.
   const auto drop_event = [&](std::size_t i, std::size_t sid, DropReason why,
                               Seconds at,
                               energy::EdgeState state =
                                   energy::EdgeState::kWaiting,
                               Seconds start = Seconds{0.0},
                               Seconds ran = Seconds{0.0}) {
-    assert(i < filter_updates.size());
-    filter_updates[i].aggregated = false;
+    assert(i < round_updates.size());
+    round_updates.veto(i);
     switch (why) {
       case DropReason::kServerDown:
       case DropReason::kCrash:
@@ -820,18 +819,16 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
   // reboot is implicit: CrashProcess's down interval ends and the server is
   // selectable again.
   auto simulate_round = [&](std::size_t round,
-                            std::span<const fl::ClientId> selected,
-                            std::span<const fl::LocalTrainResult> updates) {
+                            std::span<const fl::ClientId> selected) {
     begin_round(round, selected);
     const Seconds round_start = round_start_time;
 
     for (std::size_t i = 0; i < selected.size(); ++i) {
       const std::size_t sid = selected[i];
-      const fl::LocalTrainResult& u = updates[i];
 
       if (sys.iot_collection) {
-        const auto collected =
-            population_.topology().fleet(sid).collect(u.samples_used);
+        const auto collected = population_.topology().fleet(sid).collect(
+            round_updates.samples_used(i));
         if (collected.wasted_energy.value() > 0.0) {
           result.ledger.charge(sid, energy::EnergyCategory::kRetry,
                                collected.wasted_energy);
@@ -882,7 +879,8 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
                                    download_start, down.air, down.wasted});
 
       const Seconds train_start = down.finish;
-      Seconds t = jittered(sys.timing.duration(u.epochs_run, u.samples_used));
+      Seconds t = jittered(sys.timing.duration(round_updates.epochs_run(i),
+                                               round_updates.samples_used(i)));
       t *= straggler_factor(sid);
       const Seconds train_end = train_start + t;
       if (crash_process) {
@@ -1024,23 +1022,20 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
   }
   fl::Coordinator coordinator(clients.get(), &population_.test_set(), fl_cfg,
                               std::move(policy));
-  // With a fault knob on, the scan runs before aggregation so its vetoes
-  // decide which updates the coordinator averages; fault-free rounds
-  // aggregate in place and are simulated afterwards.
-  if (faults) {
-    coordinator.set_update_filter(
-        [&](std::size_t round, std::span<const fl::ClientId> selected,
-            std::span<fl::LocalTrainResult> updates) {
-          filter_updates = updates;
-          simulate_round(round, selected, updates);
-          filter_updates = {};
-          return round_stats;
-        });
-  }
+  // The scan is the coordinator's update filter: it runs on this thread
+  // while the pool's helpers train the round, and its vetoes (none without
+  // a fault knob) decide which updates the coordinator averages.
+  coordinator.set_update_filter(
+      [&](std::size_t round, std::span<const fl::ClientId> selected,
+          fl::PendingUpdates updates) {
+        round_updates = updates;
+        simulate_round(round, selected);
+        round_updates = {};
+        return round_stats;
+      });
   coordinator.set_round_observer(
       [&](const fl::RoundRecord& record,
-          std::span<const fl::LocalTrainResult> updates) {
-        if (!faults) simulate_round(record.round, record.selected, updates);
+          std::span<const fl::LocalTrainResult> /*updates*/) {
         record_round(record);
       });
   if (sys.fl.checkpoint_every != 0) {
@@ -1081,17 +1076,17 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
     // Never-selected servers get the whole run's idle energy through the
     // ledger's shared baseline row: ONE O(1) add instead of the O(N)
     // per-row sweep (0.0 + x == x, so every readable value is bitwise what
-    // the sweep produced).  Only the telemetry energy counter still wants
-    // the per-server add sequence — traced runs pay an O(N) counter loop
-    // to keep energy.joules.waiting bitwise equal to category_total.
+    // the sweep produced).  The telemetry counter takes one add of
+    // untouched_total × count too, so energy.joules.waiting matches
+    // category_total to rounding, not bitwise (its sum is ordered by
+    // charge and by counter shard, the ledger's by server).
     const Joules untouched_total = idle_schedule.all_rounds_total();
     if (obs::Telemetry* tel = obs::telemetry()) {
-      obs::Counter& waiting = tel->metrics.counter(
-          std::string("energy.joules.") +
-          energy::to_string(energy::EnergyCategory::kWaiting));
-      for_each_server_sharded([&](std::size_t sid) {
-        if (settled_upto[sid] == 0) waiting.add(untouched_total.value());
-      });
+      const std::size_t untouched = n_servers - settled_sids.size();
+      tel->metrics
+          .counter(std::string("energy.joules.") +
+                   energy::to_string(energy::EnergyCategory::kWaiting))
+          .add(untouched_total.value() * static_cast<double>(untouched));
       tel->metrics.counter("fleet.idle_charges")
           .add(static_cast<double>(n_servers));
     }

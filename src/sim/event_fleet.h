@@ -46,7 +46,9 @@
 // plans draw from per-(round, server, direction) streams; every event and
 // every ledger write runs on the calling thread; and the only pool work —
 // the sharded O(N) passes and the coordinator's training — touches disjoint
-// per-server state.
+// per-server state.  The round's scan and drain run as the coordinator's
+// update filter, beside that training (fl::PendingUpdates): a server's
+// fate reads only its n_k and E, never a trained weight.
 //
 // Trained models route through the coordinator's ml::ModelBank batched
 // path — the DES replaces the *timing* layer, not the fused training hot

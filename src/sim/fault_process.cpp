@@ -12,17 +12,20 @@ CrashProcess::CrashProcess(std::size_t num_servers, CrashProcessConfig config)
   // drawn; the 32-byte generator is only built on the server's first query.
   Rng root(config_.seed);
   seeds_.resize(num_servers);
+  built_.assign(num_servers, false);
   for (std::size_t s = 0; s < num_servers; ++s) {
     seeds_[s] = root.split_seed(s);
   }
 }
 
-CrashProcess::ServerTimeline& CrashProcess::extend(std::size_t server,
-                                                   Seconds until) {
+std::uint32_t CrashProcess::extend(std::size_t server, Seconds until) {
   assert(server < seeds_.size());
-  auto [it, first] = timelines_.try_emplace(server);
-  auto& tl = it->second;
-  if (first) tl.rng = Rng(seeds_[server]);
+  if (!built_[server]) {
+    built_[server] = true;
+    timelines_.push_back({Rng(seeds_[server])});
+    seeds_[server] = timelines_.size() - 1;
+  }
+  Timeline& tl = timelines_[seeds_[server]];
   const double up_rate = 1.0 / config_.mtbf.value();
   // A zero MTTR would make crashes invisible; floor the reboot at 1 ms.
   const double down_mean = std::max(config_.mttr.value(), 1e-3);
@@ -30,17 +33,25 @@ CrashProcess::ServerTimeline& CrashProcess::extend(std::size_t server,
     const Seconds up{tl.rng.exponential(up_rate)};
     const Seconds down{tl.rng.exponential(1.0 / down_mean)};
     const Seconds crash_at = tl.horizon + up;
-    tl.downs.emplace_back(crash_at, crash_at + down);
+    assert(downs_.size() < kNone);
+    const auto index = static_cast<std::uint32_t>(downs_.size());
+    downs_.push_back({crash_at, crash_at + down});
+    if (tl.first == kNone) {
+      tl.first = index;
+    } else {
+      downs_[tl.last].next = index;
+    }
+    tl.last = index;
     tl.horizon = crash_at + down;
   }
-  return tl;
+  return tl.first;
 }
 
 bool CrashProcess::is_down(std::size_t server, Seconds at) {
   if (!config_.enabled()) return false;
-  for (const auto& [start, end] : extend(server, at).downs) {
-    if (start > at) break;
-    if (at < end) return true;
+  for (std::uint32_t i = extend(server, at); i != kNone; i = downs_[i].next) {
+    if (downs_[i].start > at) break;
+    if (at < downs_[i].end) return true;
   }
   return false;
 }
@@ -48,21 +59,17 @@ bool CrashProcess::is_down(std::size_t server, Seconds at) {
 std::optional<Seconds> CrashProcess::next_crash_in(std::size_t server,
                                                    Seconds from, Seconds to) {
   if (!config_.enabled() || !(from < to)) return std::nullopt;
-  for (const auto& [start, end] : extend(server, to).downs) {
-    if (start >= to) break;
-    if (start >= from) return start;
+  for (std::uint32_t i = extend(server, to); i != kNone; i = downs_[i].next) {
+    if (downs_[i].start >= to) break;
+    if (downs_[i].start >= from) return downs_[i].start;
   }
   return std::nullopt;
 }
 
 std::size_t CrashProcess::crashes_before(Seconds before) const {
-  std::size_t n = 0;
-  for (const auto& [server, tl] : timelines_) {
-    for (const auto& [start, end] : tl.downs) {
-      if (start < before) ++n;
-    }
-  }
-  return n;
+  return static_cast<std::size_t>(
+      std::count_if(downs_.begin(), downs_.end(),
+                    [&](const Down& d) { return d.start < before; }));
 }
 
 }  // namespace eefei::sim

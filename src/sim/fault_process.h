@@ -8,13 +8,14 @@
 // 8-byte seed per server (drawn up front, in server order, from the root
 // stream) and builds a server's timeline on its first query.  A timeline
 // depends only on its seed, so answers do not depend on query order.
+// Timelines live in flat arrays that only grow — one slot per queried
+// server, one linked down interval per crash — so a query allocates
+// nothing beyond their amortized growth.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -49,19 +50,32 @@ class CrashProcess {
   [[nodiscard]] bool enabled() const { return config_.enabled(); }
 
  private:
-  struct ServerTimeline {
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  /// Down interval [start, end) and the index of its server's next one.
+  struct Down {
+    Seconds start{0.0};
+    Seconds end{0.0};
+    std::uint32_t next = kNone;
+  };
+  struct Timeline {
     Rng rng{0};
-    std::vector<std::pair<Seconds, Seconds>> downs;  // [start, end)
-    Seconds horizon{0.0};  // timeline is materialized up to here
+    Seconds horizon{0.0};  // materialized up to here
+    std::uint32_t first = kNone;
+    std::uint32_t last = kNone;
   };
 
   /// `server`'s timeline materialized up to `until`, built from its seed
-  /// on first use.
-  ServerTimeline& extend(std::size_t server, Seconds until);
+  /// on first use; returns the index of its first down interval.
+  std::uint32_t extend(std::size_t server, Seconds until);
 
   CrashProcessConfig config_;
-  std::vector<std::uint64_t> seeds_;  // empty when the process is disabled
-  std::unordered_map<std::size_t, ServerTimeline> timelines_;
+  /// Per server: its seed until its first query, then the index of its
+  /// timeline (`built_` tells which).  Empty when the process is disabled.
+  std::vector<std::uint64_t> seeds_;
+  std::vector<bool> built_;
+  std::vector<Timeline> timelines_;
+  std::vector<Down> downs_;  // every server's intervals, in creation order
 };
 
 }  // namespace eefei::sim

@@ -191,7 +191,8 @@ TEST(Coordinator, VetoedUpdatesAggregateToPinnedParams) {
   // optionally on top of the coordinator's own drop roll.  The survivors are
   // averaged in place, so each element must see the same additive sequence
   // as when they were copied out first: final_params is pinned bitwise,
-  // serial and on a pool.  Shards are capped at different n_k so the
+  // serial and on pools of 2, 3 and 4, where the filter runs beside the
+  // helpers' training.  Shards are capped at different n_k so the
   // sample-weighted rule differs from the mean.
   struct Pin {
     AggregationRule rule;
@@ -202,7 +203,7 @@ TEST(Coordinator, VetoedUpdatesAggregateToPinnedParams) {
        {Pin{AggregationRule::kUniformMean, 0.0, 0x1b8682eeu},
         Pin{AggregationRule::kSampleWeighted, 0.0, 0xbdc39432u},
         Pin{AggregationRule::kSampleWeighted, 0.3, 0x9acd3079u}}) {
-    for (const std::size_t threads : {0u, 3u}) {
+    for (const std::size_t threads : {0u, 2u, 3u, 4u}) {
       World w(6, 40);
       for (std::size_t k = 0; k < w.clients.size(); ++k) {
         ClientConfig capped = w.clients[k].config();
@@ -219,11 +220,11 @@ TEST(Coordinator, VetoedUpdatesAggregateToPinnedParams) {
                         std::make_unique<UniformRandomSelection>(Rng(13)));
       coord.set_update_filter([](std::size_t round,
                                  std::span<const ClientId> /*selected*/,
-                                 std::span<LocalTrainResult> updates) {
+                                 PendingUpdates updates) {
         RoundFaultStats stats;
         for (std::size_t i = 0; i < updates.size(); ++i) {
           if (round == 3 || (round + i) % 3 == 1) {
-            updates[i].aggregated = false;
+            updates.veto(i);
             ++stats.aborted_updates;
           }
         }

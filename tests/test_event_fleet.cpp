@@ -1254,6 +1254,39 @@ TEST(EventFleetEngine, TracedRunIsGoldenWithBoundedSampledTracks) {
   ASSERT_NE(metrics.sketch("fleet.server.turnaround_s"), nullptr);
 }
 
+// The traced idle-energy counter at fleet scale (N = 2·10^4, idle charging
+// on, at most 36 servers ever selected): the never-selected servers reach
+// energy.joules.waiting through one add of their count × the run's idle
+// energy, which matches the ledger's category total to rounding, and
+// tracing leaves every result bit alone.
+TEST(EventFleetEngine, TracedWaitingCounterMatchesLedgerAtN20k) {
+  EventFleetEngineConfig cfg = virtual_population_config();
+  cfg.system.num_servers = 20000;
+  cfg.system.net.num_edge_servers = 20000;
+  ASSERT_TRUE(cfg.system.charge_idle_servers);
+
+  EventFleetEngine untraced(cfg);
+  const auto ru = untraced.run();
+  ASSERT_TRUE(ru.ok()) << ru.error().message;
+
+  obs::Telemetry tel;
+  EventFleetEngine engine(cfg);
+  const auto r = [&] {
+    obs::TelemetryScope scope(tel);
+    return engine.run();
+  }();
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  expect_bitwise_equal(*r, *ru, 20000);
+  EXPECT_EQ(r->events_processed, ru->events_processed);
+
+  const double counted =
+      tel.metrics.snapshot().counter_value("energy.joules.waiting");
+  const double booked =
+      r->ledger.category_total(energy::EnergyCategory::kWaiting).value();
+  ASSERT_GT(booked, 0.0);
+  EXPECT_NEAR(counted, booked, 1e-12 * booked);
+}
+
 // max_tracks = 0 mutes every per-server lane but must not perturb the run
 // or the round table.
 TEST(EventFleetEngine, ZeroSampledTracksStillGoldenAndRecordsRounds) {

@@ -16,8 +16,11 @@
 #include <cstdint>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <memory>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -82,7 +85,8 @@ std::vector<double> make_global(std::size_t n, std::uint64_t seed) {
 // Serial reference vs bank, bit-for-bit: parameters AND both loss outputs.
 void expect_bank_matches_serial(BankWorld& w, std::size_t epochs,
                                 std::size_t round,
-                                ThreadPool* pool = nullptr) {
+                                ThreadPool* pool = nullptr,
+                                const std::function<void()>& side_job = {}) {
   const std::size_t dim = w.ccfg.model.parameter_count();
   const auto global = make_global(dim, 7 + round);
   const double lr = w.ccfg.sgd.learning_rate *
@@ -101,7 +105,7 @@ void expect_bank_matches_serial(BankWorld& w, std::size_t epochs,
     tasks[i].epochs = epochs;
     tasks[i].learning_rate = lr;
   }
-  bank.train(global, tasks, pool);
+  bank.train(global, tasks, pool, side_job);
 
   for (std::size_t i = 0; i < w.clients.size(); ++i) {
     const auto params = bank.params_of(i);
@@ -268,6 +272,78 @@ TEST(ModelBank, ConcurrentAndNestedPooledCallsFinishAndMatchSerial) {
     ASSERT_EQ(call.wait_for(std::chrono::seconds(60)),
               std::future_status::ready);
     EXPECT_TRUE(call.get());
+  }
+}
+
+TEST(ModelBank, SideJobRunsOnceOnTheCallingThreadBesideTraining) {
+  // The side job runs exactly once, on the calling thread, and moves no
+  // bit: K = 1 (split across the team), K = 3 (whole chunks plus split
+  // leftovers) and K = 2200 tiny models (d = 16, n_k ≤ 4: many chunks per
+  // party), serially and on pools of 1-4 workers.
+  BankWorld one(1, {0}, Activation::kSoftmax, 0.0, 400);
+  BankWorld three(3, {0, 13, 370}, Activation::kSoftmax, 0.0, 400);
+  BankWorld tiny(2200, {4, 3, 1, 4, 2}, Activation::kSoftmax, 0.0, 4, 4);
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  pools.push_back(nullptr);
+  for (const std::size_t workers : {1, 2, 3, 4}) {
+    pools.push_back(std::make_unique<ThreadPool>(workers));
+  }
+  for (BankWorld* w : {&one, &three, &tiny}) {
+    for (const auto& pool : pools) {
+      std::size_t runs = 0;
+      std::thread::id ran_on;
+      expect_bank_matches_serial(*w, /*epochs=*/2, /*round=*/1, pool.get(),
+                                 [&] {
+                                   ++runs;
+                                   ran_on = std::this_thread::get_id();
+                                 });
+      EXPECT_EQ(runs, 1u) << "K=" << w->clients.size();
+      EXPECT_EQ(ran_on, std::this_thread::get_id())
+          << "K=" << w->clients.size();
+    }
+  }
+
+  // Every worker of the pool is busy for the whole call: no helper ever
+  // starts, and party 0 runs the side job and all the training alone.
+  ThreadPool blocked(2);
+  std::promise<void> release;
+  const std::shared_future<void> gate = release.get_future().share();
+  for (std::size_t i = 0; i < blocked.size(); ++i) {
+    blocked.post([gate] { gate.wait(); });
+  }
+  for (BankWorld* w : {&one, &three, &tiny}) {
+    std::size_t runs = 0;
+    expect_bank_matches_serial(*w, /*epochs=*/2, /*round=*/1, &blocked,
+                               [&] { ++runs; });
+    EXPECT_EQ(runs, 1u) << "K=" << w->clients.size();
+  }
+  release.set_value();
+}
+
+TEST(ModelBank, ThrowingSideJobPropagatesAfterTraining) {
+  // The exception surfaces only once the team has finished, so the same
+  // bank and pool train the next call to the serial bits.
+  BankWorld w(3, {0, 13, 370}, Activation::kSoftmax, 0.0, 400);
+  const auto global = make_global(w.ccfg.model.parameter_count(), 3);
+  ThreadPool pool(3);
+  ModelBank bank;
+  bank.configure(w.ccfg.model.lr_config());
+  std::vector<ModelBank::Task> tasks(w.clients.size());
+  for (std::size_t i = 0; i < w.clients.size(); ++i) {
+    tasks[i].batch = w.clients[i].local_batch();
+    tasks[i].epochs = 2;
+    tasks[i].learning_rate = w.ccfg.sgd.learning_rate;
+  }
+  EXPECT_THROW(bank.train(global, tasks, &pool,
+                          [] { throw std::runtime_error("side job"); }),
+               std::runtime_error);
+  bank.train(global, tasks, &pool);
+  for (std::size_t i = 0; i < w.clients.size(); ++i) {
+    const auto serial = reference::train_serial(w.clients[i], global, 2, 0);
+    const auto params = bank.params_of(i);
+    EXPECT_EQ(0, std::memcmp(params.data(), serial.params.data(),
+                             params.size() * sizeof(double)))
+        << "model " << i;
   }
 }
 
