@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the performance-critical kernels:
 // the LR forward/backward pass, ModelBank rounds, FedAvg aggregation,
-// O(K) client selection, model serialization, synthetic-digit rendering,
-// the event queue and the power meter.
+// O(K) client selection, model serialization, synthetic-digit rendering
+// and the power meter.
 #include <benchmark/benchmark.h>
 
 #include <cassert>
@@ -21,9 +21,7 @@
 #include "ml/logistic_regression.h"
 #include "ml/model_bank.h"
 #include "ml/serialize.h"
-#include "obs/telemetry.h"
 #include "core/acs.h"
-#include "sim/event_queue.h"
 #include "sim/fei_system.h"
 
 using namespace eefei;
@@ -55,7 +53,7 @@ void RunAccumulateRows(benchmark::State& state,
   const data::Dataset ds = make_batch(kRows, 28);
   assert(ds.view().feature_dim == d);
   // Weights and accumulators live in 64-byte-aligned storage, exactly like
-  // the real call sites (Matrix / Workspace buffers are AlignedVector).
+  // the real call sites (Workspace buffers are AlignedVector).
   Rng rng(7);
   ml::AlignedVector w(d * c);
   for (auto& x : w) x = rng.normal();
@@ -237,26 +235,6 @@ void BM_LrLossAndGradient(benchmark::State& state) {
 }
 BENCHMARK(BM_LrLossAndGradient)->Arg(100)->Arg(500)->Arg(3000);
 
-void BM_LrLossAndGradientTraced(benchmark::State& state) {
-  // Same body as BM_LrLossAndGradient/500 but with telemetry installed, so
-  // every gemm pays two clock reads and a histogram update.  The telemetry
-  // overhead contract reads off BENCH_micro.json directly:
-  //   - disabled cost: BM_LrLossAndGradient/500 vs its pre-telemetry
-  //     baseline (the instrumented sites collapse to a pointer check);
-  //   - enabled cost: this metric vs BM_LrLossAndGradient/500.
-  const data::Dataset ds = make_batch(500, 28);
-  ml::LogisticRegression model(ml::LogisticRegressionConfig{});
-  std::vector<double> grad(model.parameter_count());
-  obs::Telemetry telemetry;
-  const obs::TelemetryScope scope(telemetry);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.loss_and_gradient(ds.view(), grad));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          500);
-}
-BENCHMARK(BM_LrLossAndGradientTraced);
-
 void BM_LrEvaluate(benchmark::State& state) {
   const data::Dataset ds = make_batch(1000, 28);
   ml::LogisticRegression model(ml::LogisticRegressionConfig{});
@@ -339,22 +317,6 @@ void BM_SynthDigitRender(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SynthDigitRender);
-
-void BM_EventQueueThroughput(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::EventQueue q;
-    int fired = 0;
-    for (int i = 0; i < 1000; ++i) {
-      q.schedule_at(Seconds{static_cast<double>((i * 37) % 1000)},
-                    [&fired] { ++fired; });
-    }
-    q.run();
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          1000);
-}
-BENCHMARK(BM_EventQueueThroughput);
 
 void BM_PowerMeterCapture(benchmark::State& state) {
   energy::PowerStateTimeline tl;

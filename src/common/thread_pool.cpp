@@ -13,19 +13,7 @@ namespace {
 // instead of deadlocking on its own queue.
 thread_local const ThreadPool* tls_worker_pool = nullptr;
 
-// Nanosecond buckets from 1 µs to ~4 s for the task wait/run histograms.
-constexpr double kNsBucketFirst = 1e3;
-constexpr double kNsBucketFactor = 4.0;
-constexpr std::size_t kNsBucketCount = 12;
-
 std::atomic<std::int64_t> g_completion_delay_us{0};
-
-obs::Histogram& ns_histogram(obs::MetricsRegistry& metrics,
-                             const char* name) {
-  static const std::vector<double> bounds = obs::Histogram::exponential_bounds(
-      kNsBucketFirst, kNsBucketFactor, kNsBucketCount);
-  return metrics.histogram(name, bounds);
-}
 }  // namespace
 
 namespace detail {
@@ -49,8 +37,8 @@ PoolTaskTimer::PoolTaskTimer(obs::Telemetry* telemetry,
     : telemetry_(telemetry),
       start_ns_(telemetry_ != nullptr ? telemetry_->tracer.wall_now_ns() : 0) {
   if (telemetry_ != nullptr && enqueue_ns != 0 && start_ns_ >= enqueue_ns) {
-    ns_histogram(telemetry_->metrics, "pool.task_wait.ns")
-        .observe(static_cast<double>(start_ns_ - enqueue_ns));
+    telemetry_->metrics.sketch("pool.task_wait.ns")
+        .record(static_cast<double>(start_ns_ - enqueue_ns));
   }
 }
 
@@ -61,9 +49,9 @@ PoolTaskTimer::~PoolTaskTimer() {
     std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
   }
   if (telemetry_ != nullptr) {
-    ns_histogram(telemetry_->metrics, "pool.task_run.ns")
-        .observe(
-            static_cast<double>(telemetry_->tracer.wall_now_ns() - start_ns_));
+    telemetry_->metrics.sketch("pool.task_run.ns")
+        .record(static_cast<double>(telemetry_->tracer.wall_now_ns() -
+                                    start_ns_));
   }
 }
 

@@ -37,7 +37,7 @@ struct AlignedAllocator {
   }
 };
 
-/// The storage type of Matrix and Workspace buffers.
+/// The storage type of Workspace buffers.
 using AlignedVector = std::vector<double, AlignedAllocator<double>>;
 
 }  // namespace eefei::ml

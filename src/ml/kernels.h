@@ -1,5 +1,5 @@
-// Dense inner loops shared by the ML hot path (gemm, logistic forward/
-// backward).  The hot pattern everywhere is a rank-1 style
+// Dense inner loops of the ML hot path (logistic forward/backward).  The
+// hot pattern everywhere is a rank-1 style
 // accumulation against a row-major weight block:
 //
 //   accumulate_rows:  acc[j]      += Σ_k x[k] · w[k·c + j]   (forward)

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "ml/aligned.h"
-#include "ml/matrix.h"
 
 namespace eefei {
 class ThreadPool;

@@ -1,9 +1,9 @@
 // Deterministic SIMD math layer: the public dispatch surface.
 //
-// Every dense kernel in the ML hot path (accumulate_rows/accumulate_outer
-// and the elementwise Matrix ops) is compiled once per instruction set from
-// one templated body (simd_lanes.h) and selected at runtime through the
-// KernelTable below.  The layer's contract is *determinism first*:
+// Every dense kernel of the ML layer (accumulate_rows/accumulate_outer, the
+// whole-batch epoch kernels and the elementwise add/sub/scale/axpy) is
+// compiled once per instruction set from one templated body (simd_lanes.h)
+// and selected at runtime through the KernelTable below.  The layer's contract is *determinism first*:
 //
 //   - Fixed per-element operation order.  Every backend — AVX-512, AVX2,
 //     SSE2, NEON, and the scalar fallback — runs the identical IEEE-754

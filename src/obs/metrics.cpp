@@ -1,10 +1,5 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
-#include <cassert>
-#include <cmath>
-#include <limits>
-
 namespace eefei::obs {
 
 namespace detail {
@@ -17,107 +12,6 @@ std::size_t metric_shard() {
 }
 
 }  // namespace detail
-
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  assert(std::is_sorted(bounds_.begin(), bounds_.end()));
-  for (auto& s : shards_) {
-    s.buckets = std::vector<std::atomic<std::uint64_t>>(bounds_.size() + 1);
-    s.min.store(std::numeric_limits<double>::infinity(),
-                std::memory_order_relaxed);
-    s.max.store(-std::numeric_limits<double>::infinity(),
-                std::memory_order_relaxed);
-  }
-}
-
-namespace {
-
-void cas_min(std::atomic<double>& m, double v) {
-  double cur = m.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !m.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-void cas_max(std::atomic<double>& m, double v) {
-  double cur = m.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !m.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-
-void Histogram::observe(double v) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  const std::size_t bucket =
-      static_cast<std::size_t>(it - bounds_.begin());  // past-end = overflow
-  Shard& s = shards_[detail::metric_shard()];
-  s.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-  s.sum.fetch_add(v, std::memory_order_relaxed);
-  cas_min(s.min, v);
-  cas_max(s.max, v);
-}
-
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out(bounds_.size() + 1, 0);
-  for (const auto& s : shards_) {
-    for (std::size_t b = 0; b < out.size(); ++b) {
-      out[b] += s.buckets[b].load(std::memory_order_relaxed);
-    }
-  }
-  return out;
-}
-
-std::uint64_t Histogram::count() const {
-  std::uint64_t total = 0;
-  for (const std::uint64_t c : bucket_counts()) total += c;
-  return total;
-}
-
-double Histogram::sum() const {
-  double total = 0.0;
-  for (const auto& s : shards_) {
-    total += s.sum.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-std::uint64_t Histogram::overflow() const {
-  std::uint64_t total = 0;
-  for (const auto& s : shards_) {
-    total += s.buckets.back().load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-double Histogram::min() const {
-  double lo = std::numeric_limits<double>::infinity();
-  for (const auto& s : shards_) {
-    lo = std::min(lo, s.min.load(std::memory_order_relaxed));
-  }
-  return std::isfinite(lo) ? lo : 0.0;
-}
-
-double Histogram::max() const {
-  double hi = -std::numeric_limits<double>::infinity();
-  for (const auto& s : shards_) {
-    hi = std::max(hi, s.max.load(std::memory_order_relaxed));
-  }
-  return std::isfinite(hi) ? hi : 0.0;
-}
-
-std::vector<double> Histogram::exponential_bounds(double first, double factor,
-                                                  std::size_t count) {
-  assert(first > 0.0 && factor > 1.0);
-  std::vector<double> bounds;
-  bounds.reserve(count);
-  double b = first;
-  for (std::size_t i = 0; i < count; ++i) {
-    bounds.push_back(b);
-    b *= factor;
-  }
-  return bounds;
-}
 
 double MetricsSnapshot::counter_value(std::string_view name) const {
   for (const auto& [n, v] : counters) {
@@ -163,19 +57,6 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
               .first->second;
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      std::span<const double> bounds) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (const auto it = histograms_.find(name); it != histograms_.end()) {
-    return *it->second;
-  }
-  return *histograms_
-              .emplace(std::string(name),
-                       std::make_unique<Histogram>(std::vector<double>(
-                           bounds.begin(), bounds.end())))
-              .first->second;
-}
-
 QuantileSketch& MetricsRegistry::sketch(std::string_view name,
                                         double relative_accuracy) {
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -198,19 +79,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   snap.gauges.reserve(gauges_.size());
   for (const auto& [name, g] : gauges_) {
     snap.gauges.emplace_back(name, g->value());
-  }
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    HistogramSnapshot hs;
-    hs.name = name;
-    hs.bounds = h->bounds();
-    hs.buckets = h->bucket_counts();
-    hs.sum = h->sum();
-    for (const std::uint64_t c : hs.buckets) hs.count += c;
-    hs.overflow = hs.buckets.back();
-    hs.min = h->min();
-    hs.max = h->max();
-    snap.histograms.push_back(std::move(hs));
   }
   snap.sketches.reserve(sketches_.size());
   for (const auto& [name, sk] : sketches_) {

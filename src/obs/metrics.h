@@ -1,13 +1,13 @@
-// Metrics registry: named counters, gauges and fixed-bucket histograms for
-// the whole simulator (fleet.rounds, link.retries, energy.joules.*,
-// pool.queue_depth, gemm.ns, ...).
+// Metrics registry: named counters, gauges and quantile sketches for the
+// whole simulator (fleet.rounds, link.retries, energy.joules.*,
+// pool.queue_depth, pool.task_run.ns, ...).
 //
-// Counters and histograms are sharded across a small fixed set of slots;
+// Counters and sketches are sharded across a small fixed set of slots;
 // each thread hashes to one slot and updates it with a relaxed atomic, so
 // concurrent recording from pool workers never serializes on a lock.
 // snapshot() merges the shards into plain totals.  Metric objects have
 // stable addresses for the registry's lifetime — call sites may cache the
-// reference returned by counter()/gauge()/histogram().
+// reference returned by counter()/gauge()/sketch().
 //
 // The registry itself is always cheap to *have*; whether a call site pays
 // anything at all is governed by the global telemetry toggle (telemetry.h):
@@ -21,7 +21,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -74,62 +73,10 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bucket histogram: bucket i counts observations <= bounds[i], with
-/// an EXPLICIT overflow bucket above the last bound — values past the last
-/// edge are counted (overflow()), never silently dropped, and the recorded
-/// min/max expose the actual range so saturation is visible in exports.
-/// Bounds are fixed at registration; observations are sharded like
-/// counters.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  void observe(double v);
-
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
-  /// Merged bucket counts, size bounds().size() + 1 (last = overflow).
-  [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
-  [[nodiscard]] std::uint64_t count() const;
-  [[nodiscard]] double sum() const;
-  /// Observations beyond the last bound (the overflow bucket).
-  [[nodiscard]] std::uint64_t overflow() const;
-  /// Smallest / largest observation; 0.0 when count() == 0.
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-
-  /// `count` bounds growing geometrically from `first` by `factor` — the
-  /// usual shape for nanosecond timings.
-  [[nodiscard]] static std::vector<double> exponential_bounds(double first,
-                                                              double factor,
-                                                              std::size_t count);
-
- private:
-  struct alignas(64) Shard {
-    std::atomic<double> sum{0.0};
-    std::atomic<double> min{0.0};  // CAS-updated; +inf until first observe
-    std::atomic<double> max{0.0};  // CAS-updated; -inf until first observe
-    std::vector<std::atomic<std::uint64_t>> buckets;
-  };
-  std::vector<double> bounds_;
-  std::array<Shard, kMetricShards> shards_;
-};
-
-struct HistogramSnapshot {
-  std::string name;
-  std::vector<double> bounds;
-  std::vector<std::uint64_t> buckets;  // bounds.size() + 1 entries
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  std::uint64_t overflow = 0;  // == buckets.back()
-  double min = 0.0;            // 0.0 when count == 0
-  double max = 0.0;
-};
-
 /// Point-in-time merge of every registered metric, name-sorted.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, double>> counters;
   std::vector<std::pair<std::string, double>> gauges;
-  std::vector<HistogramSnapshot> histograms;
   std::vector<SketchSnapshot> sketches;
 
   /// Counter value by name (0.0 when absent) — test convenience.
@@ -149,9 +96,6 @@ class MetricsRegistry {
   /// registry's lifetime.
   [[nodiscard]] Counter& counter(std::string_view name);
   [[nodiscard]] Gauge& gauge(std::string_view name);
-  /// `bounds` is only consulted on first registration of `name`.
-  [[nodiscard]] Histogram& histogram(std::string_view name,
-                                     std::span<const double> bounds);
   /// `relative_accuracy` is only consulted on first registration of `name`.
   [[nodiscard]] QuantileSketch& sketch(
       std::string_view name,
@@ -169,7 +113,6 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
   std::map<std::string, std::unique_ptr<QuantileSketch>, std::less<>>
       sketches_;
 };

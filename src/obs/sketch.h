@@ -10,7 +10,7 @@
 // bucket and report as 0.0; values outside the trackable range clamp to the
 // edge buckets (their rank is preserved, only their magnitude saturates).
 //
-// Concurrency follows the Histogram idiom: a small fixed set of shards with
+// Concurrency follows the Counter idiom: a small fixed set of shards with
 // relaxed atomics, merged at snapshot().  Snapshots taken with the same
 // relative accuracy merge losslessly (shard-by-shard recording == one-shard
 // recording; proven by test), which is what makes per-shard or per-process

@@ -93,23 +93,6 @@ std::string metrics_json(const MetricsSnapshot& snapshot) {
         << json_quote(snapshot.gauges[i].first)
         << ", \"value\": " << json_number(snapshot.gauges[i].second) << "}";
   }
-  out << "\n ],\n \"histograms\": [";
-  for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
-    const HistogramSnapshot& h = snapshot.histograms[i];
-    out << (i == 0 ? "\n" : ",\n") << "  {\"name\": " << json_quote(h.name)
-        << ", \"count\": " << h.count << ", \"sum\": " << json_number(h.sum)
-        << ", \"overflow\": " << h.overflow
-        << ", \"min\": " << json_number(h.min)
-        << ", \"max\": " << json_number(h.max) << ", \"bounds\": [";
-    for (std::size_t b = 0; b < h.bounds.size(); ++b) {
-      out << (b == 0 ? "" : ", ") << json_number(h.bounds[b]);
-    }
-    out << "], \"buckets\": [";
-    for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-      out << (b == 0 ? "" : ", ") << h.buckets[b];
-    }
-    out << "]}";
-  }
   out << "\n ],\n \"sketches\": [";
   for (std::size_t i = 0; i < snapshot.sketches.size(); ++i) {
     const SketchSnapshot& s = snapshot.sketches[i];

@@ -44,7 +44,7 @@ struct TraceExportOptions {
                                         const TraceExportOptions& options =
                                             {});
 
-/// JSON dump of a metrics snapshot (counters, gauges, histograms).
+/// JSON dump of a metrics snapshot (counters, gauges, sketches).
 [[nodiscard]] std::string metrics_json(const MetricsSnapshot& snapshot);
 
 [[nodiscard]] Status write_metrics_json(const MetricsSnapshot& snapshot,

@@ -9,7 +9,7 @@
 #include "ml/quantize.h"
 #include "ml/serialize.h"
 #include "obs/telemetry.h"
-#include "sim/event_queue.h"
+#include "sim/calendar_queue.h"
 
 namespace eefei::sim {
 
@@ -28,6 +28,22 @@ AsyncFeiSystem::AsyncFeiSystem(AsyncFeiConfig config)
 
 Result<AsyncRunResult> AsyncFeiSystem::run() {
   const FeiSystemConfig& base = config_.base;
+  // Negated comparisons so NaN fails them: a NaN α makes ω NaN, and a
+  // negative or non-finite exponent makes α_s grow with staleness.
+  if (!(config_.mixing_alpha > 0.0 && config_.mixing_alpha <= 1.0)) {
+    return Error::invalid_argument("async: mixing_alpha must be in (0, 1]");
+  }
+  if (!(std::isfinite(config_.staleness_exponent) &&
+        config_.staleness_exponent >= 0.0)) {
+    return Error::invalid_argument(
+        "async: staleness_exponent must be finite and >= 0");
+  }
+  if (config_.max_updates == 0) {
+    return Error::invalid_argument("async: max_updates must be >= 1");
+  }
+  if (config_.eval_every == 0) {
+    return Error::invalid_argument("async: eval_every must be >= 1");
+  }
   Population population;
   if (const auto st = population.build(population_config_for(base));
       !st.ok()) {
@@ -36,12 +52,6 @@ Result<AsyncRunResult> AsyncFeiSystem::run() {
   auto& clients = population.clients();
   auto& topology = population.topology();
 
-  if (config_.mixing_alpha <= 0.0 || config_.mixing_alpha > 1.0) {
-    return Error::invalid_argument("async: alpha must be in (0, 1]");
-  }
-  if (config_.eval_every == 0) {
-    return Error::invalid_argument("async: eval_every must be >= 1");
-  }
   const std::size_t workers =
       std::min(base.fl.clients_per_round, clients.size());
   if (workers == 0) {
@@ -73,7 +83,14 @@ Result<AsyncRunResult> AsyncFeiSystem::run() {
   net::Message msg;
   msg.payload_bytes = ml::wire_size(param_count);
 
-  EventQueue queue;
+  // A task completion; the model the server pulled at dispatch waits in
+  // snapshots[server] (a server has at most one task in flight).
+  struct Completion {
+    std::size_t server = 0;
+    std::size_t start_version = 0;
+  };
+  CalendarQueue<Completion> queue;
+  std::vector<std::vector<double>> snapshots(clients.size());
   Rng jitter_rng(base.seed * 104729 + 55);
   Rng straggler_rng(base.seed * 15485863 + 57);
   auto jittered = [&](Seconds nominal) {
@@ -128,7 +145,7 @@ Result<AsyncRunResult> AsyncFeiSystem::run() {
 
   // Starts one training task for `server` from the current global model;
   // schedules its completion.
-  std::function<void(std::size_t)> dispatch = [&](std::size_t server) {
+  auto dispatch = [&](std::size_t server) {
     if (stop) return;
     const std::size_t start_version = version;
     // Model download (async: no LAN serialization barrier — transfers are
@@ -151,7 +168,7 @@ Result<AsyncRunResult> AsyncFeiSystem::run() {
         base.profile.power(energy::EdgeState::kDownloading) * (d - dw));
 
     // Snapshot the global model NOW (the server trains on what it pulled).
-    const std::vector<double> snapshot = global;
+    snapshots[server].assign(global.begin(), global.end());
 
     Seconds train = jittered(config_.base.timing.duration(
         base.fl.local_epochs, clients[server].num_samples()));
@@ -189,66 +206,69 @@ Result<AsyncRunResult> AsyncFeiSystem::run() {
       tr->sim_span("uploading", "sim.phase", pid, at + d + train, u);
     }
 
-    queue.schedule_in(d + train + u, [&, server, start_version, snapshot] {
-      if (stop) return;
-      in_flight[server].reset();
-      // The actual computation happens lazily at completion time, using
-      // the snapshot the server pulled at dispatch.
-      task.batch = clients[server].local_batch();
-      task.learning_rate =
-          base.sgd.learning_rate *
-          std::pow(base.sgd.decay, static_cast<double>(applied / workers));
-      bank.train(snapshot, {&task, 1});
-      const auto update = bank.params_of(0);
+    queue.schedule_in(d + train + u, Completion{server, start_version});
+  };
 
-      const std::size_t staleness = version - start_version;
-      const double alpha_s =
-          config_.mixing_alpha /
-          std::pow(1.0 + static_cast<double>(staleness),
-                   config_.staleness_exponent);
-      for (std::size_t i = 0; i < global.size(); ++i) {
-        global[i] = (1.0 - alpha_s) * global[i] + alpha_s * update[i];
-      }
-      ++version;
+  // Applies one finished task, then sends its server straight back out.
+  auto complete = [&](const Completion& c, Seconds at) {
+    const std::size_t server = c.server;
+    in_flight[server].reset();
+    // The actual computation happens lazily at completion time, using
+    // the snapshot the server pulled at dispatch.
+    task.batch = clients[server].local_batch();
+    task.learning_rate =
+        base.sgd.learning_rate *
+        std::pow(base.sgd.decay, static_cast<double>(applied / workers));
+    bank.train(snapshots[server], {&task, 1});
+    const auto update = bank.params_of(0);
 
-      AsyncUpdateRecord rec;
-      rec.update = applied;
-      rec.server = server;
-      rec.staleness = staleness;
-      rec.mixing_weight = alpha_s;
-      rec.applied_at = queue.now();
+    const std::size_t staleness = version - c.start_version;
+    const double alpha_s =
+        config_.mixing_alpha /
+        std::pow(1.0 + static_cast<double>(staleness),
+                 config_.staleness_exponent);
+    for (std::size_t i = 0; i < global.size(); ++i) {
+      global[i] = (1.0 - alpha_s) * global[i] + alpha_s * update[i];
+    }
+    ++version;
 
-      const bool eval_now = (applied % config_.eval_every == 0) ||
-                            (applied + 1 == config_.max_updates);
-      if (eval_now) {
-        auto params = eval_model->parameters();
-        std::copy(global.begin(), global.end(), params.begin());
-        const auto eval = eval_model->evaluate(population.test_set().view());
-        rec.global_loss = eval.loss;
-        rec.test_accuracy = eval.accuracy;
-        result.final_accuracy = eval.accuracy;
-        result.final_loss = eval.loss;
-        if (base.fl.target_accuracy.has_value() &&
-            eval.accuracy >= *base.fl.target_accuracy) {
-          result.reached_target = true;
-          request_stop();
-        }
+    AsyncUpdateRecord rec;
+    rec.update = applied;
+    rec.server = server;
+    rec.staleness = staleness;
+    rec.mixing_weight = alpha_s;
+    rec.applied_at = at;
+
+    const bool eval_now = (applied % config_.eval_every == 0) ||
+                          (applied + 1 == config_.max_updates);
+    if (eval_now) {
+      auto params = eval_model->parameters();
+      std::copy(global.begin(), global.end(), params.begin());
+      const auto eval = eval_model->evaluate(population.test_set().view());
+      rec.global_loss = eval.loss;
+      rec.test_accuracy = eval.accuracy;
+      result.final_accuracy = eval.accuracy;
+      result.final_loss = eval.loss;
+      if (base.fl.target_accuracy.has_value() &&
+          eval.accuracy >= *base.fl.target_accuracy) {
+        result.reached_target = true;
+        request_stop();
       }
-      if (obs::Telemetry* tel = obs::telemetry()) {
-        tel->tracer.sim_instant(
-            "update.applied", "sim.async", obs::Tracer::kCoordinatorPid,
-            rec.applied_at,
-            {{"update", static_cast<double>(rec.update)},
-             {"server", static_cast<double>(server)},
-             {"staleness", static_cast<double>(staleness)},
-             {"alpha", alpha_s}});
-        tel->metrics.counter("async.updates").increment();
-      }
-      result.updates.push_back(std::move(rec));
-      ++applied;
-      if (applied >= config_.max_updates) request_stop();
-      if (!stop) dispatch(server);  // pull the fresh model, keep going
-    });
+    }
+    if (obs::Telemetry* tel = obs::telemetry()) {
+      tel->tracer.sim_instant(
+          "update.applied", "sim.async", obs::Tracer::kCoordinatorPid,
+          rec.applied_at,
+          {{"update", static_cast<double>(rec.update)},
+           {"server", static_cast<double>(server)},
+           {"staleness", static_cast<double>(staleness)},
+           {"alpha", alpha_s}});
+      tel->metrics.counter("async.updates").increment();
+    }
+    result.updates.push_back(std::move(rec));
+    ++applied;
+    if (applied >= config_.max_updates) request_stop();
+    if (!stop) dispatch(server);  // pull the fresh model, keep going
   };
 
   // Seed the initial worker pool with distinct servers.
@@ -258,7 +278,7 @@ Result<AsyncRunResult> AsyncFeiSystem::run() {
   pick_rng.shuffle(ids);
   for (std::size_t w = 0; w < workers; ++w) dispatch(ids[w]);
 
-  queue.run();
+  queue.run(complete);
 
   // Tasks cancelled by the stop never delivered an update: their
   // pre-charged energy is lost work, not download/training/upload.

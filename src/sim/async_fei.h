@@ -26,11 +26,11 @@ struct AsyncFeiConfig {
   /// fl.clients_per_round is reused as the number of *concurrently
   /// training* servers; fl.local_epochs as E.
   FeiSystemConfig base;
-  /// Base mixing weight α.
+  /// Base mixing weight α, in (0, 1].
   double mixing_alpha = 0.4;
-  /// Staleness-discount exponent a (0 = ignore staleness).
+  /// Staleness-discount exponent a, finite and >= 0 (0 = ignore staleness).
   double staleness_exponent = 0.5;
-  /// Stop after this many applied updates (the async analogue of T·K).
+  /// Stop after this many applied updates (>= 1; the async analogue of T·K).
   std::size_t max_updates = 2000;
   /// Evaluate the global model every this many applied updates.
   std::size_t eval_every = 10;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <ios>
+#include <limits>
 #include <set>
+#include <string>
 
 namespace eefei::sim {
 namespace {
@@ -229,6 +231,29 @@ TEST(AsyncFei, InvalidConfigRejected) {
   auto cfg3 = small_async();
   cfg3.base.fl.clients_per_round = 0;
   EXPECT_FALSE(AsyncFeiSystem(cfg3).run().ok());
+
+  // A NaN α poisons ω, a negative or non-finite exponent lets α_s grow
+  // past 1 with staleness, and max_updates = 0 would still apply one
+  // update.  The error names the field.
+  const auto rejected_naming = [](const AsyncFeiConfig& c,
+                                  const std::string& field) {
+    const auto r = AsyncFeiSystem(c).run();
+    ASSERT_FALSE(r.ok()) << field;
+    EXPECT_NE(r.error().message.find(field), std::string::npos)
+        << r.error().message;
+  };
+  auto nan_alpha = small_async();
+  nan_alpha.mixing_alpha = std::numeric_limits<double>::quiet_NaN();
+  rejected_naming(nan_alpha, "mixing_alpha");
+  for (const double a : {-0.5, std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    auto bad_exponent = small_async();
+    bad_exponent.staleness_exponent = a;
+    rejected_naming(bad_exponent, "staleness_exponent");
+  }
+  auto no_updates = small_async();
+  no_updates.max_updates = 0;
+  rejected_naming(no_updates, "max_updates");
 }
 
 }  // namespace

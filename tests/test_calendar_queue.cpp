@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "sim/fleet_event.h"
-#include "sim/typed_event_queue.h"
+#include "typed_event_queue.h"
 
 namespace eefei::sim {
 namespace {

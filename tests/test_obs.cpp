@@ -49,56 +49,6 @@ TEST(Metrics, GaugeIsLastWriteWins) {
   EXPECT_DOUBLE_EQ(gauge.value(), -1.25);
 }
 
-TEST(Metrics, HistogramBucketsObservations) {
-  obs::Histogram h({1.0, 10.0, 100.0});
-  h.observe(0.5);    // bucket 0 (<= 1)
-  h.observe(1.0);    // bucket 0 (inclusive upper bound)
-  h.observe(5.0);    // bucket 1
-  h.observe(99.0);   // bucket 2
-  h.observe(1e9);    // overflow
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.0 + 5.0 + 99.0 + 1e9);
-  const auto buckets = h.bucket_counts();
-  ASSERT_EQ(buckets.size(), 4u);
-  EXPECT_EQ(buckets[0], 2u);
-  EXPECT_EQ(buckets[1], 1u);
-  EXPECT_EQ(buckets[2], 1u);
-  EXPECT_EQ(buckets[3], 1u);
-}
-
-TEST(Metrics, HistogramOverflowIsCountedNotDropped) {
-  // Regression: saturating observations used to vanish into the last bucket
-  // with no trace; they must land in an explicit overflow bucket, and
-  // min/max must expose the actual recorded range.
-  obs::Histogram h({1.0, 10.0});
-  EXPECT_DOUBLE_EQ(h.min(), 0.0);  // empty histogram reports 0.0
-  EXPECT_DOUBLE_EQ(h.max(), 0.0);
-  h.observe(0.25);
-  h.observe(500.0);   // past the last bound
-  h.observe(7000.0);  // further past
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_EQ(h.overflow(), 2u);
-  const auto buckets = h.bucket_counts();
-  ASSERT_EQ(buckets.size(), 3u);  // 2 bounds + overflow
-  EXPECT_EQ(buckets.back(), h.overflow());
-  EXPECT_DOUBLE_EQ(h.min(), 0.25);
-  EXPECT_DOUBLE_EQ(h.max(), 7000.0);
-  // The export carries all three, so saturation is visible downstream.
-  obs::MetricsRegistry registry;
-  registry.histogram("sat", std::vector<double>{1.0, 10.0}).observe(500.0);
-  const std::string json = obs::metrics_json(registry.snapshot());
-  EXPECT_NE(json.find("\"overflow\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"min\": 500"), std::string::npos);
-  EXPECT_NE(json.find("\"max\": 500"), std::string::npos);
-}
-
-TEST(Metrics, ExponentialBoundsGrowGeometrically) {
-  const auto bounds = obs::Histogram::exponential_bounds(1e3, 4.0, 5);
-  ASSERT_EQ(bounds.size(), 5u);
-  EXPECT_DOUBLE_EQ(bounds[0], 1e3);
-  EXPECT_DOUBLE_EQ(bounds[4], 1e3 * 256.0);
-}
-
 TEST(Metrics, RegistryReturnsStableAddressesAndSortedSnapshot) {
   obs::MetricsRegistry registry;
   obs::Counter& c1 = registry.counter("zeta");
@@ -107,7 +57,7 @@ TEST(Metrics, RegistryReturnsStableAddressesAndSortedSnapshot) {
   c1.add(2.0);
   c2.increment();
   registry.gauge("depth").set(7.0);
-  (void)registry.histogram("lat", std::vector<double>{1.0, 2.0});
+  (void)registry.sketch("lat");
 
   const auto snapshot = registry.snapshot();
   ASSERT_EQ(snapshot.counters.size(), 2u);
@@ -116,8 +66,8 @@ TEST(Metrics, RegistryReturnsStableAddressesAndSortedSnapshot) {
   EXPECT_DOUBLE_EQ(snapshot.counter_value("zeta"), 2.0);
   EXPECT_DOUBLE_EQ(snapshot.counter_value("missing"), 0.0);
   EXPECT_DOUBLE_EQ(snapshot.gauge_value("depth"), 7.0);
-  ASSERT_EQ(snapshot.histograms.size(), 1u);
-  EXPECT_EQ(snapshot.histograms[0].name, "lat");
+  ASSERT_EQ(snapshot.sketches.size(), 1u);
+  EXPECT_EQ(snapshot.sketches[0].name, "lat");
 }
 
 TEST(Metrics, RegistrySketchFindOrCreateKeepsStableAddresses) {
@@ -175,7 +125,7 @@ TEST(Metrics, EmptyRegistryExportsValidDocument) {
   EXPECT_NE(json.find("\"kind\": \"metrics\""), std::string::npos);
   EXPECT_NE(json.find("\"schema_version\""), std::string::npos);
   EXPECT_NE(json.find("\"counters\": ["), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\": ["), std::string::npos);
+  EXPECT_EQ(json.find("histograms"), std::string::npos);  // one kind only
   EXPECT_NE(json.find("\"sketches\": ["), std::string::npos);
 }
 
@@ -322,15 +272,18 @@ TEST(TraceExport, MetricsJsonRoundTripsSnapshotValues) {
   obs::MetricsRegistry registry;
   registry.counter("energy.joules.training").add(12.5);
   registry.gauge("pool.queue_depth").set(3.0);
-  registry.histogram("gemm.ns", std::vector<double>{10.0, 100.0})
-      .observe(42.0);
+  registry.sketch("pool.task_run.ns").record(42.0);
   const std::string json = obs::metrics_json(registry.snapshot());
   EXPECT_NE(json.find("\"kind\": \"metrics\""), std::string::npos);
   EXPECT_NE(json.find("\"energy.joules.training\""), std::string::npos);
   EXPECT_NE(json.find("12.5"), std::string::npos);
   EXPECT_NE(json.find("\"pool.queue_depth\""), std::string::npos);
-  EXPECT_NE(json.find("\"gemm.ns\""), std::string::npos);
-  EXPECT_NE(json.find("\"buckets\": [0, 1, 0]"), std::string::npos);
+  EXPECT_NE(json.find("\"pool.task_run.ns\""), std::string::npos);
+  EXPECT_NE(json.find("\"count\": 1, \"zero_count\": 0, \"sum\": 42, "
+                      "\"min\": 42, \"max\": 42"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"quantiles\": {\"p50\": "), std::string::npos);
+  EXPECT_NE(json.find("\"buckets\": [1]"), std::string::npos);
 }
 
 TEST(Manifest, JsonCarriesProvenanceAndTotals) {

@@ -3,7 +3,7 @@
 // outputs, and those bytes are pinned by a hard-coded golden CRC so a
 // -DEEFEI_SIMD=OFF build can be checked against the same fingerprint as a
 // SIMD build (the CI scalar-fallback job does exactly that).  Also covers
-// the 64-byte alignment guarantee of Matrix / Workspace storage.
+// the 64-byte alignment guarantee of Workspace storage.
 #include "ml/simd.h"
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 
 #include "common/rng.h"
 #include "ml/aligned.h"
-#include "ml/matrix.h"
 #include "ml/model.h"
 #include "ml/serialize.h"
 
@@ -618,13 +617,6 @@ TEST(Simd, DisabledBuildsDispatchTheScalarFallback) {
     EXPECT_EQ(simd::active_isa(), simd::Isa::kScalar);
   }
   EXPECT_EQ(simd::kernels().isa, simd::active_isa());
-}
-
-TEST(Simd, MatrixStorageIsCacheLineAligned) {
-  const Matrix m(3, 5, 1.0);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(m.flat().data()) %
-                kTensorAlignment,
-            0u);
 }
 
 TEST(Simd, WorkspaceBuffersAreCacheLineAligned) {

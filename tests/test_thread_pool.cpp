@@ -89,11 +89,11 @@ TEST(ThreadPool, QueueMetricsCountSubmittedTasks) {
   for (auto& f : futures) f.get();
   const auto snapshot = telemetry.metrics.snapshot();
   EXPECT_EQ(snapshot.counter_value("pool.tasks"), 32.0);
-  // Every task's wait and run latency landed in the histograms.
-  for (const auto& h : snapshot.histograms) {
-    if (h.name == "pool.task_wait.ns" || h.name == "pool.task_run.ns") {
-      EXPECT_EQ(h.count, 32u) << h.name;
-    }
+  // Every task's wait and run latency landed in the sketches.
+  for (const char* name : {"pool.task_wait.ns", "pool.task_run.ns"}) {
+    const obs::SketchSnapshot* sketch = snapshot.sketch(name);
+    ASSERT_NE(sketch, nullptr) << name;
+    EXPECT_EQ(sketch->count, 32u) << name;
   }
   // Gauge exists and has settled at zero depth after the drain.
   EXPECT_EQ(snapshot.gauge_value("pool.queue_depth"), 0.0);
@@ -189,14 +189,11 @@ TEST(ThreadPool, TelemetryMayDieAsSoonAsTheFutureIsReady) {
     }
     // Every write for the finished tasks has landed before get() returned.
     const auto snapshot = telemetry->metrics.snapshot();
-    bool found = false;
-    for (const auto& h : snapshot.histograms) {
-      if (h.name == "pool.task_run.ns") {
-        found = true;
-        EXPECT_EQ(h.count, 3u);
-      }
+    for (const char* name : {"pool.task_wait.ns", "pool.task_run.ns"}) {
+      const obs::SketchSnapshot* sketch = snapshot.sketch(name);
+      ASSERT_NE(sketch, nullptr) << name;
+      EXPECT_EQ(sketch->count, 3u) << name;
     }
-    EXPECT_TRUE(found);
     telemetry.reset();
   }
 }

@@ -14,9 +14,8 @@
 #include "ml/logistic_regression.h"
 #include "ml/model_bank.h"
 #include "sim/calendar_queue.h"
-#include "sim/event_queue.h"
 #include "sim/fleet_event.h"
-#include "sim/typed_event_queue.h"
+#include "typed_event_queue.h"
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
@@ -160,56 +159,12 @@ namespace {
 
 using ml::steady_state_allocations;
 
-TEST(WorkspaceAlloc, EventQueueScheduleAndRunAreAllocationFree) {
-  // Regression: run() used to copy the std::function handler out of
-  // priority_queue::top() — one heap allocation per event in the hottest
-  // sim loop.  With the move-out heap and a warm backing vector, an entire
-  // schedule/run cycle with small (SBO-sized) handlers allocates nothing.
-  EventQueue queue;
-  queue.reserve(64);
-  std::size_t fired = 0;
-  auto drive = [&] {
-    for (int i = 0; i < 32; ++i) {
-      queue.schedule_in(Seconds{1e-3 * static_cast<double>(i % 7)},
-                        [&fired] { ++fired; });
-    }
-    (void)queue.run();
-  };
-  EXPECT_EQ(0u, steady_state_allocations(drive));
-  EXPECT_GT(fired, 0u);
-}
-
-TEST(WorkspaceAlloc, EventQueueCascadeIsAllocationFree) {
-  // Handlers scheduling follow-up events (the download→train→upload
-  // cascade shape) stay allocation-free too: every handler captures one
-  // pointer, comfortably inside std::function's small-buffer optimisation.
-  EventQueue queue;
-  queue.reserve(16);
-  struct Cascade {
-    EventQueue* q;
-    std::size_t depth = 0;
-    void fire() {
-      if (++depth % 8 != 0) q->schedule_in(Seconds{0.5}, [this] { fire(); });
-    }
-  };
-  Cascade cascade{&queue};
-  EXPECT_EQ(0u, steady_state_allocations([&cascade, &queue] {
-    queue.schedule_in(Seconds{0.1}, [&cascade] { cascade.fire(); });
-    (void)queue.run();
-  }));
-  EXPECT_GT(cascade.depth, 0u);
-}
-
-// The typed-path satellite pin: a warmed-up event-fleet ROUND LOOP —
-// N = 1k fleet, faults on, so the dispatch fans across download/train/
-// upload chains, dropped members and tier completions —
-// schedules and runs with ZERO steady-state allocations.  FleetEvent is a
-// 40-byte POD (nothing to box, unlike std::function), and both typed
-// queues only grow their backing storage, so after one warm-up round the
-// per-round schedule/drain cycle never touches the heap.  This is the
-// structural win of the typed path: the closure queue allocates whenever a
-// capture list outgrows the SBO slot, which at fleet scale is every event
-// that captures more than two words.
+// A warmed-up event-fleet ROUND LOOP — N = 1k fleet, faults on, so the
+// dispatch fans across download/train/upload chains, dropped members and
+// tier completions — schedules and runs with ZERO steady-state
+// allocations.  FleetEvent is a 40-byte POD, and both typed queues only
+// grow their backing storage, so after one warm-up round the
+// per-round schedule/drain cycle never touches the heap.
 template <class Q>
 std::size_t typed_fleet_round_loop_allocations() {
   constexpr std::size_t kServers = 1000;

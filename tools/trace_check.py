@@ -10,7 +10,7 @@ time-series (kind == "timeseries"), a run manifest (kind == "manifest"),
 or a BENCH_*.json bench report (has "bench").
 
 Checks are structural — schema_version, required keys, numeric/ordered
-timestamps, per-track process_name metadata, sketch/histogram count
+timestamps, per-track process_name metadata, sketch count
 consistency — so a regression in an exporter fails CI before anyone drags
 a broken trace into Perfetto.
 --expect-phases additionally requires that at least one edge-server track
@@ -172,37 +172,6 @@ def check_metrics(doc, chk):
                 and isinstance(m.get("value"), (int, float))
             )
             chk.require(ok, f"malformed {section} entry: {m!r}")
-    for h in doc.get("histograms", []):
-        name = h.get("name") if isinstance(h, dict) else None
-        if not chk.require(
-            isinstance(name, str), f"malformed histogram entry: {h!r}"
-        ):
-            continue
-        bounds, buckets = h.get("bounds", []), h.get("buckets", [])
-        chk.require(
-            len(buckets) == len(bounds) + 1,
-            f"histogram {name}: {len(buckets)} buckets for "
-            f"{len(bounds)} bounds (want bounds+1)",
-        )
-        chk.require(
-            sum(buckets) == h.get("count"),
-            f"histogram {name}: bucket sum != count",
-        )
-        for key in ("sum", "overflow", "min", "max"):
-            chk.require(
-                isinstance(h.get(key), (int, float)),
-                f"histogram {name}: non-numeric {key} (inf/nan leaked?)",
-            )
-        if buckets:
-            chk.require(
-                h.get("overflow") == buckets[-1],
-                f"histogram {name}: overflow != last bucket",
-            )
-        if h.get("count"):
-            chk.require(
-                h.get("min") <= h.get("max"),
-                f"histogram {name}: min > max",
-            )
     for s in doc.get("sketches", []):
         name = s.get("name") if isinstance(s, dict) else None
         if not chk.require(
