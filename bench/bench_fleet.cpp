@@ -7,13 +7,10 @@
 // in-process before timing anything.
 //
 //   build/bench/bench_fleet [rounds=20] [threads=0] [n100k=1] [n1m=1]
-//                           [trace=fleet.json] [overhead=1.05] [gate=1]
+//                           [trace=fleet.json] [overhead=1.05]
 //
 // Event rows additionally report the dispatch throughput (events_per_s)
-// and the queue's high-water backlog; with n1m=1 the million-server row is
-// gated IN-PROCESS against the recorded closure-queue baseline — the typed
-// calendar-queue path must hold a >= 1.5x speedup or the bench fails
-// (`gate=0` opts out on machines where the recorded baseline is foreign).
+// and the queue's high-water backlog.
 //
 // With n1m=1 and a trace path, the million-server row runs a TRACED twin:
 // telemetry on, same config.  The twin must be byte-identical to the
@@ -110,7 +107,6 @@ int main(int argc, char** argv) {
   std::size_t threads = std::max(1u, std::thread::hardware_concurrency());
   bool include_100k = false;
   bool include_1m = false;
-  bool gate = true;
   std::string trace_path;
   double overhead_budget = 1.05;
   if (const auto cfg = Config::from_args(argc, argv); cfg.ok()) {
@@ -121,7 +117,6 @@ int main(int argc, char** argv) {
     }
     include_100k = cfg->get_int_or("n100k", 0) != 0;
     include_1m = cfg->get_int_or("n1m", 0) != 0;
-    gate = cfg->get_int_or("gate", 1) != 0;
     trace_path = cfg->get_string_or("trace", "");
     overhead_budget = cfg->get_double_or("overhead", overhead_budget);
   }
@@ -251,25 +246,6 @@ int main(int argc, char** argv) {
     report.add(tag + "/rss_mb", rss);
     report.add(tag + "/energy_j", event_run.energy_j);
     print_row(kMillion, event_run, "event", rss);
-
-    // The typed-queue speedup gate: this row's whole point is the de-
-    // virtualized event loop, so hold it to the recorded closure-queue
-    // baseline in-process instead of trusting an external diff.  `gate=0`
-    // opts out for cross-machine runs where the recorded baseline does not
-    // transfer.
-    constexpr double kClosureBaselineNs = 1.5401382400000001;
-    const double speedup = kClosureBaselineNs / event_run.ns_per_server_round;
-    std::printf("typed-queue speedup vs closure baseline: %.2fx "
-                "(gate: >= 1.50x, %s)\n",
-                speedup, gate ? "on" : "off");
-    if (gate && speedup < 1.5) {
-      std::fprintf(stderr,
-                   "typed-queue gate failed: %.3f ns/server-round is only "
-                   "%.2fx the %.3f ns closure baseline (need >= 1.5x)\n",
-                   event_run.ns_per_server_round, speedup,
-                   kClosureBaselineNs);
-      return 1;
-    }
 
     // Million-server multi-hop twin: the ~16k-node gateway/region graph
     // with transparent links must reproduce the point-to-point row bit

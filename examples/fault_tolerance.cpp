@@ -105,8 +105,9 @@ int main() {
               seg2->ledger.render().c_str());
 
   // Telemetry self-check: the metrics registry must have seen exactly the
-  // joules both ledgers booked, category by category (including the faulty
-  // reclassify paths) — a live proof the mirror can't drift.
+  // joules both ledgers booked, category by category (including the
+  // kRetry and kAborted bookings of the fault paths) — a live proof the
+  // mirror can't drift.
   const auto snapshot = telemetry.metrics.snapshot();
   for (std::size_t c = 0; c < energy::kNumEnergyCategories; ++c) {
     const auto cat = static_cast<energy::EnergyCategory>(c);

@@ -12,10 +12,10 @@ namespace eefei::energy {
 namespace {
 
 // "energy.joules.<category>" counter names, built once.  The metric totals
-// track every charge()/reclassify() since telemetry was installed, so after
-// a traced run metrics.counter_value("energy.joules.training") equals
-// category_total(kTraining) — including amounts moved by reclassify (the
-// observability test pins this on a faulty run).
+// track every charge() since telemetry was installed, so after a traced run
+// metrics.counter_value("energy.joules.training") equals
+// category_total(kTraining) (the observability tests pin this on faulty and
+// async runs).
 const std::string& category_counter_name(EnergyCategory category) {
   static const std::array<std::string, kNumEnergyCategories> names = [] {
     std::array<std::string, kNumEnergyCategories> out;
@@ -88,20 +88,6 @@ void EnergyLedger::charge(std::size_t server, EnergyCategory category,
 void EnergyLedger::charge_untouched(EnergyCategory category, Joules amount) {
   assert(amount.value() >= 0.0);
   baseline_[static_cast<std::size_t>(category)] += amount.value();
-}
-
-void EnergyLedger::reclassify(std::size_t server, EnergyCategory from,
-                              EnergyCategory to, Joules amount) {
-  assert(amount.value() >= 0.0);
-  double* r = row_for(server);
-  double& src = r[static_cast<std::size_t>(from)];
-  const double moved = std::min(src, amount.value());
-  src -= moved;
-  r[static_cast<std::size_t>(to)] += moved;
-  if (obs::Telemetry* t = obs::telemetry(); t != nullptr && moved > 0.0) {
-    category_counter(t->metrics, from).add(-moved);
-    category_counter(t->metrics, to).add(moved);
-  }
 }
 
 Joules EnergyLedger::server_total(std::size_t server) const {

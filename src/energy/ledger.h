@@ -104,8 +104,8 @@ class EnergyLedger {
   /// need the counters bitwise-exact add to them directly.
   void charge_untouched(EnergyCategory category, Joules amount);
 
-  /// True once `server`'s row has been materialized by a direct charge /
-  /// reclassify / materialize (it no longer tracks the shared baseline).
+  /// True once `server`'s row has been materialized by a direct charge or
+  /// materialize (it no longer tracks the shared baseline).
   [[nodiscard]] bool touched(std::size_t server) const {
     return (touched_[server >> 6] >> (server & 63)) & 1u;
   }
@@ -114,12 +114,6 @@ class EnergyLedger {
   /// value.  Call before charge_untouched() for rows that must NOT receive
   /// the bulk charge despite having no direct charges yet.
   void materialize(std::size_t server);
-
-  /// Moves up to `amount` (clamped to what the entry holds) from one
-  /// category to another — e.g. re-booking energy pre-charged for a task
-  /// that was later cancelled as kAborted.  Total energy is conserved.
-  void reclassify(std::size_t server, EnergyCategory from, EnergyCategory to,
-                  Joules amount);
 
   [[nodiscard]] std::size_t num_servers() const { return num_servers_; }
   [[nodiscard]] Joules server_total(std::size_t server) const;

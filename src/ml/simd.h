@@ -1,9 +1,9 @@
 // Deterministic SIMD math layer: the public dispatch surface.
 //
-// Every dense kernel of the ML layer (accumulate_rows/accumulate_outer, the
-// whole-batch epoch kernels and the elementwise add/sub/scale/axpy) is
-// compiled once per instruction set from one templated body (simd_lanes.h)
-// and selected at runtime through the KernelTable below.  The layer's contract is *determinism first*:
+// Every dense kernel of the ML layer (accumulate_rows/accumulate_outer and
+// the whole-batch epoch kernels) is compiled once per instruction set from
+// one templated body (simd_lanes.h) and selected at runtime through the
+// KernelTable below.  The layer's contract is *determinism first*:
 //
 //   - Fixed per-element operation order.  Every backend — AVX-512, AVX2,
 //     SSE2, NEON, and the scalar fallback — runs the identical IEEE-754
@@ -60,14 +60,6 @@ struct KernelTable {
   /// out[k·c + j] += x[k] · err[j]  (outer-product gradient accumulation).
   void (*accumulate_outer)(const double* x, std::size_t d, std::size_t c,
                            const double* err, double* out);
-  /// y[i] += x[i]
-  void (*add)(double* y, const double* x, std::size_t n);
-  /// y[i] -= x[i]
-  void (*sub)(double* y, const double* x, std::size_t n);
-  /// y[i] *= s
-  void (*scale)(double* y, std::size_t n, double s);
-  /// y[i] += alpha · x[i]
-  void (*axpy)(double* y, const double* x, std::size_t n, double alpha);
   /// Whole-batch forward: for every sample s < n of the row-major batch x
   /// (n rows of d features),
   ///   acc[s·acc_stride + j] += Σ_k x[s·d + k] · w[k·c + j].

@@ -13,10 +13,6 @@ namespace {
 constexpr KernelTable kAvx2Table{
     &accumulate_rows_vec_impl<Avx2Backend>,
     &accumulate_outer_vec_impl<Avx2Backend>,
-    &add_impl<Avx2Backend>,
-    &sub_impl<Avx2Backend>,
-    &scale_impl<Avx2Backend>,
-    &axpy_impl<Avx2Backend>,
     &accumulate_rows_tiled_impl<Avx2Backend>,
     &accumulate_outer_transposed_impl<Avx2Backend>,
     Isa::kAvx2};

@@ -658,54 +658,8 @@ void outer_transposed_avx512(const double* x, std::size_t n, std::size_t d,
   }
 }
 
-void add_avx512(double* y, const double* x, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm512_storeu_pd(
-        y + i, _mm512_add_pd(_mm512_loadu_pd(y + i), _mm512_loadu_pd(x + i)));
-  }
-  for (; i < n; ++i) y[i] += x[i];
-}
-
-void sub_avx512(double* y, const double* x, std::size_t n) {
-  // a − b directly: IEEE-754 defines it as a + (−b), so this is
-  // bit-identical to the add(y, mul(x, −1)) spelling of the 4-lane
-  // backends.
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm512_storeu_pd(
-        y + i, _mm512_sub_pd(_mm512_loadu_pd(y + i), _mm512_loadu_pd(x + i)));
-  }
-  for (; i < n; ++i) y[i] -= x[i];
-}
-
-void scale_avx512(double* y, std::size_t n, double s) {
-  const __m512d vs = _mm512_set1_pd(s);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm512_storeu_pd(y + i, _mm512_mul_pd(_mm512_loadu_pd(y + i), vs));
-  }
-  for (; i < n; ++i) y[i] *= s;
-}
-
-void axpy_avx512(double* y, const double* x, std::size_t n, double alpha) {
-  const __m512d va = _mm512_set1_pd(alpha);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm512_storeu_pd(
-        y + i,
-        _mm512_add_pd(_mm512_loadu_pd(y + i),
-                      _mm512_mul_pd(va, _mm512_loadu_pd(x + i))));
-  }
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
 constexpr KernelTable kAvx512Table{&rows_avx512,
                                    &outer_avx512,
-                                   &add_avx512,
-                                   &sub_avx512,
-                                   &scale_avx512,
-                                   &axpy_avx512,
                                    &rows_tiled_avx512,
                                    &outer_transposed_avx512,
                                    Isa::kAvx512};

@@ -22,10 +22,6 @@ namespace {
 // so same bits).  The whole-batch entries have one body for every table.
 constexpr KernelTable kScalarTable{&accumulate_rows_impl<ScalarBackend>,
                                    &accumulate_outer_impl<ScalarBackend>,
-                                   &add_impl<ScalarBackend>,
-                                   &sub_impl<ScalarBackend>,
-                                   &scale_impl<ScalarBackend>,
-                                   &axpy_impl<ScalarBackend>,
                                    &accumulate_rows_tiled_impl<ScalarBackend>,
                                    &accumulate_outer_transposed_impl<ScalarBackend>,
                                    Isa::kScalar};
@@ -34,10 +30,6 @@ template <class B>
 constexpr KernelTable make_vector_table(Isa isa) {
   return KernelTable{&accumulate_rows_vec_impl<B>,
                      &accumulate_outer_vec_impl<B>,
-                     &add_impl<B>,
-                     &sub_impl<B>,
-                     &scale_impl<B>,
-                     &axpy_impl<B>,
                      &accumulate_rows_tiled_impl<B>,
                      &accumulate_outer_transposed_impl<B>,
                      isa};

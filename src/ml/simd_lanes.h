@@ -582,46 +582,4 @@ void accumulate_outer_transposed_impl(const double* x, std::size_t n,
   }
 }
 
-template <class B>
-void add_impl(double* y, const double* x, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    B::storeu(y + i, B::add(B::loadu(y + i), B::loadu(x + i)));
-  }
-  for (; i < n; ++i) y[i] += x[i];
-}
-
-template <class B>
-void sub_impl(double* y, const double* x, std::size_t n) {
-  // Backends expose only add/mul, so subtraction is a + (−1·b).  That is
-  // bit-identical to a − b: multiplying by −1.0 is an exact sign flip and
-  // IEEE-754 defines a − b as a + (−b).
-  const auto neg1 = B::broadcast(-1.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    B::storeu(y + i, B::add(B::loadu(y + i), B::mul(B::loadu(x + i), neg1)));
-  }
-  for (; i < n; ++i) y[i] -= x[i];
-}
-
-template <class B>
-void scale_impl(double* y, std::size_t n, double s) {
-  const auto vs = B::broadcast(s);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    B::storeu(y + i, B::mul(B::loadu(y + i), vs));
-  }
-  for (; i < n; ++i) y[i] *= s;
-}
-
-template <class B>
-void axpy_impl(double* y, const double* x, std::size_t n, double alpha) {
-  const auto va = B::broadcast(alpha);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    B::storeu(y + i, B::add(B::loadu(y + i), B::mul(va, B::loadu(x + i))));
-  }
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
 }  // namespace eefei::ml::simd

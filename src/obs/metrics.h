@@ -37,8 +37,7 @@ namespace detail {
 [[nodiscard]] std::size_t metric_shard();
 }  // namespace detail
 
-/// Monotonic sum (double-valued; negative deltas are allowed so paired
-/// moves like EnergyLedger::reclassify can keep two counters consistent).
+/// Running sum of the deltas added (double-valued).
 class Counter {
  public:
   void add(double delta) {

@@ -11,9 +11,16 @@
 //
 // and the server immediately pulls the fresh model and keeps going — no
 // barrier, no waiting energy, and stragglers only slow themselves down.
+//
+// An EventFleetEngine preset, like FeiSystem: a task's download, training
+// and upload are the engine's phase events and legs.  The async rules are
+// at EventFleetEngine::simulate.  The fault, quantization, IoT and
+// idle-charging knobs of FeiSystemConfig are rejected by name.
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/result.h"
@@ -52,8 +59,9 @@ struct AsyncRunResult {
   Seconds wall_clock{0.0};
   bool reached_target = false;
   std::size_t updates_applied = 0;
-  /// In-flight tasks cancelled by the stop (their pre-charged energy is
-  /// reclassified to EnergyCategory::kAborted).
+  /// Tasks in flight at the stop (servers that still had phase events
+  /// pending); the part of each phase that ran before the stop is booked
+  /// as EnergyCategory::kAborted.
   std::size_t cancelled_tasks = 0;
   double final_accuracy = 0.0;
   double final_loss = 0.0;
@@ -63,9 +71,12 @@ struct AsyncRunResult {
       double target) const;
 };
 
+class EventFleetEngine;
+
 class AsyncFeiSystem {
  public:
   explicit AsyncFeiSystem(AsyncFeiConfig config);
+  ~AsyncFeiSystem();
 
   [[nodiscard]] Result<AsyncRunResult> run();
 
@@ -73,6 +84,7 @@ class AsyncFeiSystem {
 
  private:
   AsyncFeiConfig config_;
+  std::unique_ptr<EventFleetEngine> engine_;
 };
 
 }  // namespace eefei::sim

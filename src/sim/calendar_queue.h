@@ -76,10 +76,6 @@ class CalendarQueue {
     return true;
   }
 
-  bool schedule_in(Seconds delay, const P& payload) {
-    return schedule_at(now_ + delay, payload);
-  }
-
   /// Processes events in (time, seq) order until the queue is empty or
   /// `max_events` fires, invoking `dispatch(payload, at)` for each.
   /// Handlers may schedule more events (including at the current time); a

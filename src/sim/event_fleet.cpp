@@ -5,6 +5,8 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -15,6 +17,8 @@
 #include "energy/idle_settlement.h"
 #include "fl/client_pool.h"
 #include "fl/selection.h"
+#include "ml/model_bank.h"
+#include "ml/model_spec.h"
 #include "ml/quantize.h"
 #include "ml/serialize.h"
 #include "net/csma.h"
@@ -22,12 +26,22 @@
 #include "net/graph.h"
 #include "net/router.h"
 #include "obs/telemetry.h"
+#include "sim/async_fei.h"
 #include "sim/calendar_queue.h"
 #include "sim/edge_server_sim.h"
 #include "sim/fault_process.h"
 #include "sim/fleet_event.h"
 
 namespace eefei::sim {
+
+EventFleetEngineConfig prototype_preset(const FeiSystemConfig& config) {
+  EventFleetEngineConfig cfg;
+  cfg.system = config;
+  cfg.sampled_timelines = config.num_servers;
+  cfg.trace_tracks.max_tracks = config.num_servers;
+  cfg.per_server_accumulators = false;  // the timelines carry the same sums
+  return cfg;
+}
 
 EventFleetEngine::EventFleetEngine(EventFleetEngineConfig config)
     : config_(std::move(config)) {}
@@ -116,15 +130,12 @@ ThreadPool* EventFleetEngine::acquire_pool() {
   return pool_;
 }
 
-void EventFleetEngine::for_each_server_sharded(
-    const std::function<void(std::size_t)>& fn) {
-  const std::size_t n = config_.system.num_servers;
+void EventFleetEngine::for_each_shard(
+    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
   const std::size_t shard = std::max<std::size_t>(1, config_.shard_size);
   const std::size_t num_shards = (n + shard - 1) / shard;
   auto run_shard = [&](std::size_t s) {
-    const std::size_t lo = s * shard;
-    const std::size_t hi = std::min(n, lo + shard);
-    for (std::size_t k = lo; k < hi; ++k) fn(k);
+    fn(s * shard, std::min(n, (s + 1) * shard));
   };
   if (pool_ != nullptr && num_shards > 1) {
     pool_->parallel_for(num_shards, run_shard);
@@ -133,11 +144,14 @@ void EventFleetEngine::for_each_server_sharded(
   }
 }
 
+Result<EventFleetRunResult> EventFleetEngine::run() { return simulate(); }
+
 // The whole simulation.  Every event is a POD FleetEvent on the calendar
 // queue, dispatched through the switch below: values frozen at schedule
 // time ride in the event's t0/t1/t2 fields, everything else is read from
 // the round state at fire time.
-Result<EventFleetRunResult> EventFleetEngine::run() {
+Result<EventFleetRunResult> EventFleetEngine::simulate(
+    const AsyncFeiConfig* async, AsyncRunResult* async_result) {
   if (const auto st = prepare(); !st.ok()) return st.error();
   (void)acquire_pool();
   const FeiSystemConfig& sys = config_.system;
@@ -582,6 +596,8 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
   net::WifiLan shared_lan(sys.net.lan, Rng(0));
   const bool csma_uplink =
       sys.lan_contention == FeiSystemConfig::LanContention::kCsma;
+  // Uploads queue behind the FCFS chain; async has no chain.
+  const bool fcfs_uplink = !csma_uplink && async == nullptr;
   auto leg = [&](std::size_t sid, bool upload, Seconds start) -> Leg {
     const net::Message& msg = upload ? up_msg : down_msg;
     if (faults) {
@@ -619,10 +635,13 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
   const auto capped = [&](Seconds at) {
     return has_deadline ? std::min(at, deadline) : at;
   };
-  // Air time a leg spent before the deadline cut it.
-  const auto cut_at_deadline = [&](Seconds start, const Leg& l) {
-    const double frac = (deadline - start) / (l.finish - start);
-    return l.air * std::clamp(frac, 0.0, 1.0);
+  // Air time a phase that ran from `start` to `finish` spent before `cut`
+  // (the round deadline, or the async stop).
+  const auto cut_at = [](Seconds cut, Seconds start, Seconds finish,
+                         Seconds air) {
+    if (finish <= cut) return air;
+    const double frac = (cut - start) / (finish - start);
+    return air * std::clamp(frac, 0.0, 1.0);
   };
   // Books a phase of `duration` under `category`, its retransmitted share
   // `wasted` as kRetry.
@@ -666,22 +685,185 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
         FleetEventKind::kDropped, static_cast<std::uint32_t>(sid),
         drop_code(why, static_cast<std::uint32_t>(state)), start, ran};
   };
+  // drop_event, scheduled at its own `at`.
+  const auto schedule_drop = [&](std::size_t i, std::size_t sid,
+                                 DropReason why, Seconds at, auto... phase) {
+    queue.schedule_at(at, drop_event(i, sid, why, at, phase...));
+  };
   // Trace instant names, indexed by DropReason.
   static constexpr const char* kDropTrace[] = {
       "server.down", "deadline.drop", "update.lost", "server.crash"};
+  // Books `ran` of an interrupted phase that started at `start`.
+  const auto book_aborted = [&](std::size_t sid, energy::EdgeState state,
+                                Seconds start, Seconds ran) {
+    if (ran.value() <= 0.0) return;
+    result.ledger.charge(sid, energy::EnergyCategory::kAborted,
+                         sys.profile.power(state) * ran);
+    run_phase(sid, state, start, ran);
+  };
   const auto resolve_dropped = [&](const FleetEvent& ev, Seconds at) {
     const std::size_t sid = ev.a;
-    if (ev.t1.value() > 0.0) {
-      const auto state = static_cast<energy::EdgeState>(ev.b & 0xff);
-      result.ledger.charge(sid, energy::EnergyCategory::kAborted,
-                           sys.profile.power(state) * ev.t1);
-      run_phase(sid, state, ev.t0, ev.t1);
-    }
+    book_aborted(sid, static_cast<energy::EdgeState>(ev.b & 0xff), ev.t0,
+                 ev.t1);
     if (tracer != nullptr && tracked_sids.contains(sid)) {
       tracer->sim_instant(kDropTrace[ev.b >> 8], "sim.fault",
                           obs::Tracer::server_pid(sid), at);
     }
     gateway_member_resolved(sid, at);
+  };
+
+  // Times one task's download from `download_start` and its training right
+  // after, and schedules their events; a fault (deadline, crash, lost
+  // transfer) schedules the kDropped that resolves the server instead.  The
+  // round scan calls it in selection order (`i` indexes the round's
+  // updates), async at each dispatch; either way the jitter and straggler
+  // streams are drawn here, the download's first.
+  const auto start_task = [&](std::size_t i, std::size_t sid,
+                              Seconds download_start, Seconds nominal_train) {
+    if (has_deadline && download_start >= deadline) {
+      schedule_drop(i, sid, DropReason::kDeadline, deadline);
+      return;
+    }
+    const Leg down = leg(sid, /*upload=*/false, download_start);
+    round_stats.retries += down.attempts - 1;
+    lan_free = capped(down.finish);
+    if (has_deadline && down.finish > deadline) {
+      schedule_drop(i, sid, DropReason::kDeadline, deadline,
+                    energy::EdgeState::kDownloading, download_start,
+                    cut_at(deadline, download_start, down.finish, down.air));
+      return;
+    }
+    if (!down.delivered) {
+      schedule_drop(i, sid, DropReason::kLost, down.finish,
+                    energy::EdgeState::kDownloading, download_start, down.air);
+      return;
+    }
+    const auto id = static_cast<std::uint32_t>(sid);
+    const auto index = static_cast<std::uint32_t>(i);
+    queue.schedule_at(down.finish,
+                      FleetEvent{FleetEventKind::kDownloadDone, id, index,
+                                 download_start, down.air, down.wasted});
+
+    const Seconds train_start = down.finish;
+    Seconds t = jittered(nominal_train);
+    t *= straggler_factor(sid);
+    const Seconds train_end = train_start + t;
+    if (crash_process) {
+      if (const auto crash = crash_process->next_crash_in(
+              sid, train_start, capped(train_end))) {
+        schedule_drop(i, sid, DropReason::kCrash, *crash,
+                      energy::EdgeState::kTraining, train_start,
+                      *crash - train_start);
+        return;
+      }
+    }
+    if (has_deadline && train_end > deadline) {
+      schedule_drop(i, sid, DropReason::kDeadline, deadline,
+                    energy::EdgeState::kTraining, train_start,
+                    deadline - train_start);
+      return;
+    }
+    queue.schedule_at(train_end, FleetEvent{FleetEventKind::kEpochDone, id,
+                                            index, train_start, t});
+  };
+
+  // ---- async: upload-done mixes the update and re-dispatches ------------
+  // Set up for an async run only.  pulled[k] holds the model server k took
+  // at its dispatch and the version it was (one task in flight per server).
+  struct Pulled {
+    std::vector<double> model;
+    std::size_t version = 0;
+  };
+  std::vector<Pulled> pulled;
+  std::unique_ptr<ml::Model> eval_model;
+  std::vector<double> global;
+  ml::ModelBank bank;
+  ml::ModelBank::Task task;
+  std::size_t version = 0;  // bumps on every applied update
+  std::size_t workers = 0;
+  std::optional<Seconds> stop_time;
+  if (async != nullptr) {
+    pulled.resize(n_servers);
+    eval_model = ml::make_model(sys.model);
+    global.assign(eval_model->parameters().begin(),
+                  eval_model->parameters().end());
+    bank.configure(sys.model.lr_config());
+    task.epochs = sys.fl.local_epochs;
+    workers = std::min(sys.fl.clients_per_round, n_servers);
+  }
+  // Pulls ω and starts a task at `now`: the download starts at once.
+  const auto async_dispatch = [&](std::size_t sid, Seconds now) {
+    pulled[sid].model.assign(global.begin(), global.end());
+    pulled[sid].version = version;
+    start_task(0, sid, now,
+               sys.timing.duration(sys.fl.local_epochs,
+                                   population_.clients()[sid].num_samples()));
+  };
+  const auto async_upload_done = [&](std::size_t sid, Seconds at) {
+    const std::size_t applied = async_result->updates.size();
+    task.batch = population_.clients()[sid].local_batch();
+    task.learning_rate =
+        sys.sgd.learning_rate *
+        std::pow(sys.sgd.decay, static_cast<double>(applied / workers));
+    bank.train(pulled[sid].model, {&task, 1});
+    const auto update = bank.params_of(0);
+    const std::size_t staleness = version - pulled[sid].version;
+    const double alpha_s =
+        async->mixing_alpha / std::pow(1.0 + static_cast<double>(staleness),
+                                       async->staleness_exponent);
+    for (std::size_t p = 0; p < global.size(); ++p) {
+      global[p] = (1.0 - alpha_s) * global[p] + alpha_s * update[p];
+    }
+    ++version;
+
+    AsyncUpdateRecord& rec = async_result->updates.emplace_back(
+        AsyncUpdateRecord{applied, sid, staleness, alpha_s, at});
+    if (applied % async->eval_every == 0 ||
+        applied + 1 == async->max_updates) {
+      std::copy(global.begin(), global.end(),
+                eval_model->parameters().begin());
+      const auto eval = eval_model->evaluate(population_.test_set().view());
+      rec.global_loss = async_result->final_loss = eval.loss;
+      rec.test_accuracy = async_result->final_accuracy = eval.accuracy;
+      async_result->reached_target =
+          sys.fl.target_accuracy.has_value() &&
+          eval.accuracy >= *sys.fl.target_accuracy;
+    }
+    if (obs::Telemetry* tel = obs::telemetry()) {
+      tel->tracer.sim_instant(
+          "update.applied", "sim.async", obs::Tracer::kCoordinatorPid, at,
+          {{"update", static_cast<double>(applied)},
+           {"server", static_cast<double>(sid)},
+           {"staleness", static_cast<double>(staleness)},
+           {"alpha", alpha_s}});
+      tel->metrics.counter("async.updates").increment();
+    }
+    if (async_result->reached_target || applied + 1 >= async->max_updates) {
+      stop_time = at;
+    } else {
+      async_dispatch(sid, at);
+    }
+  };
+  // After the stop, each pending phase books the part that ran before it as
+  // kAborted; a pending epoch-done or upload-done is a cancelled task.
+  const auto cut_at_stop = [&](const FleetEvent& ev, Seconds at) {
+    assert(ev.kind == FleetEventKind::kDownloadDone ||
+           ev.kind == FleetEventKind::kEpochDone ||
+           ev.kind == FleetEventKind::kUploadDone);
+    const std::size_t sid = ev.a;
+    const auto state = ev.kind == FleetEventKind::kDownloadDone
+                           ? energy::EdgeState::kDownloading
+                       : ev.kind == FleetEventKind::kEpochDone
+                           ? energy::EdgeState::kTraining
+                           : energy::EdgeState::kUploading;
+    book_aborted(sid, state, ev.t0, cut_at(*stop_time, ev.t0, at, ev.t1));
+    if (ev.kind == FleetEventKind::kDownloadDone) return;
+    ++async_result->cancelled_tasks;
+    if (obs::Telemetry* tel = obs::telemetry()) {
+      tel->tracer.sim_instant("task.cancelled", "sim.async",
+                              obs::Tracer::server_pid(sid), *stop_time);
+      tel->metrics.counter("async.cancelled").increment();
+    }
   };
 
   // ---- the typed dispatch -----------------------------------------------
@@ -750,7 +932,7 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
                              p_train * ev.t1);
         const Seconds train_end = at;
         Seconds upload_start = train_end;
-        if (!csma_uplink) {
+        if (fcfs_uplink) {
           upload_start = std::max(train_end, lan_free);
           const Seconds queue_wait = capped(upload_start) - train_end;
           if (queue_wait.value() > 0.0) {
@@ -769,17 +951,12 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
         round_stats.retries += up.attempts - 1;
         if (!csma_uplink) lan_free = capped(up.finish);
         if (has_deadline && up.finish > deadline) {
-          queue.schedule_at(
-              deadline,
-              drop_event(ev.b, sid, DropReason::kDeadline, deadline,
-                         energy::EdgeState::kUploading, upload_start,
-                         cut_at_deadline(upload_start, up)));
+          schedule_drop(ev.b, sid, DropReason::kDeadline, deadline,
+                        energy::EdgeState::kUploading, upload_start,
+                        cut_at(deadline, upload_start, up.finish, up.air));
         } else if (!up.delivered) {
-          queue.schedule_at(
-              up.finish,
-              drop_event(ev.b, sid, DropReason::kLost, up.finish,
-                         energy::EdgeState::kUploading, upload_start,
-                         up.air));
+          schedule_drop(ev.b, sid, DropReason::kLost, up.finish,
+                        energy::EdgeState::kUploading, upload_start, up.air);
         } else {
           round_end = std::max(round_end, capped(up.finish));
           queue.schedule_at(up.finish,
@@ -793,6 +970,10 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
         const std::size_t sid = ev.a;
         run_phase(sid, energy::EdgeState::kUploading, ev.t0, ev.t1);
         book_phase(sid, p_up, energy::EnergyCategory::kUpload, ev.t1, ev.t2);
+        if (async != nullptr) {
+          async_upload_done(sid, at);
+          break;
+        }
         if (sk_turnaround_s != nullptr) {
           sk_turnaround_s->record((at - round_start_time).value());
         }
@@ -842,67 +1023,12 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
       }
 
       if (crash_process && crash_process->is_down(sid, round_start)) {
-        queue.schedule_at(round_start, drop_event(i, sid,
-                                                  DropReason::kServerDown,
-                                                  round_start));
+        schedule_drop(i, sid, DropReason::kServerDown, round_start);
         continue;
       }
-      const Seconds download_start = lan_free;
-      if (has_deadline && download_start >= deadline) {
-        queue.schedule_at(deadline, drop_event(i, sid, DropReason::kDeadline,
-                                               deadline));
-        continue;
-      }
-      const Leg down = leg(sid, /*upload=*/false, download_start);
-      round_stats.retries += down.attempts - 1;
-      lan_free = capped(down.finish);
-      if (has_deadline && down.finish > deadline) {
-        queue.schedule_at(
-            deadline, drop_event(i, sid, DropReason::kDeadline, deadline,
-                                 energy::EdgeState::kDownloading,
-                                 download_start,
-                                 cut_at_deadline(download_start, down)));
-        continue;
-      }
-      if (!down.delivered) {
-        queue.schedule_at(
-            down.finish,
-            drop_event(i, sid, DropReason::kLost, down.finish,
-                       energy::EdgeState::kDownloading, download_start,
-                       down.air));
-        continue;
-      }
-      const auto id = static_cast<std::uint32_t>(sid);
-      const auto index = static_cast<std::uint32_t>(i);
-      queue.schedule_at(down.finish,
-                        FleetEvent{FleetEventKind::kDownloadDone, id, index,
-                                   download_start, down.air, down.wasted});
-
-      const Seconds train_start = down.finish;
-      Seconds t = jittered(sys.timing.duration(round_updates.epochs_run(i),
-                                               round_updates.samples_used(i)));
-      t *= straggler_factor(sid);
-      const Seconds train_end = train_start + t;
-      if (crash_process) {
-        if (const auto crash = crash_process->next_crash_in(
-                sid, train_start, capped(train_end))) {
-          queue.schedule_at(
-              *crash, drop_event(i, sid, DropReason::kCrash, *crash,
-                                 energy::EdgeState::kTraining, train_start,
-                                 *crash - train_start));
-          continue;
-        }
-      }
-      if (has_deadline && train_end > deadline) {
-        queue.schedule_at(
-            deadline, drop_event(i, sid, DropReason::kDeadline, deadline,
-                                 energy::EdgeState::kTraining, train_start,
-                                 deadline - train_start));
-        continue;
-      }
-      queue.schedule_at(train_end,
-                        FleetEvent{FleetEventKind::kEpochDone, id, index,
-                                   train_start, t});
+      start_task(i, sid, lan_free,
+                 sys.timing.duration(round_updates.epochs_run(i),
+                                     round_updates.samples_used(i)));
     }
 
     round_events = queue.run(dispatch);
@@ -996,66 +1122,82 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
     tel->rounds.append(rs);
   };
 
-  // ---- coordinator wiring ------------------------------------------------
-  fl::CoordinatorConfig fl_cfg = sys.fl;
-  fl_cfg.upload_quant_bits = sys.upload_quant_bits;
-  fl_cfg.update_drop_probability = sys.update_drop_probability;
-  fl_cfg.drop_seed = sys.seed * 2654435761 + 13;
-  std::unique_ptr<fl::SelectionPolicy> policy;
-  if (config_.scalable_selection) {
-    policy = std::make_unique<fl::ScalableUniformSelection>(
-        Rng(sys.seed * 613 + 29));
-  } else {
-    policy = std::make_unique<fl::UniformRandomSelection>(
-        Rng(sys.seed * 613 + 29));
-  }
-
-  std::unique_ptr<fl::ClientPool> clients;
-  if (virtual_pop) {
-    fl::ClientConfig ccfg;
-    ccfg.model = sys.model;
-    ccfg.sgd = sys.sgd;
-    clients = std::make_unique<fl::LazyClientPool>(
-        n_servers, &population_.shards(), ccfg);
-  } else {
-    clients = std::make_unique<fl::DenseClientPool>(&population_.clients());
-  }
-  fl::Coordinator coordinator(clients.get(), &population_.test_set(), fl_cfg,
-                              std::move(policy));
-  // The scan is the coordinator's update filter: it runs on this thread
-  // while the pool's helpers train the round, and its vetoes (none without
-  // a fault knob) decide which updates the coordinator averages.
-  coordinator.set_update_filter(
-      [&](std::size_t round, std::span<const fl::ClientId> selected,
-          fl::PendingUpdates updates) {
-        round_updates = updates;
-        simulate_round(round, selected);
-        round_updates = {};
-        return round_stats;
-      });
-  coordinator.set_round_observer(
-      [&](const fl::RoundRecord& record,
-          std::span<const fl::LocalTrainResult> /*updates*/) {
-        record_round(record);
-      });
-  if (sys.fl.checkpoint_every != 0) {
-    coordinator.set_checkpoint_sink([&](const fl::TrainingCheckpoint& cp) {
-      result.last_checkpoint = cp;
+  if (async != nullptr) {
+    // Seed the worker pool with distinct servers; every upload-done then
+    // re-dispatches its server until the stop, and the drain cuts what is
+    // left.
+    Rng pick_rng(sys.seed * 7727 + 3);
+    std::vector<std::size_t> ids(n_servers);
+    std::iota(ids.begin(), ids.end(), std::size_t{0});
+    pick_rng.shuffle(ids);
+    for (std::size_t w = 0; w < workers; ++w) async_dispatch(ids[w], {});
+    events_processed = queue.run([&](const FleetEvent& ev, Seconds at) {
+      stop_time ? cut_at_stop(ev, at) : dispatch(ev, at);
     });
-  }
-  if (resume_.has_value()) coordinator.resume_from(*resume_);
+    clock = stop_time.value_or(queue.now());
+    async_result->updates_applied = async_result->updates.size();
+  } else {
+    // ---- coordinator wiring ----------------------------------------------
+    fl::CoordinatorConfig fl_cfg = sys.fl;
+    fl_cfg.upload_quant_bits = sys.upload_quant_bits;
+    fl_cfg.update_drop_probability = sys.update_drop_probability;
+    fl_cfg.drop_seed = sys.seed * 2654435761 + 13;
+    std::unique_ptr<fl::SelectionPolicy> policy;
+    if (config_.scalable_selection) {
+      policy = std::make_unique<fl::ScalableUniformSelection>(
+          Rng(sys.seed * 613 + 29));
+    } else {
+      policy = std::make_unique<fl::UniformRandomSelection>(
+          Rng(sys.seed * 613 + 29));
+    }
 
-  auto outcome = coordinator.run();
-  if (!outcome.ok()) return outcome.error();
-  result.training = std::move(outcome).value();
+    std::unique_ptr<fl::ClientPool> clients;
+    if (virtual_pop) {
+      fl::ClientConfig ccfg;
+      ccfg.model = sys.model;
+      ccfg.sgd = sys.sgd;
+      clients = std::make_unique<fl::LazyClientPool>(
+          n_servers, &population_.shards(), ccfg);
+    } else {
+      clients = std::make_unique<fl::DenseClientPool>(&population_.clients());
+    }
+    fl::Coordinator coordinator(clients.get(), &population_.test_set(), fl_cfg,
+                                std::move(policy));
+    // The scan is the coordinator's update filter: it runs on this thread
+    // while the pool's helpers train the round, and its vetoes (none without
+    // a fault knob) decide which updates the coordinator averages.
+    coordinator.set_update_filter(
+        [&](std::size_t round, std::span<const fl::ClientId> selected,
+            fl::PendingUpdates updates) {
+          round_updates = updates;
+          simulate_round(round, selected);
+          round_updates = {};
+          return round_stats;
+        });
+    coordinator.set_round_observer(
+        [&](const fl::RoundRecord& record,
+            std::span<const fl::LocalTrainResult> /*updates*/) {
+          record_round(record);
+        });
+    if (sys.fl.checkpoint_every != 0) {
+      coordinator.set_checkpoint_sink([&](const fl::TrainingCheckpoint& cp) {
+        result.last_checkpoint = cp;
+      });
+    }
+    if (resume_.has_value()) coordinator.resume_from(*resume_);
+
+    auto outcome = coordinator.run();
+    if (!outcome.ok()) return outcome.error();
+    result.training = std::move(outcome).value();
+    for (const auto& r : result.training.record.all()) {
+      result.total_retries += r.retries;
+      result.total_aborted_updates += r.aborted_updates;
+      result.total_straggler_drops += r.straggler_drops;
+      result.total_crashed_servers += r.crashed_servers;
+    }
+  }
   result.wall_clock = clock;
   result.events_processed = events_processed;
-  for (const auto& r : result.training.record.all()) {
-    result.total_retries += r.retries;
-    result.total_aborted_updates += r.aborted_updates;
-    result.total_straggler_drops += r.straggler_drops;
-    result.total_crashed_servers += r.crashed_servers;
-  }
 
   // ---- lazy idle settlement: bring every ledger row up to date ----------
   if (charge_idle) {
@@ -1105,28 +1247,23 @@ Result<EventFleetRunResult> EventFleetEngine::run() {
       stride = n_servers / cap;
       if (stride % 2 == 0) ++stride;  // coprime with pow-2 pool periods
     }
-    const std::size_t n_rec = (n_servers + stride - 1) / stride;
-    const std::size_t shard = std::max<std::size_t>(1, config_.shard_size);
-    const std::size_t n_sh = (n_rec + shard - 1) / shard;
-    auto record_shard = [&](std::size_t s) {
-      obs::QuantileSketch::BulkRecorder rec(*sk_joules);
-      const std::size_t lo = s * shard;
-      const std::size_t hi = std::min(n_rec, lo + shard);
-      for (std::size_t k = lo; k < hi; ++k) {
-        rec.record(result.ledger.server_total(k * stride).value());
-      }
-    };
-    if (pool_ != nullptr && n_sh > 1) {
-      pool_->parallel_for(n_sh, record_shard);
-    } else {
-      for (std::size_t s = 0; s < n_sh; ++s) record_shard(s);
-    }
+    for_each_shard((n_servers + stride - 1) / stride,
+                   [&](std::size_t lo, std::size_t hi) {
+                     obs::QuantileSketch::BulkRecorder rec(*sk_joules);
+                     for (std::size_t k = lo; k < hi; ++k) {
+                       rec.record(
+                           result.ledger.server_total(k * stride).value());
+                     }
+                   });
   }
 
   // Close every tracked timeline at the makespan.
   if (track_accumulators) {
-    for_each_server_sharded(
-        [&](std::size_t sid) { result.accumulators[sid].idle_until(clock); });
+    for_each_shard(n_servers, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t k = lo; k < hi; ++k) {
+        result.accumulators[k].idle_until(clock);
+      }
+    });
   }
   for (auto& m : mirrors) m.idle_until(clock);
   result.sampled_timelines.reserve(mirrors.size());

@@ -3,7 +3,9 @@
 // servers cost nothing per round and N = 10^6 becomes tractable.  It is the
 // only implementation of the round model: FeiSystem, the N = 20 prototype
 // experiment, is this engine's preset with every timeline and trace track
-// kept (sampled_timelines = trace_tracks.max_tracks = N).
+// kept (sampled_timelines = trace_tracks.max_tracks = N), and
+// AsyncFeiSystem is the same preset run without the round barrier (see
+// simulate() below).
 //
 //   - Per-server phase completions are EVENTS (download-done, epoch-done,
 //     upload-done, dropped) scheduled on the event queue; the round
@@ -213,6 +215,15 @@ struct EventFleetRunResult {
   }
 };
 
+/// The preset FeiSystem and AsyncFeiSystem run: every server keeps a full
+/// timeline and owns a trace track.
+[[nodiscard]] EventFleetEngineConfig prototype_preset(
+    const FeiSystemConfig& config);
+
+struct AsyncFeiConfig;
+struct AsyncRunResult;
+class AsyncFeiSystem;
+
 class EventFleetEngine {
  public:
   explicit EventFleetEngine(EventFleetEngineConfig config);
@@ -248,13 +259,26 @@ class EventFleetEngine {
 
   [[nodiscard]] Status validate() const;
 
+  /// The whole run.  With `async` set (by AsyncFeiSystem, which validates
+  /// it; its `base` is config().system) it runs FedAsync instead of rounds
+  /// and fills *async_result: no FCFS chain, and upload-done trains the
+  /// task on the model its server pulled, mixes it into ω with
+  /// α_s = α·(1 + staleness)^(−a) and re-dispatches the server.  At the
+  /// stop each pending phase books the part that ran before it as kAborted.
+  [[nodiscard]] Result<EventFleetRunResult> simulate(
+      const AsyncFeiConfig* async = nullptr,
+      AsyncRunResult* async_result = nullptr);
+  friend class AsyncFeiSystem;
+
   /// Pool for the O(N) sharded passes; matches the coordinator's sizing
   /// rules (null = serial, shared() when sizes agree, else owned).
   [[nodiscard]] ThreadPool* acquire_pool();
 
-  /// Applies fn(server) for every server, sharded `shard_size` at a time
-  /// across the pool.  `fn` must only touch state owned by that server.
-  void for_each_server_sharded(const std::function<void(std::size_t)>& fn);
+  /// Calls fn(lo, hi) for consecutive `shard_size` blocks covering [0, n),
+  /// across the pool.  `fn` must only touch state owned by its block.
+  void for_each_shard(
+      std::size_t n,
+      const std::function<void(std::size_t, std::size_t)>& fn);
 
   EventFleetEngineConfig config_;
   bool prepared_ = false;

@@ -50,22 +50,8 @@ PopulationConfig population_config_for(const FeiSystemConfig& config) {
   return pop;
 }
 
-namespace {
-
-// Every server keeps a full timeline and owns a trace track.
-EventFleetEngineConfig preset(const FeiSystemConfig& config) {
-  EventFleetEngineConfig cfg;
-  cfg.system = config;
-  cfg.sampled_timelines = config.num_servers;
-  cfg.trace_tracks.max_tracks = config.num_servers;
-  cfg.per_server_accumulators = false;  // the timelines carry the same sums
-  return cfg;
-}
-
-}  // namespace
-
 FeiSystem::FeiSystem(FeiSystemConfig config)
-    : engine_(std::make_unique<EventFleetEngine>(preset(config))) {}
+    : engine_(std::make_unique<EventFleetEngine>(prototype_preset(config))) {}
 
 FeiSystem::~FeiSystem() = default;
 

@@ -166,7 +166,7 @@ class FeiSystem {
 };
 
 /// The PopulationConfig a FeiSystemConfig implies (EventFleetEngine adds
-/// data pooling on top for very large N; AsyncFeiSystem uses it as is).
+/// data pooling on top for very large N).
 [[nodiscard]] PopulationConfig population_config_for(
     const FeiSystemConfig& config);
 

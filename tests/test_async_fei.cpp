@@ -6,6 +6,11 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "ml/serialize.h"
+#include "net/channel.h"
 
 namespace eefei::sim {
 namespace {
@@ -28,6 +33,14 @@ AsyncFeiConfig small_async() {
   return cfg;
 }
 
+// Jittered phases, so the stop lands inside the other workers' phases (in
+// lockstep they are re-dispatched at the stop instant itself).
+AsyncFeiConfig jittered_async() {
+  auto cfg = small_async();
+  cfg.base.timing_jitter = 0.05;
+  return cfg;
+}
+
 TEST(AsyncFei, RunsAndLearns) {
   AsyncFeiSystem system(small_async());
   const auto r = system.run();
@@ -41,6 +54,8 @@ TEST(AsyncFei, RunsAndLearns) {
 // Pinned output: ledger total and final accuracy as hexfloats, for the
 // default run and for one with a lossy LAN and persistent stragglers (so
 // the per-server channel streams and the straggler draws are consumed).
+// Recorded with the stop booking only work that ran before it, and with
+// the engine's jitter and straggler streams, drawn at event time.
 void expect_async_pinned(const AsyncFeiConfig& cfg, double ledger_total,
                          double final_accuracy) {
   AsyncFeiSystem system(cfg);
@@ -53,7 +68,7 @@ void expect_async_pinned(const AsyncFeiConfig& cfg, double ledger_total,
 }
 
 TEST(AsyncFei, SmallRunMatchesGolden) {
-  expect_async_pinned(small_async(), 0x1.8a9533300dc49p+4,
+  expect_async_pinned(small_async(), 0x1.841d3ef050b09p+4,
                       0x1.2740da740da74p-1);
 }
 
@@ -63,7 +78,7 @@ TEST(AsyncFei, LossyLanStragglersMatchGolden) {
   cfg.base.timing_jitter = 0.05;
   cfg.base.straggler_fraction = 0.5;
   cfg.base.straggler_persistent = true;
-  expect_async_pinned(cfg, 0x1.26f5894468526p+5, 0x1.0da740da740dap-1);
+  expect_async_pinned(cfg, 0x1.23e1f2fdf5ff1p+5, 0x1.2c5f92c5f92c6p-1);
 }
 
 TEST(AsyncFei, StopsAtTarget) {
@@ -200,11 +215,10 @@ TEST(AsyncFei, WallClockStopsAtTheLastAppliedUpdate) {
   }
 }
 
-// Regression: dispatch pre-charges download+training+upload energy; tasks
-// still in flight when the run stops never complete, so their charges must
-// move to kAborted instead of counting as useful work.
+// Tasks still in flight when the run stops never complete: the part of
+// their running phase before the stop is lost work, booked as kAborted.
 TEST(AsyncFei, CancelledInFlightEnergyIsReclassifiedAsAborted) {
-  AsyncFeiSystem system(small_async());
+  AsyncFeiSystem system(jittered_async());
   const auto r = system.run();
   ASSERT_TRUE(r.ok());
   // 3 workers: when the 120th update stops the run, the other 2 workers'
@@ -213,6 +227,47 @@ TEST(AsyncFei, CancelledInFlightEnergyIsReclassifiedAsAborted) {
   EXPECT_GT(
       r->ledger.category_total(energy::EnergyCategory::kAborted).value(),
       0.0);
+}
+
+// The stop books only work that ran before it.  In lockstep the 118th and
+// 119th updates re-dispatch their servers at the stop instant, so those
+// tasks ran 0 s: nothing is aborted, and the ledger is exactly the 120
+// applied tasks' nominal energy.  Jittered, a server's aborted energy is
+// bounded by training power over the time since it was last dispatched.
+TEST(AsyncFei, StopBooksOnlyWorkBeforeTheStop) {
+  const auto cfg = small_async();
+  const auto r = AsyncFeiSystem(cfg).run();
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  EXPECT_EQ(r->cancelled_tasks, 2u);
+  EXPECT_EQ(
+      r->ledger.category_total(energy::EnergyCategory::kAborted).value(),
+      0.0);
+  const FeiSystemConfig& base = cfg.base;
+  net::Message msg;
+  msg.payload_bytes = ml::wire_size(base.model.parameter_count());
+  // The upload is the download's size, so it takes the same d.
+  const Seconds d =
+      net::WifiLan(base.net.lan, Rng(0)).nominal_duration(msg.wire_bytes());
+  const Seconds train =
+      base.timing.duration(base.fl.local_epochs, base.samples_per_server);
+  const auto& p = base.profile;
+  const Joules task = p.power(energy::EdgeState::kDownloading) * d +
+                      p.power(energy::EdgeState::kTraining) * train +
+                      p.power(energy::EdgeState::kUploading) * d;
+  EXPECT_NEAR(r->ledger.total().value(), 120.0 * task.value(), 1e-9);
+
+  const auto j = AsyncFeiSystem(jittered_async()).run();
+  ASSERT_TRUE(j.ok()) << j.error().message;
+  std::vector<double> last_applied(base.num_servers, 0.0);
+  for (const auto& u : j->updates) {
+    last_applied[u.server] = u.applied_at.value();
+  }
+  const double p_train = p.power(energy::EdgeState::kTraining).value();
+  for (std::size_t s = 0; s < base.num_servers; ++s) {
+    EXPECT_LE(j->ledger.entry(s, energy::EnergyCategory::kAborted).value(),
+              p_train * (j->wall_clock.value() - last_applied[s]))
+        << "server " << s;
+  }
 }
 
 TEST(AsyncFei, EvalEveryZeroIsRejected) {
@@ -254,6 +309,37 @@ TEST(AsyncFei, InvalidConfigRejected) {
   auto no_updates = small_async();
   no_updates.max_updates = 0;
   rejected_naming(no_updates, "max_updates");
+
+  // System knobs the async protocol does not model are rejected, not
+  // silently ignored.
+  using Knob = void (*)(FeiSystemConfig&);
+  const std::pair<const char*, Knob> unsupported[] = {
+      {"upload_quant_bits", [](FeiSystemConfig& b) { b.upload_quant_bits = 8; }},
+      {"update_drop_probability",
+       [](FeiSystemConfig& b) { b.update_drop_probability = 0.1; }},
+      {"round_deadline",
+       [](FeiSystemConfig& b) { b.round_deadline = Seconds{1.0}; }},
+      {"crashes", [](FeiSystemConfig& b) { b.crashes.mtbf = Seconds{60.0}; }},
+      {"net.link_faults",
+       [](FeiSystemConfig& b) { b.net.link_faults.loss_probability = 0.1; }},
+      {"iot_collection", [](FeiSystemConfig& b) { b.iot_collection = true; }},
+      {"charge_idle_servers",
+       [](FeiSystemConfig& b) { b.charge_idle_servers = true; }},
+      {"lan_contention",
+       [](FeiSystemConfig& b) {
+         b.lan_contention = FeiSystemConfig::LanContention::kCsma;
+       }},
+      {"fl.overselect", [](FeiSystemConfig& b) { b.fl.overselect = 1; }},
+      {"fl.checkpoint_every",
+       [](FeiSystemConfig& b) { b.fl.checkpoint_every = 5; }},
+      {"fl.target_loss_gap",
+       [](FeiSystemConfig& b) { b.fl.target_loss_gap = 0.01; }},
+  };
+  for (const auto& [field, set] : unsupported) {
+    auto c = small_async();
+    set(c.base);
+    rejected_naming(c, field);
+  }
 }
 
 }  // namespace

@@ -276,31 +276,6 @@ TEST(CrashProcess, ShuffledQueriesAnswerLikeThePin) {
   EXPECT_EQ(shuffled.back(), 8134.0) << shuffled.back();
 }
 
-// ------------------------------------------------------- ledger reclassify
-
-TEST(EnergyLedger, ReclassifyMovesEnergyAndConservesTotal) {
-  energy::EnergyLedger ledger(2);
-  ledger.charge(1, energy::EnergyCategory::kDownload, Joules{10.0});
-  ledger.reclassify(1, energy::EnergyCategory::kDownload,
-                    energy::EnergyCategory::kAborted, Joules{4.0});
-  EXPECT_DOUBLE_EQ(
-      ledger.entry(1, energy::EnergyCategory::kDownload).value(), 6.0);
-  EXPECT_DOUBLE_EQ(
-      ledger.entry(1, energy::EnergyCategory::kAborted).value(), 4.0);
-  EXPECT_DOUBLE_EQ(ledger.total().value(), 10.0);
-}
-
-TEST(EnergyLedger, ReclassifyClampsToSourceBalance) {
-  energy::EnergyLedger ledger(1);
-  ledger.charge(0, energy::EnergyCategory::kTraining, Joules{3.0});
-  ledger.reclassify(0, energy::EnergyCategory::kTraining,
-                    energy::EnergyCategory::kAborted, Joules{100.0});
-  EXPECT_DOUBLE_EQ(
-      ledger.entry(0, energy::EnergyCategory::kTraining).value(), 0.0);
-  EXPECT_DOUBLE_EQ(
-      ledger.entry(0, energy::EnergyCategory::kAborted).value(), 3.0);
-}
-
 // ---------------------------------------------------- fault-aware FeiSystem
 
 sim::FeiSystemConfig small_config() {

@@ -392,9 +392,9 @@ TEST(TracedRuns, MetricsMirrorMatchesLedgerAfterFaultyRun) {
 }
 
 TEST(TracedRuns, MetricsMirrorSurvivesAsyncReclassify) {
-  // The async stop path re-books in-flight charges as kAborted via
-  // reclassify(); the metric mirror must follow the move, not just the
-  // original charge.
+  // The async stop path books the cut part of each pending phase as
+  // kAborted; the metric mirror must see those charges as well as the
+  // completed phases'.
   sim::AsyncFeiConfig cfg;
   cfg.base = sim::prototype_config();
   cfg.base.num_servers = 6;
@@ -414,7 +414,7 @@ TEST(TracedRuns, MetricsMirrorSurvivesAsyncReclassify) {
   sim::AsyncFeiSystem system(cfg);
   const auto r = system.run();
   ASSERT_TRUE(r.ok()) << r.error().message;
-  ASSERT_GT(r->cancelled_tasks, 0u);  // the reclassify path actually fired
+  ASSERT_GT(r->cancelled_tasks, 0u);  // the stop path actually ran
 
   const auto snapshot = telemetry.metrics.snapshot();
   for (std::size_t c = 0; c < energy::kNumEnergyCategories; ++c) {
