@@ -90,6 +90,7 @@ int main(int argc, char** argv) {
   const bench::TotalTimeReport bench_report("async");
   auto scale = bench::scale_from_args(argc, argv);
   scale.target_accuracy = std::min(scale.target_accuracy, 0.90);
+  const bench::TraceSession trace("bench_async", scale);
 
   std::printf("=== sync FedAvg vs async staleness-weighted aggregation "
               "(target %.2f) ===\n", scale.target_accuracy);

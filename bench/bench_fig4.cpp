@@ -117,6 +117,7 @@ int main(int argc, char** argv) {
   bench::BenchReport bench_report("fig4");
   const auto start = std::chrono::steady_clock::now();
   const auto scale = bench::scale_from_args(argc, argv);
+  const bench::TraceSession trace("bench_fig4", scale);
 
   std::printf("=== Fig. 4: training performance (Table II model: LR %zux10, "
               "SGD lr=%.3g decay=%.3g) ===\n",

@@ -21,6 +21,7 @@ using namespace eefei;
 int main(int argc, char** argv) {
   const bench::TotalTimeReport bench_report("fig5");
   const auto scale = bench::scale_from_args(argc, argv);
+  const bench::TraceSession trace("bench_fig5", scale);
   const std::size_t fixed_e = 40;
 
   std::printf("=== Fig. 5: energy vs K at fixed E=%zu, target accuracy %.2f "

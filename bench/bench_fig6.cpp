@@ -19,6 +19,7 @@ using namespace eefei;
 int main(int argc, char** argv) {
   const bench::TotalTimeReport bench_report("fig6");
   const auto scale = bench::scale_from_args(argc, argv);
+  const bench::TraceSession trace("bench_fig6", scale);
   const std::size_t fixed_k = 1;  // the Fig. 5 result under IID data
 
   std::printf("=== Fig. 6: energy vs E at K=%zu, target accuracy %.2f ===\n\n",

@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
   const bench::TotalTimeReport bench_report("noniid");
   auto scale = bench::scale_from_args(argc, argv);
   scale.target_accuracy = 0.88;  // non-IID runs need a reachable target
+  const bench::TraceSession trace("bench_noniid", scale);
 
   std::printf("=== Non-IID ablation (paper SVI-C: K*=1 stems from IID "
               "data) ===\n\n");

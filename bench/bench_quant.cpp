@@ -21,6 +21,7 @@ using namespace eefei;
 int main(int argc, char** argv) {
   const bench::TotalTimeReport bench_report("quant");
   auto scale = bench::scale_from_args(argc, argv);
+  const bench::TraceSession trace("bench_quant", scale);
 
   std::printf("=== Upload quantization ablation (K=1, E=20, target %.2f) "
               "===\n\n", scale.target_accuracy);

@@ -77,10 +77,9 @@ Result<double> e_star_paper(const EnergyObjective& objective, double k) {
 
 namespace {
 
-Result<std::size_t> pick_best(const EnergyObjective& objective, double lo_d,
-                              double hi_d,
-                              const std::function<Result<double>(double)>&
-                                  eval) {
+Result<std::size_t> pick_best(
+    double lo_d, double hi_d,
+    const std::function<Result<double>(double)>& eval) {
   const auto lo = static_cast<std::size_t>(std::max(1.0, lo_d));
   const auto hi = static_cast<std::size_t>(std::max(1.0, hi_d));
   Result<double> at_lo = eval(static_cast<double>(lo));
@@ -98,14 +97,14 @@ Result<std::size_t> pick_best(const EnergyObjective& objective, double lo_d,
 Result<std::size_t> best_integer_k(const EnergyObjective& objective,
                                    double k_cont, double e) {
   k_cont = std::clamp(k_cont, 1.0, static_cast<double>(objective.n()));
-  return pick_best(objective, std::floor(k_cont), std::ceil(k_cont),
+  return pick_best(std::floor(k_cont), std::ceil(k_cont),
                    [&](double k) { return objective.value(k, e); });
 }
 
 Result<std::size_t> best_integer_e(const EnergyObjective& objective, double k,
                                    double e_cont) {
   e_cont = std::max(e_cont, 1.0);
-  return pick_best(objective, std::floor(e_cont), std::ceil(e_cont),
+  return pick_best(std::floor(e_cont), std::ceil(e_cont),
                    [&](double e) { return objective.value(k, e); });
 }
 

@@ -16,12 +16,12 @@
 //
 // Kernel shapes follow measurement on rendered digit batches (~96% live
 // 4-blocks, so the sparse-skip branch predicts well and stays a branch):
-//   - accumulate_rows is load-issue-bound; 64-byte loads halve the
-//     load-μop count per weight row, and for c ≤ 16 the whole output row
-//     stays register-resident across the k sweep (no acc read/write per
-//     block at all).
-//   - accumulate_outer is store-bound; it keeps the AVX2 shape (which
-//     this TU may emit: AVX-512F implies AVX2).
+//   - The per-sample accumulate_rows and accumulate_outer keep the AVX2
+//     shape (which this TU may emit: AVX-512F implies AVX2).  No workload
+//     calls them: training and evaluation run the whole-batch kernels,
+//     and only LogisticRegression::forward_row reaches accumulate_rows.
+//     (accumulate_outer is store-bound, where the 256-bit shape measured
+//     faster than 512-bit read-modify-write anyway.)
 //   - The whole-batch forward (rows_tiled_avx512, c ≤ 16) vectorizes over
 //     samples: each full group of 8 holds one zmm per class, lane i being
 //     sample s0+i, so every lane is filled at any c (the class-vectorized
@@ -69,226 +69,6 @@ struct YmmBackend {
   static Half addh(Half a, Half b) { return _mm_add_pd(a, b); }
   static Half mulh(Half a, Half b) { return _mm_mul_pd(a, b); }
 };
-
-// acc fits in registers (c ≤ 16): up to two zmm groups, then a ymm group,
-// an xmm pair and a lone scalar column, all live across the entire k
-// sweep.  Group boundaries sit on the same column indices as the 4-lane
-// backends' groups/Half-tail/scalar-tail, and per column the adds land in
-// ascending-k order with the t-tree expression — same bits.
-void rows_small_c(const double* x, std::size_t d, std::size_t c,
-                  const double* w, double* acc) {
-  const std::size_t d_blocked = d - d % 4;
-  const std::size_t f = c / 8;        // 0..2 zmm groups
-  const std::size_t ct = c - 8 * f;   // 0..7 leftover columns
-  const bool has_y = ct >= 4;
-  const std::size_t jy = 8 * f;                  // ymm group start
-  const std::size_t jp = jy + (has_y ? 4 : 0);   // xmm pair start
-  const bool has_p = c - jp >= 2;
-  const bool has_s = (c - jp) % 2 != 0;          // lone last column
-  __m512d a0 = f > 0 ? _mm512_loadu_pd(acc) : _mm512_setzero_pd();
-  __m512d a1 = f > 1 ? _mm512_loadu_pd(acc + 8) : _mm512_setzero_pd();
-  __m256d ay = has_y ? _mm256_loadu_pd(acc + jy) : _mm256_setzero_pd();
-  __m128d ap = has_p ? _mm_loadu_pd(acc + jp) : _mm_setzero_pd();
-  double as = has_s ? acc[c - 1] : 0.0;
-  for (std::size_t k = 0; k < d_blocked; k += 4) {
-    const double x0 = x[k];
-    const double x1 = x[k + 1];
-    const double x2 = x[k + 2];
-    const double x3 = x[k + 3];
-    if (x0 == 0.0 && x1 == 0.0 && x2 == 0.0 && x3 == 0.0) continue;
-    const double* w0 = w + k * c;
-    const double* w1 = w0 + c;
-    const double* w2 = w1 + c;
-    const double* w3 = w2 + c;
-    const __m512d vx0 = _mm512_set1_pd(x0);
-    const __m512d vx1 = _mm512_set1_pd(x1);
-    const __m512d vx2 = _mm512_set1_pd(x2);
-    const __m512d vx3 = _mm512_set1_pd(x3);
-    if (f > 0) {
-      __m512d t = _mm512_mul_pd(vx0, _mm512_loadu_pd(w0));
-      t = _mm512_add_pd(t, _mm512_mul_pd(vx1, _mm512_loadu_pd(w1)));
-      t = _mm512_add_pd(t, _mm512_mul_pd(vx2, _mm512_loadu_pd(w2)));
-      t = _mm512_add_pd(t, _mm512_mul_pd(vx3, _mm512_loadu_pd(w3)));
-      a0 = _mm512_add_pd(a0, t);
-    }
-    if (f > 1) {
-      __m512d t = _mm512_mul_pd(vx0, _mm512_loadu_pd(w0 + 8));
-      t = _mm512_add_pd(t, _mm512_mul_pd(vx1, _mm512_loadu_pd(w1 + 8)));
-      t = _mm512_add_pd(t, _mm512_mul_pd(vx2, _mm512_loadu_pd(w2 + 8)));
-      t = _mm512_add_pd(t, _mm512_mul_pd(vx3, _mm512_loadu_pd(w3 + 8)));
-      a1 = _mm512_add_pd(a1, t);
-    }
-    if (has_y) {
-      __m256d t = _mm256_mul_pd(_mm512_castpd512_pd256(vx0),
-                                _mm256_loadu_pd(w0 + jy));
-      t = _mm256_add_pd(t, _mm256_mul_pd(_mm512_castpd512_pd256(vx1),
-                                         _mm256_loadu_pd(w1 + jy)));
-      t = _mm256_add_pd(t, _mm256_mul_pd(_mm512_castpd512_pd256(vx2),
-                                         _mm256_loadu_pd(w2 + jy)));
-      t = _mm256_add_pd(t, _mm256_mul_pd(_mm512_castpd512_pd256(vx3),
-                                         _mm256_loadu_pd(w3 + jy)));
-      ay = _mm256_add_pd(ay, t);
-    }
-    if (has_p) {
-      __m128d t = _mm_mul_pd(_mm512_castpd512_pd128(vx0),
-                             _mm_loadu_pd(w0 + jp));
-      t = _mm_add_pd(t, _mm_mul_pd(_mm512_castpd512_pd128(vx1),
-                                   _mm_loadu_pd(w1 + jp)));
-      t = _mm_add_pd(t, _mm_mul_pd(_mm512_castpd512_pd128(vx2),
-                                   _mm_loadu_pd(w2 + jp)));
-      t = _mm_add_pd(t, _mm_mul_pd(_mm512_castpd512_pd128(vx3),
-                                   _mm_loadu_pd(w3 + jp)));
-      ap = _mm_add_pd(ap, t);
-    }
-    if (has_s) {
-      const std::size_t j = c - 1;
-      as += x0 * w0[j] + x1 * w1[j] + x2 * w2[j] + x3 * w3[j];
-    }
-  }
-  for (std::size_t k = d_blocked; k < d; ++k) {
-    const double xv = x[k];
-    if (xv == 0.0) continue;
-    const double* wrow = w + k * c;
-    const __m512d vx = _mm512_set1_pd(xv);
-    if (f > 0) {
-      a0 = _mm512_add_pd(a0, _mm512_mul_pd(vx, _mm512_loadu_pd(wrow)));
-    }
-    if (f > 1) {
-      a1 = _mm512_add_pd(a1, _mm512_mul_pd(vx, _mm512_loadu_pd(wrow + 8)));
-    }
-    if (has_y) {
-      ay = _mm256_add_pd(ay, _mm256_mul_pd(_mm512_castpd512_pd256(vx),
-                                           _mm256_loadu_pd(wrow + jy)));
-    }
-    if (has_p) {
-      ap = _mm_add_pd(ap, _mm_mul_pd(_mm512_castpd512_pd128(vx),
-                                     _mm_loadu_pd(wrow + jp)));
-    }
-    if (has_s) as += xv * wrow[c - 1];
-  }
-  if (f > 0) _mm512_storeu_pd(acc, a0);
-  if (f > 1) _mm512_storeu_pd(acc + 8, a1);
-  if (has_y) _mm256_storeu_pd(acc + jy, ay);
-  if (has_p) _mm_storeu_pd(acc + jp, ap);
-  if (has_s) acc[c - 1] = as;
-}
-
-// c > 16, c % 8 == 0 (e.g. a 784×256 weight block): zmm sweeps with the
-// k-blocks taken two at a time.  For a fixed column j the fused update is
-// (acc + t0) + t1 — exactly the two sequential acc += t of the per-block
-// order, so the bits match; the sparse-skip still tests each 4-block.
-void rows_big_c8(const double* x, std::size_t d, std::size_t c,
-                 const double* w, double* acc) {
-  const std::size_t d_blocked = d - d % 4;
-  std::size_t k = 0;
-  for (; k + 8 <= d_blocked; k += 8) {
-    const double x0 = x[k], x1 = x[k + 1], x2 = x[k + 2], x3 = x[k + 3];
-    const double x4 = x[k + 4], x5 = x[k + 5], x6 = x[k + 6],
-                 x7 = x[k + 7];
-    const bool lo = !(x0 == 0.0 && x1 == 0.0 && x2 == 0.0 && x3 == 0.0);
-    const bool hi = !(x4 == 0.0 && x5 == 0.0 && x6 == 0.0 && x7 == 0.0);
-    if (!lo && !hi) continue;
-    const double* w0 = w + k * c;
-    if (lo && hi) {
-      const __m512d vx0 = _mm512_set1_pd(x0);
-      const __m512d vx1 = _mm512_set1_pd(x1);
-      const __m512d vx2 = _mm512_set1_pd(x2);
-      const __m512d vx3 = _mm512_set1_pd(x3);
-      const __m512d vx4 = _mm512_set1_pd(x4);
-      const __m512d vx5 = _mm512_set1_pd(x5);
-      const __m512d vx6 = _mm512_set1_pd(x6);
-      const __m512d vx7 = _mm512_set1_pd(x7);
-      for (std::size_t j = 0; j < c; j += 8) {
-        __m512d t0 = _mm512_mul_pd(vx0, _mm512_loadu_pd(w0 + j));
-        t0 = _mm512_add_pd(t0,
-                           _mm512_mul_pd(vx1, _mm512_loadu_pd(w0 + c + j)));
-        t0 = _mm512_add_pd(
-            t0, _mm512_mul_pd(vx2, _mm512_loadu_pd(w0 + 2 * c + j)));
-        t0 = _mm512_add_pd(
-            t0, _mm512_mul_pd(vx3, _mm512_loadu_pd(w0 + 3 * c + j)));
-        __m512d t1 =
-            _mm512_mul_pd(vx4, _mm512_loadu_pd(w0 + 4 * c + j));
-        t1 = _mm512_add_pd(
-            t1, _mm512_mul_pd(vx5, _mm512_loadu_pd(w0 + 5 * c + j)));
-        t1 = _mm512_add_pd(
-            t1, _mm512_mul_pd(vx6, _mm512_loadu_pd(w0 + 6 * c + j)));
-        t1 = _mm512_add_pd(
-            t1, _mm512_mul_pd(vx7, _mm512_loadu_pd(w0 + 7 * c + j)));
-        _mm512_storeu_pd(
-            acc + j,
-            _mm512_add_pd(_mm512_add_pd(_mm512_loadu_pd(acc + j), t0), t1));
-      }
-    } else {
-      const double* wb = lo ? w0 : w0 + 4 * c;
-      const __m512d vx0 = _mm512_set1_pd(lo ? x0 : x4);
-      const __m512d vx1 = _mm512_set1_pd(lo ? x1 : x5);
-      const __m512d vx2 = _mm512_set1_pd(lo ? x2 : x6);
-      const __m512d vx3 = _mm512_set1_pd(lo ? x3 : x7);
-      for (std::size_t j = 0; j < c; j += 8) {
-        __m512d t = _mm512_mul_pd(vx0, _mm512_loadu_pd(wb + j));
-        t = _mm512_add_pd(t,
-                          _mm512_mul_pd(vx1, _mm512_loadu_pd(wb + c + j)));
-        t = _mm512_add_pd(
-            t, _mm512_mul_pd(vx2, _mm512_loadu_pd(wb + 2 * c + j)));
-        t = _mm512_add_pd(
-            t, _mm512_mul_pd(vx3, _mm512_loadu_pd(wb + 3 * c + j)));
-        _mm512_storeu_pd(acc + j,
-                         _mm512_add_pd(_mm512_loadu_pd(acc + j), t));
-      }
-    }
-  }
-  for (; k < d_blocked; k += 4) {
-    const double x0 = x[k], x1 = x[k + 1], x2 = x[k + 2], x3 = x[k + 3];
-    if (x0 == 0.0 && x1 == 0.0 && x2 == 0.0 && x3 == 0.0) continue;
-    const double* w0 = w + k * c;
-    const __m512d vx0 = _mm512_set1_pd(x0);
-    const __m512d vx1 = _mm512_set1_pd(x1);
-    const __m512d vx2 = _mm512_set1_pd(x2);
-    const __m512d vx3 = _mm512_set1_pd(x3);
-    for (std::size_t j = 0; j < c; j += 8) {
-      __m512d t = _mm512_mul_pd(vx0, _mm512_loadu_pd(w0 + j));
-      t = _mm512_add_pd(t, _mm512_mul_pd(vx1, _mm512_loadu_pd(w0 + c + j)));
-      t = _mm512_add_pd(t,
-                        _mm512_mul_pd(vx2, _mm512_loadu_pd(w0 + 2 * c + j)));
-      t = _mm512_add_pd(t,
-                        _mm512_mul_pd(vx3, _mm512_loadu_pd(w0 + 3 * c + j)));
-      _mm512_storeu_pd(acc + j, _mm512_add_pd(_mm512_loadu_pd(acc + j), t));
-    }
-  }
-  for (; k < d; ++k) {
-    const double xv = x[k];
-    if (xv == 0.0) continue;
-    const double* wrow = w + k * c;
-    const __m512d vx = _mm512_set1_pd(xv);
-    for (std::size_t j = 0; j < c; j += 8) {
-      _mm512_storeu_pd(
-          acc + j,
-          _mm512_add_pd(_mm512_loadu_pd(acc + j),
-                        _mm512_mul_pd(vx, _mm512_loadu_pd(wrow + j))));
-    }
-  }
-}
-
-void rows_avx512(const double* x, std::size_t d, std::size_t c,
-                 const double* w, double* acc) {
-  if (c <= 16) {
-    rows_small_c(x, d, c, w, acc);
-  } else if (c % 8 == 0) {
-    rows_big_c8(x, d, c, w, acc);
-  } else {
-    // Rare shape in this codebase; the 4-lane body already handles every
-    // tail exactly.
-    accumulate_rows_vec_impl<YmmBackend>(x, d, c, w, acc);
-  }
-}
-
-void outer_avx512(const double* x, std::size_t d, std::size_t c,
-                  const double* err, double* out) {
-  // Store-bound: the 256-bit shape measures faster than 512-bit RMW on
-  // both target shapes, so reuse the 4-lane body (AVX2 instructions,
-  // legal here).
-  accumulate_outer_vec_impl<YmmBackend>(x, d, c, err, out);
-}
 
 // ---------------------------------------------------------------------------
 // Whole-batch epoch kernels.
@@ -658,8 +438,8 @@ void outer_transposed_avx512(const double* x, std::size_t n, std::size_t d,
   }
 }
 
-constexpr KernelTable kAvx512Table{&rows_avx512,
-                                   &outer_avx512,
+constexpr KernelTable kAvx512Table{&accumulate_rows_vec_impl<YmmBackend>,
+                                   &accumulate_outer_vec_impl<YmmBackend>,
                                    &rows_tiled_avx512,
                                    &outer_transposed_avx512,
                                    Isa::kAvx512};

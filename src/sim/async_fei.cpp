@@ -45,8 +45,6 @@ Status validate(const AsyncFeiConfig& config) {
       {base.net.link_faults.enabled(), "net.link_faults are not supported"},
       {base.iot_collection, "iot_collection is not supported"},
       {base.charge_idle_servers, "charge_idle_servers is not supported"},
-      {base.lan_contention == FeiSystemConfig::LanContention::kCsma,
-       "lan_contention = kCsma is not supported"},
       {base.fl.overselect != 0, "fl.overselect is not supported"},
       {base.fl.checkpoint_every != 0, "fl.checkpoint_every is not supported"},
       {base.fl.target_loss_gap.has_value(),

@@ -18,7 +18,7 @@ void EdgeServerSim::run_phase(energy::EdgeState state, Seconds start,
   // One sim-time span per timeline segment on this server's track, so the
   // exported trace renders the Fig. 3 state machine: waiting gaps appear as
   // explicit "waiting" spans between download/train/upload.
-  if (obs::Tracer* tr = traced_ ? obs::tracer() : nullptr) {
+  if (obs::Tracer* tr = obs::tracer()) {
     const std::int32_t pid = obs::Tracer::server_pid(id_);
     if (start > end) {
       tr->sim_span(energy::to_string(energy::EdgeState::kWaiting), "sim.phase",
@@ -32,7 +32,7 @@ void EdgeServerSim::idle_until(Seconds until) {
   const Seconds end = timeline_.total_duration();
   if (until > end) {
     timeline_.push(energy::EdgeState::kWaiting, until - end);
-    if (obs::Tracer* tr = traced_ ? obs::tracer() : nullptr) {
+    if (obs::Tracer* tr = obs::tracer()) {
       tr->sim_span(energy::to_string(energy::EdgeState::kWaiting), "sim.phase",
                    obs::Tracer::server_pid(id_), end, until - end);
     }

@@ -28,12 +28,6 @@ class EdgeServerSim {
 
   [[nodiscard]] std::size_t id() const { return id_; }
 
-  /// Whether this server emits per-phase spans on its own trace track when
-  /// telemetry is enabled.  The fleet engines keep full energy timelines
-  /// for more servers than the trace samples tracks for; mirrors outside
-  /// the sampled track set are muted so no span lands on an unnamed pid.
-  void set_traced(bool traced) { traced_ = traced; }
-  [[nodiscard]] bool traced() const { return traced_; }
   [[nodiscard]] Seconds busy_until() const {
     return timeline_.total_duration();
   }
@@ -51,7 +45,6 @@ class EdgeServerSim {
 
  private:
   std::size_t id_;
-  bool traced_ = true;
   energy::PowerStateTimeline timeline_;
 };
 

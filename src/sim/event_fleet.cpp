@@ -21,7 +21,6 @@
 #include "ml/model_spec.h"
 #include "ml/quantize.h"
 #include "ml/serialize.h"
-#include "net/csma.h"
 #include "net/fault.h"
 #include "net/graph.h"
 #include "net/router.h"
@@ -38,7 +37,6 @@ EventFleetEngineConfig prototype_preset(const FeiSystemConfig& config) {
   EventFleetEngineConfig cfg;
   cfg.system = config;
   cfg.sampled_timelines = config.num_servers;
-  cfg.trace_tracks.max_tracks = config.num_servers;
   cfg.per_server_accumulators = false;  // the timelines carry the same sums
   return cfg;
 }
@@ -79,16 +77,7 @@ Status EventFleetEngine::validate() const {
           "(0 < data_pool_shards < num_servers)");
     }
   }
-  if (fault_injection_active() &&
-      sys.lan_contention == FeiSystemConfig::LanContention::kCsma) {
-    return Error::invalid_argument(
-        "fleet: link fault injection models FCFS LAN contention only");
-  }
   if (config_.multi_hop) {
-    if (sys.lan_contention == FeiSystemConfig::LanContention::kCsma) {
-      return Error::invalid_argument(
-          "event fleet: multi-hop backhaul models FCFS access only");
-    }
     if (fault_injection_active()) {
       return Error::invalid_argument(
           "event fleet: multi-hop backhaul does not support fault "
@@ -187,22 +176,10 @@ Result<EventFleetRunResult> EventFleetEngine::simulate(
     }
   }
 
+  // Every mirror owns a pseudo-process trace track, and only mirrors do:
+  // sampled_timelines bounds the track count, never the server count.
+  // Coordinator/tier lanes are always on.
   obs::Tracer* const tracer = obs::tracer();
-
-  // Trace-track sampling: a bounded, deterministic subset of the mirrors
-  // owns a pseudo-process track; the rest keep full timelines but stay
-  // mute.  Coordinator/tier lanes are always on.  This is the fix for the
-  // O(N) track-name loop: naming is driven by the sampled set, never by
-  // the server count.
-  const obs::TrackSampler track_sampler(mirrors.size(), config_.trace_tracks);
-  std::unordered_set<std::size_t> tracked_sids;
-  tracked_sids.reserve(track_sampler.size() * 2);
-  for (const std::size_t mi : track_sampler.ids()) {
-    tracked_sids.insert(result.sampled_servers[mi]);
-  }
-  for (std::size_t mi = 0; mi < mirrors.size(); ++mi) {
-    mirrors[mi].set_traced(track_sampler.contains(mi));
-  }
 
   std::unordered_set<std::int32_t> named_tracks;
   auto name_track = [&](std::int32_t pid, std::string name) {
@@ -213,8 +190,7 @@ Result<EventFleetRunResult> EventFleetEngine::simulate(
   if (tracer != nullptr) {
     name_track(obs::Tracer::kCoordinatorPid, "coordinator");
     name_track(obs::Tracer::kTierRootPid, "fleet_root");
-    for (const std::size_t mi : track_sampler.ids()) {
-      const std::size_t sid = result.sampled_servers[mi];
+    for (const std::size_t sid : result.sampled_servers) {
       name_track(obs::Tracer::server_pid(sid),
                  "edge_server_" + std::to_string(sid));
     }
@@ -277,7 +253,6 @@ Result<EventFleetRunResult> EventFleetEngine::simulate(
   // (the order the FeiSystem.*MatchesGolden pins fix).
   Rng jitter_rng(sys.seed * 104729 + 5);
   Rng straggler_rng(sys.seed * 15485863 + 7);
-  net::CsmaCell csma(sys.csma, Rng(sys.seed * 48611 + 9));
   auto jittered = [&](Seconds nominal) {
     if (sys.timing_jitter <= 0.0) return nominal;
     const double f =
@@ -395,7 +370,7 @@ Result<EventFleetRunResult> EventFleetEngine::simulate(
   // Tier plan → graph mapping: one gateway node per tier-plan gateway, one
   // backhaul node per region, one coordinator node; links follow the
   // aggregation tree.  At N = 1M the graph holds ~16k nodes — the device →
-  // gateway leg stays the access-medium model (WifiLan/CSMA), so no O(N)
+  // gateway leg stays the access-medium model (WifiLan), so no O(N)
   // per-device nodes are ever materialized.
   net::NetGraph net_graph;
   net::Router router(&net_graph);
@@ -501,7 +476,6 @@ Result<EventFleetRunResult> EventFleetEngine::simulate(
   // every event fires inside its own round's drain.
   Seconds lan_free{0.0};
   Seconds round_end{0.0};
-  std::size_t uploads_pending = 0;
   const bool has_deadline = sys.round_deadline.value() > 0.0;
   Seconds deadline{0.0};
   fl::RoundFaultStats round_stats;
@@ -557,7 +531,6 @@ Result<EventFleetRunResult> EventFleetEngine::simulate(
     }
     lan_free = round_start_time;
     round_end = round_start_time;
-    uploads_pending = selected.size();
     round_stats = fl::RoundFaultStats{};
   };
 
@@ -580,8 +553,8 @@ Result<EventFleetRunResult> EventFleetEngine::simulate(
   // One access-medium leg starting at `start`.  Under faults its timing is
   // planned over the per-(server, round) fault stream from the nominal
   // duration (the WifiLan's own loss model stays unused); otherwise it is
-  // the WifiLan transfer, or the CSMA cell for uploads.  Either way
-  // jittered() consumes exactly one normal per leg.
+  // the WifiLan transfer.  Either way jittered() consumes exactly one
+  // normal per leg.
   struct Leg {
     Seconds finish{0.0};
     Seconds air{0.0};     // time on the medium, summed over attempts
@@ -594,10 +567,8 @@ Result<EventFleetRunResult> EventFleetEngine::simulate(
   // duration IS the nominal duration (one attempt, no loss roll), so the
   // shared model reproduces the per-server objects' bits exactly.
   net::WifiLan shared_lan(sys.net.lan, Rng(0));
-  const bool csma_uplink =
-      sys.lan_contention == FeiSystemConfig::LanContention::kCsma;
   // Uploads queue behind the FCFS chain; async has no chain.
-  const bool fcfs_uplink = !csma_uplink && async == nullptr;
+  const bool fcfs_uplink = async == nullptr;
   auto leg = [&](std::size_t sid, bool upload, Seconds start) -> Leg {
     const net::Message& msg = upload ? up_msg : down_msg;
     if (faults) {
@@ -611,11 +582,6 @@ Result<EventFleetRunResult> EventFleetEngine::simulate(
                                                jittered(nominal));
       return {p.finish, p.air_time, p.wasted_air_time, p.attempts,
               p.delivered};
-    }
-    if (upload && csma_uplink) {
-      const Seconds u = jittered(
-          csma.transfer(msg.wire_bytes(), --uploads_pending).duration);
-      return {start + u, u};
     }
     Seconds duration{0.0};
     Seconds wasted{0.0};
@@ -705,7 +671,7 @@ Result<EventFleetRunResult> EventFleetEngine::simulate(
     const std::size_t sid = ev.a;
     book_aborted(sid, static_cast<energy::EdgeState>(ev.b & 0xff), ev.t0,
                  ev.t1);
-    if (tracer != nullptr && tracked_sids.contains(sid)) {
+    if (tracer != nullptr && mirror_of.contains(sid)) {
       tracer->sim_instant(kDropTrace[ev.b >> 8], "sim.fault",
                           obs::Tracer::server_pid(sid), at);
     }
@@ -949,7 +915,7 @@ Result<EventFleetRunResult> EventFleetEngine::simulate(
         }
         const Leg up = leg(sid, /*upload=*/true, upload_start);
         round_stats.retries += up.attempts - 1;
-        if (!csma_uplink) lan_free = capped(up.finish);
+        lan_free = capped(up.finish);
         if (has_deadline && up.finish > deadline) {
           schedule_drop(ev.b, sid, DropReason::kDeadline, deadline,
                         energy::EdgeState::kUploading, upload_start,

@@ -2,8 +2,8 @@
 // Eqs. 3-4) as a discrete-event simulation on a calendar queue, so idle
 // servers cost nothing per round and N = 10^6 becomes tractable.  It is the
 // only implementation of the round model: FeiSystem, the N = 20 prototype
-// experiment, is this engine's preset with every timeline and trace track
-// kept (sampled_timelines = trace_tracks.max_tracks = N), and
+// experiment, is this engine's preset with every timeline kept
+// (sampled_timelines = N), and
 // AsyncFeiSystem is the same preset run without the round barrier (see
 // simulate() below).
 //
@@ -12,7 +12,8 @@
 //     clock is whatever the queue drained to, not an O(N) barrier sweep.
 //   - Energy streams through one CompactEnergyAccumulator per server (O(1)
 //     memory); a configurable, evenly spaced subset of servers keeps full
-//     EdgeServerSim timelines for Fig. 3-style traces and the tracer.
+//     EdgeServerSim timelines for Fig. 3-style traces, and exactly those
+//     servers own a per-server track when tracing is on.
 //   - Aggregation is hierarchical: device → gateway → regional coordinator
 //     → root (fl::TierPlan), each tier's fan-in bounded by configuration.
 //     A gateway completes when its last selected member resolves, a region
@@ -42,8 +43,8 @@
 // latencies, uniform selection and no data pooling — byte-identical to the
 // FeiSystem.*MatchesGolden pins, which were recorded from the standalone
 // round simulation FeiSystem ran before it became this preset.  The
-// argument: the dispatch scan consumes the jitter, straggler and CSMA
-// streams serially in selection order; uploads drain in the queue's (time,
+// argument: the dispatch scan consumes the jitter and straggler streams
+// serially in selection order; uploads drain in the queue's (time,
 // FIFO) order, which is (train_end, selection index) order; transfer fault
 // plans draw from per-(round, server, direction) streams; every event and
 // every ledger write runs on the calling thread; and the only pool work —
@@ -73,7 +74,6 @@
 #include "fl/coordinator.h"
 #include "fl/tiering.h"
 #include "net/link_queue.h"
-#include "obs/track_sampler.h"
 #include "sim/fei_system.h"
 #include "sim/population.h"
 
@@ -91,6 +91,8 @@ struct EventFleetEngineConfig {
 
   /// Servers keeping a full PowerStateTimeline, evenly spaced over the
   /// fleet.  Clamped to N; N retains every timeline (the FeiSystem preset).
+  /// When tracing is on, exactly these servers own a per-server trace
+  /// track, so this also bounds a traced run's track count and trace size.
   std::size_t sampled_timelines = 8;
 
   /// Data pooling for very large fleets: generate P < N distinct local
@@ -129,15 +131,6 @@ struct EventFleetEngineConfig {
   /// knob the N = 1M bench row turns on.
   bool scalable_selection = false;
 
-  /// Which of the sampled-timeline mirrors also own a per-server trace
-  /// track when tracing is on (sampling is over the mirror list, since
-  /// only mirrors replay per-phase spans).  The default stride mode with
-  /// max_tracks >= sampled_timelines keeps every mirror traced, exactly
-  /// the pre-sampling behavior; at fleet scale the bound keeps a traced
-  /// N = 1M run's track count — and trace size — fixed.  Pure telemetry:
-  /// any setting produces byte-identical run results.
-  obs::TrackSamplerConfig trace_tracks;
-
   /// At most this many servers feed the fleet.server.joules sketch (0 =
   /// all).  Above the cap the end-of-run pass stride-samples server ids
   /// (odd stride, so power-of-two data-pool periods stay fully covered) —
@@ -157,8 +150,8 @@ struct EventFleetEngineConfig {
   /// how tier latencies never gate the numeric FedAvg).  With the default
   /// zero-rate/zero-latency/unbounded links every hop is instantaneous,
   /// charges no energy and consumes no RNG, so results stay bit-identical
-  /// to the point-to-point path (the golden twin test).  FCFS access only;
-  /// incompatible with CSMA and fault injection.
+  /// to the point-to-point path (the golden twin test).  Incompatible with
+  /// fault injection.
   bool multi_hop = false;
   /// Per-link model for each gateway → backhaul link.
   net::LinkConfig gateway_uplink;

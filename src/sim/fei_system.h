@@ -20,7 +20,6 @@
 #include "energy/power_model.h"
 #include "fl/checkpoint.h"
 #include "fl/coordinator.h"
-#include "net/csma.h"
 #include "net/topology.h"
 #include "sim/fault_process.h"
 #include "sim/population.h"
@@ -45,14 +44,9 @@ struct FeiSystemConfig {
   fl::CoordinatorConfig fl;
 
   // --- network & hardware ---
+  /// Simultaneous uploads share the access point's medium first come,
+  /// first served: each queues behind the previous one.
   net::TopologyConfig net;
-  /// How simultaneous uploads share the medium: kFcfsQueue serializes them
-  /// at the access point (the default heuristic); kCsma runs the slotted
-  /// CSMA/CA contention model, so the per-upload cost grows with how many
-  /// servers finish training together.
-  enum class LanContention { kFcfsQueue, kCsma };
-  LanContention lan_contention = LanContention::kFcfsQueue;
-  net::CsmaConfig csma;
   energy::DevicePowerProfile profile;
   energy::TrainingTimeModel timing;
   /// Relative stddev of per-phase duration jitter (hardware variation).
@@ -125,8 +119,8 @@ struct FeiRunResult {
 class EventFleetEngine;
 
 /// The paper's prototype experiment: the EventFleetEngine preset that keeps
-/// every server's full power-state timeline (sampled_timelines = N) and
-/// traces every server's track.  The round model, the fault path and the
+/// every server's full power-state timeline (sampled_timelines = N), so a
+/// traced run has every server's track.  The round model, the fault path and the
 /// checkpoint handling are the engine's.
 class FeiSystem {
  public:

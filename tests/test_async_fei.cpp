@@ -325,10 +325,6 @@ TEST(AsyncFei, InvalidConfigRejected) {
       {"iot_collection", [](FeiSystemConfig& b) { b.iot_collection = true; }},
       {"charge_idle_servers",
        [](FeiSystemConfig& b) { b.charge_idle_servers = true; }},
-      {"lan_contention",
-       [](FeiSystemConfig& b) {
-         b.lan_contention = FeiSystemConfig::LanContention::kCsma;
-       }},
       {"fl.overselect", [](FeiSystemConfig& b) { b.fl.overselect = 1; }},
       {"fl.checkpoint_every",
        [](FeiSystemConfig& b) { b.fl.checkpoint_every = 5; }},

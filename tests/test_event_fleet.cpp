@@ -1,7 +1,6 @@
 // Fleet engine: golden byte-identity against the pre-fleet FeiSystem
 // fingerprint, the FeiSystem preset's per-config pins, checkpoint autosave
-// and resume, pinned fingerprints for the jittered N = 1k, CSMA and fault
-// paths, thread-count invariance on every path, the virtual-population
+// and resume, pinned fingerprints for the jittered N = 1k and fault paths, thread-count invariance on every path, the virtual-population
 // contract, tier latency semantics, multi-hop backhaul, telemetry, and
 // config validation.
 #include "sim/event_fleet.h"
@@ -420,31 +419,6 @@ TEST(EventFleetEngine, VirtualPopulationMatchesMaterialized) {
   EXPECT_EQ(ra->events_processed, rb->events_processed);
 }
 
-EventFleetEngineConfig jittered_csma_config() {
-  EventFleetEngineConfig cfg;
-  cfg.system = golden_config();
-  cfg.system.lan_contention = FeiSystemConfig::LanContention::kCsma;
-  cfg.system.timing_jitter = 0.05;  // upload jitter draws in completion order
-  cfg.system.fl.max_rounds = 4;
-  return cfg;
-}
-
-// CSMA consumes a single shared RNG in upload-completion order, and with
-// jitter on so does the upload leg: the pin holds the (time, FIFO) drain
-// order fixed.
-TEST(EventFleetEngine, CsmaContentionMatchesGolden) {
-  EventFleetEngine engine(jittered_csma_config());
-  const auto r = engine.run();
-  ASSERT_TRUE(r.ok()) << r.error().message;
-  expect_pinned(*r, 20,
-                {.ledger_total = 0x1.a2e39b550459fp+6,
-                 .wall_clock = 0x1.57620d3b14d3ep+2,
-                 .per_server_crc = 0x4b6a5a82u,
-                 .params_crc = 0x775d0bbeu,
-                 .events_processed = 132,
-                 .queue_high_water = 20});
-}
-
 // FeiSystem is the engine's N-timeline preset.  Its output is pinned per
 // config: the ledger total and wall clock as hexfloats, a CRC over every
 // server's (seven ledger cells, timeline energy, timeline interval count)
@@ -498,16 +472,6 @@ TEST(FeiSystem, FcfsMatchesGolden) {
                         .wall_clock = 0x1.850c37394590cp+3,
                         .per_server_crc = 0xac1ba856u,
                         .params_crc = 0x5278de24u});
-}
-
-// CSMA draws one shared RNG in upload-completion order and, with jitter on,
-// so does every upload leg.
-TEST(FeiSystem, CsmaJitterMatchesGolden) {
-  expect_fei_pinned(run_fei(jittered_csma_config().system),
-                    {.ledger_total = 0x1.a2e39b550459fp+6,
-                     .wall_clock = 0x1.57620d3b14d3ep+2,
-                     .per_server_crc = 0xbeef81e4u,
-                     .params_crc = 0x775d0bbeu});
 }
 
 // Every fault-free knob at once: IoT collection, idle charging, jitter,
@@ -846,12 +810,6 @@ TEST(EventFleetEngine, PerServerAccumulatorsCanBeDisabled) {
 }
 
 TEST(EventFleetEngine, RejectsInvalidConfigs) {
-  {  // CSMA + faults rejected
-    EventFleetEngineConfig cfg;
-    cfg.system = faulty_config();
-    cfg.system.lan_contention = FeiSystemConfig::LanContention::kCsma;
-    EXPECT_FALSE(EventFleetEngine(cfg).run().ok());
-  }
   {  // virtual population requires data pooling
     EventFleetEngineConfig cfg;
     cfg.system = golden_config();
@@ -999,7 +957,6 @@ void PrintTo(const RoundPath& path, std::ostream* os) { *os << path.name; }
 
 constexpr RoundPath kRoundPaths[] = {
     {"SharedFcfsGolden", shared_fcfs_golden_config},
-    {"Csma", jittered_csma_config},
     {"FaultPath", fault_path_config},
     {"FaultJitterLossyLan", fault_jitter_lossy_lan_config},
     {"TightDeadlineCrashes", tight_deadline_crash_config},
@@ -1116,13 +1073,6 @@ TEST(EventFleetEngine, MultiHopBoundedQueueDropsAreTimingOnly) {
 }
 
 TEST(EventFleetEngine, MultiHopRejectsIncompatibleModes) {
-  {  // CSMA access medium
-    EventFleetEngineConfig cfg;
-    cfg.system = golden_config();
-    cfg.system.lan_contention = FeiSystemConfig::LanContention::kCsma;
-    cfg.multi_hop = true;
-    EXPECT_FALSE(EventFleetEngine(cfg).run().ok());
-  }
   {  // fault injection unsupported
     EventFleetEngineConfig cfg;
     cfg.system = faulty_config();
@@ -1190,18 +1140,46 @@ TEST(EventFleetEngine, MultiHopTelemetryExportsLinkColumns) {
   EXPECT_EQ(wait_sketch->count, r->link_messages);
 }
 
-// The telemetry contract at fleet scale: tracing with *sampled* tracks must
-// leave the simulation byte-identical (the golden fingerprint pins every
-// result bit), keep the track count bounded by the sampler, fill the round
-// table one row per round, and populate the first-class sketches.
+// Server ids of the run's edge_server_* trace tracks, ascending; each track
+// must sit on its server's pid.
+std::vector<std::size_t> edge_track_servers(const obs::Telemetry& tel) {
+  std::vector<std::size_t> sids;
+  for (const auto& [pid, name] : tel.tracer.track_names()) {
+    if (name.rfind("edge_server_", 0) != 0) continue;
+    const std::size_t sid = std::stoul(name.substr(12));
+    EXPECT_EQ(pid, obs::Tracer::server_pid(sid)) << name;
+    sids.push_back(sid);
+  }
+  std::sort(sids.begin(), sids.end());
+  return sids;
+}
+
+// The telemetry contract at fleet scale: tracing must leave the simulation
+// byte-identical (the golden fingerprint pins every result bit), give
+// exactly the mirrored servers a track (so sampled_timelines bounds the
+// track count), fill the round table one row per round, and populate the
+// first-class sketches.
 TEST(EventFleetEngine, TracedRunIsGoldenWithBoundedSampledTracks) {
   EventFleetEngineConfig cfg;
   cfg.system = golden_config();
-  cfg.sampled_timelines = 20;
-  cfg.trace_tracks.max_tracks = 4;  // fewer tracks than mirrored timelines
   cfg.tiers.gateway_fanin = 4;
   cfg.tiers.region_fanin = 2;
 
+  {  // fewer mirrors than servers: 4 tracks, the mirrored ones
+    cfg.sampled_timelines = 4;
+    obs::Telemetry tel;
+    EventFleetEngine engine(cfg);
+    const auto r = [&] {
+      obs::TelemetryScope scope(tel);
+      return engine.run();
+    }();
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    expect_golden(*r);
+    ASSERT_EQ(r->sampled_servers.size(), 4u);
+    EXPECT_EQ(edge_track_servers(tel), r->sampled_servers);
+  }
+
+  cfg.sampled_timelines = 20;
   obs::Telemetry tel;
   EventFleetEngine engine(cfg);
   const auto r = [&] {
@@ -1213,14 +1191,13 @@ TEST(EventFleetEngine, TracedRunIsGoldenWithBoundedSampledTracks) {
   EXPECT_EQ(r->events_processed, kGoldenTieredEvents);
   EXPECT_EQ(r->queue_high_water, kGoldenTieredQueueHighWater);
 
-  // The sampler bounds per-server lanes; coordinator/tier lanes stay on.
-  std::size_t edge_tracks = 0;
+  // Per-server lanes are exactly the mirrors; coordinator/tier lanes stay
+  // on.
+  EXPECT_EQ(edge_track_servers(tel), r->sampled_servers);
   bool has_coordinator = false;
   for (const auto& [pid, name] : tel.tracer.track_names()) {
-    if (name.rfind("edge_server_", 0) == 0) ++edge_tracks;
     if (name == "coordinator") has_coordinator = true;
   }
-  EXPECT_EQ(edge_tracks, 4u);
   EXPECT_TRUE(has_coordinator);
   EXPECT_FALSE(tel.tracer.empty());
 
@@ -1287,13 +1264,12 @@ TEST(EventFleetEngine, TracedWaitingCounterMatchesLedgerAtN20k) {
   EXPECT_NEAR(counted, booked, 1e-12 * booked);
 }
 
-// max_tracks = 0 mutes every per-server lane but must not perturb the run
-// or the round table.
+// sampled_timelines = 0 leaves no per-server lane but must not perturb the
+// run or the round table.
 TEST(EventFleetEngine, ZeroSampledTracksStillGoldenAndRecordsRounds) {
   EventFleetEngineConfig cfg;
   cfg.system = golden_config();
-  cfg.sampled_timelines = 20;
-  cfg.trace_tracks.max_tracks = 0;
+  cfg.sampled_timelines = 0;
   cfg.tiers.gateway_fanin = 4;
   cfg.tiers.region_fanin = 2;
 
@@ -1306,9 +1282,8 @@ TEST(EventFleetEngine, ZeroSampledTracksStillGoldenAndRecordsRounds) {
   ASSERT_TRUE(r.ok()) << r.error().message;
   expect_golden(*r);
 
-  for (const auto& [pid, name] : tel.tracer.track_names()) {
-    EXPECT_NE(name.rfind("edge_server_", 0), 0u) << name;
-  }
+  EXPECT_TRUE(r->sampled_servers.empty());
+  EXPECT_TRUE(edge_track_servers(tel).empty());
   EXPECT_EQ(tel.rounds.size(), 8u);
 }
 

@@ -440,15 +440,6 @@ TEST(FaultRuns, CrashesTakeServersOutAndAbortTheirWork) {
       0.0);
 }
 
-TEST(FaultRuns, CsmaContentionIsRejectedWithFaults) {
-  auto cfg = small_config();
-  cfg.lan_contention = sim::FeiSystemConfig::LanContention::kCsma;
-  cfg.net.link_faults.loss_probability = 0.1;
-  sim::FeiSystem system(cfg);
-  const auto r = system.run();
-  EXPECT_FALSE(r.ok());
-}
-
 TEST(FaultRuns, EvalEveryZeroIsRejected) {
   auto cfg = small_config();
   cfg.fl.eval_every = 0;

@@ -130,7 +130,9 @@ TEST(ThreadPool, PlanChunksNeverProducesEmptyChunks) {
       if (n > workers && n < workers * 4) {
         EXPECT_EQ(chunks, workers) << "n=" << n << " workers=" << workers;
       }
-      if (n >= workers * 4) EXPECT_EQ(chunks, workers * 4);
+      if (n >= workers * 4) {
+        EXPECT_EQ(chunks, workers * 4);
+      }
     }
   }
   // Defensive: a zero-worker plan still yields a runnable (inline) chunk.

@@ -17,7 +17,7 @@ a broken trace into Perfetto.
 carries the paper's Fig. 3 state machine (downloading / training /
 uploading spans); use it on traces of full simulation runs.
 --max-tracks N fails a trace whose edge_server_* track count exceeds N —
-the gate that proves track sampling keeps fleet traces bounded.
+the gate that proves sampled_timelines keeps fleet traces bounded.
 
 Stdlib only.  Exit code 0 = all files valid, 1 = any check failed.
 """
