@@ -260,17 +260,10 @@ Result<TrainingOutcome> Coordinator::run() {
       }
     }
 
-    if (eval_round) {
-      const bool hit_accuracy =
-          config_.target_accuracy.has_value() &&
-          record.test_accuracy >= *config_.target_accuracy;
-      const bool hit_loss =
-          config_.target_loss_gap.has_value() &&
-          (record.global_loss - config_.f_star) <= *config_.target_loss_gap;
-      if (hit_accuracy || hit_loss) {
-        outcome.reached_target = true;
-        break;
-      }
+    if (eval_round && config_.target_accuracy.has_value() &&
+        record.test_accuracy >= *config_.target_accuracy) {
+      outcome.reached_target = true;
+      break;
     }
   }
 

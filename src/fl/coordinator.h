@@ -30,10 +30,6 @@ struct CoordinatorConfig {
   std::size_t max_rounds = 500;        // hard cap on T
   /// Stop when test accuracy reaches this (nullopt disables).
   std::optional<double> target_accuracy;
-  /// Stop when global loss gap F(ω_t) − f_star reaches ε (nullopt disables).
-  std::optional<double> target_loss_gap;
-  /// Reference minimum loss F(ω_*) for the gap criterion.
-  double f_star = 0.0;
   AggregationRule aggregation = AggregationRule::kUniformMean;
   /// Evaluate every this many rounds (1 = every round).
   std::size_t eval_every = 1;

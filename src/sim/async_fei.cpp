@@ -47,8 +47,6 @@ Status validate(const AsyncFeiConfig& config) {
       {base.charge_idle_servers, "charge_idle_servers is not supported"},
       {base.fl.overselect != 0, "fl.overselect is not supported"},
       {base.fl.checkpoint_every != 0, "fl.checkpoint_every is not supported"},
-      {base.fl.target_loss_gap.has_value(),
-       "fl.target_loss_gap is not supported"},
   };
   for (const auto& [bad, what] : rejected) {
     if (bad) return Error::invalid_argument(std::string("async: ") + what);

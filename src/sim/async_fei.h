@@ -14,8 +14,9 @@
 //
 // An EventFleetEngine preset, like FeiSystem: a task's download, training
 // and upload are the engine's phase events and legs.  The async rules are
-// at EventFleetEngine::simulate.  The fault, quantization, IoT and
-// idle-charging knobs of FeiSystemConfig are rejected by name.
+// the engine run state's run_async, async_dispatch, async_upload_done and
+// cut_at_stop.  The fault, quantization, IoT and idle-charging knobs of
+// FeiSystemConfig are rejected by name.
 #pragma once
 
 #include <cstddef>

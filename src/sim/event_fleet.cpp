@@ -46,48 +46,45 @@ EventFleetEngine::EventFleetEngine(EventFleetEngineConfig config)
 
 Status EventFleetEngine::validate() const {
   const FeiSystemConfig& sys = config_.system;
-  if (!config_.tiers.valid()) {
-    return Error::invalid_argument("event fleet: tier fan-in must be >= 1");
-  }
-  if (sys.num_servers > std::numeric_limits<std::uint32_t>::max()) {
-    return Error::invalid_argument(
-        "event fleet: num_servers must fit 32 bits (typed event ids)");
-  }
-  if (config_.gateway_latency.value() < 0.0 ||
-      config_.region_latency.value() < 0.0 ||
-      config_.root_latency.value() < 0.0) {
-    return Error::invalid_argument(
-        "event fleet: tier latencies must be >= 0");
-  }
-  if (config_.virtual_population) {
-    if (sys.net.lan.loss_probability != 0.0) {
-      return Error::invalid_argument(
-          "event fleet: virtual population requires a loss-free LAN "
-          "(per-server channel RNG streams are never materialized)");
-    }
-    if (sys.iot_collection) {
-      return Error::invalid_argument(
-          "event fleet: virtual population cannot simulate per-device IoT "
-          "collection (device fleets are never materialized)");
-    }
-    if (config_.data_pool_shards == 0 ||
-        config_.data_pool_shards >= sys.num_servers) {
-      return Error::invalid_argument(
-          "event fleet: virtual population requires data pooling "
-          "(0 < data_pool_shards < num_servers)");
+  const bool virtual_pop = config_.virtual_population;
+  const std::pair<bool, const char*> rejected[] = {
+      {!config_.tiers.valid(), "tier fan-in must be >= 1"},
+      {sys.num_servers > std::numeric_limits<std::uint32_t>::max(),
+       "num_servers must fit 32 bits (typed event ids)"},
+      {config_.gateway_latency.value() < 0.0 ||
+           config_.region_latency.value() < 0.0 ||
+           config_.root_latency.value() < 0.0,
+       "tier latencies must be >= 0"},
+      {!(std::isfinite(sys.timing_jitter) && sys.timing_jitter >= 0.0),
+       "timing_jitter must be finite and >= 0"},
+      {!(sys.straggler_fraction >= 0.0 && sys.straggler_fraction <= 1.0),
+       "straggler_fraction must be in [0, 1]"},
+      {!(std::isfinite(sys.straggler_slowdown) &&
+         sys.straggler_slowdown >= 1.0),
+       "straggler_slowdown must be finite and >= 1"},
+      {!(sys.round_deadline.value() >= 0.0), "round_deadline must be >= 0"},
+      {virtual_pop && sys.net.lan.loss_probability != 0.0,
+       "virtual population requires a loss-free LAN (per-server channel RNG "
+       "streams are never materialized)"},
+      {virtual_pop && sys.iot_collection,
+       "virtual population cannot simulate per-device IoT collection (device "
+       "fleets are never materialized)"},
+      {virtual_pop && (config_.data_pool_shards == 0 ||
+                       config_.data_pool_shards >= sys.num_servers),
+       "virtual population requires data pooling (0 < data_pool_shards < "
+       "num_servers)"},
+      {config_.multi_hop && fault_injection_active(),
+       "multi-hop backhaul does not support fault injection"},
+  };
+  for (const auto& [bad, what] : rejected) {
+    if (bad) {
+      return Error::invalid_argument(std::string("event fleet: ") + what);
     }
   }
   if (config_.multi_hop) {
-    if (fault_injection_active()) {
-      return Error::invalid_argument(
-          "event fleet: multi-hop backhaul does not support fault "
-          "injection");
-    }
-    if (const auto st = config_.gateway_uplink.validate(); !st.ok()) {
-      return st;
-    }
-    if (const auto st = config_.backhaul_uplink.validate(); !st.ok()) {
-      return st;
+    for (const auto* link :
+         {&config_.gateway_uplink, &config_.backhaul_uplink}) {
+      if (const auto st = link->validate(); !st.ok()) return st;
     }
   }
   return Status::success();
@@ -135,251 +132,213 @@ void EventFleetEngine::for_each_shard(
 
 Result<EventFleetRunResult> EventFleetEngine::run() { return simulate(); }
 
-// The whole simulation.  Every event is a POD FleetEvent on the calendar
-// queue, dispatched through the switch below: values frozen at schedule
-// time ride in the event's t0/t1/t2 fields, everything else is read from
-// the round state at fire time.
-Result<EventFleetRunResult> EventFleetEngine::simulate(
-    const AsyncFeiConfig* async, AsyncRunResult* async_result) {
-  if (const auto st = prepare(); !st.ok()) return st.error();
-  (void)acquire_pool();
-  const FeiSystemConfig& sys = config_.system;
+// ---- one run's state --------------------------------------------------------
+// Everything a run reads and writes besides the engine's config and
+// population, built fresh by each simulate().  Every event is a POD
+// FleetEvent on the calendar queue, dispatched by dispatch(): values frozen
+// at schedule time ride in the event's t0/t1/t2 fields, everything else is
+// read from the round state at fire time.  The members come in the order of
+// the round they serve: setup; round start and idle settlement; the
+// dispatch scan (steps 1-3: collection, download, training); the typed
+// dispatch with tier resolution (step 4: upload and aggregation); multi-hop
+// hops; async's rules; telemetry; the end of the run.
+struct EventFleetEngine::Run {
+  // ---- setup ----------------------------------------------------------------
+  Run(EventFleetEngine& e, const AsyncFeiConfig* a, AsyncRunResult* ar)
+      : engine(e), async(a), async_result(ar) {
+    result.ledger = energy::EnergyLedger(n_servers);
+    if (cfg.per_server_accumulators) {
+      result.accumulators.assign(
+          n_servers, energy::CompactEnergyAccumulator(sys.profile));
+    }
+    result.num_gateways = tier_plan.num_gateways();
+    result.num_regions = tier_plan.num_regions();
+
+    // Sampled full-timeline mirrors, evenly spaced over the fleet; a hash
+    // map instead of an O(N) mirror index array.
+    const std::size_t n_sampled = std::min(cfg.sampled_timelines, n_servers);
+    mirrors.reserve(n_sampled);
+    if (n_sampled > 0) {
+      const std::size_t stride = n_servers / n_sampled;
+      for (std::size_t k = 0; k < n_sampled; ++k) {
+        const std::size_t sid = k * stride;
+        mirror_of.emplace(sid, static_cast<std::uint32_t>(mirrors.size()));
+        result.sampled_servers.push_back(sid);
+        mirrors.emplace_back(sid, sys.profile);
+      }
+    }
+    // Every mirror owns a pseudo-process trace track, and only mirrors do:
+    // sampled_timelines bounds the track count, never the server count.
+    // Coordinator/tier lanes are always on.
+    if (tracer != nullptr) {
+      name_track(obs::Tracer::kCoordinatorPid, "coordinator");
+      name_track(obs::Tracer::kTierRootPid, "fleet_root");
+      for (const std::size_t sid : result.sampled_servers) {
+        name_track(obs::Tracer::server_pid(sid),
+                   "edge_server_" + std::to_string(sid));
+      }
+    }
+    // Telemetry handles are resolved once per run (registry lookups are
+    // mutex + map — too hot for per-event or per-round paths).  All of
+    // these are null/unused when telemetry is off, and recording into them
+    // only READS sim state, so the non-perturbation contract holds.
+    if (obs::Telemetry* tel = obs::telemetry()) {
+      tel->metrics.gauge("fleet.servers").set(static_cast<double>(n_servers));
+      tel->metrics.gauge("fleet.gateways")
+          .set(static_cast<double>(result.num_gateways));
+      tel->metrics.gauge("fleet.regions")
+          .set(static_cast<double>(result.num_regions));
+      sk_round_s = &tel->metrics.sketch("fleet.round.seconds");
+      sk_wait_s = &tel->metrics.sketch("fleet.upload.wait_s");
+      sk_turnaround_s = &tel->metrics.sketch("fleet.server.turnaround_s");
+      sk_joules = &tel->metrics.sketch("fleet.server.joules");
+      if (cfg.multi_hop) {
+        // Registered only for multi-hop runs so point-to-point runs keep
+        // their exact pre-existing sketch export set.
+        sk_link_wait_s = &tel->metrics.sketch("fleet.link.wait_s");
+      }
+      for (std::size_t c = 0; c < energy::kNumEnergyCategories; ++c) {
+        energy_counters[c] = &tel->metrics.counter(
+            std::string("energy.joules.") +
+            energy::to_string(static_cast<energy::EnergyCategory>(c)));
+        prev_energy[c] = energy_counters[c]->value();
+      }
+    }
+
+    const std::size_t param_count = sys.model.parameter_count();
+    down_msg.payload_bytes = ml::wire_size(param_count);
+    up_msg = down_msg;
+    if (ml::valid_quant_bits(sys.upload_quant_bits)) {
+      up_msg.payload_bytes =
+          ml::quantized_wire_size(param_count, sys.upload_quant_bits);
+    }
+
+    if (sys.straggler_persistent && sys.straggler_fraction > 0.0) {
+      // The O(N) array only exists when the knob is on (it is one of the
+      // few remaining per-server allocations).
+      persistent_slowdown.assign(n_servers, 1.0);
+      for (auto& f : persistent_slowdown) {
+        if (straggler_rng.bernoulli(sys.straggler_fraction)) {
+          f = sys.straggler_slowdown;
+        }
+      }
+    }
+    if (charge_idle) {
+      // K' = K + overselect servers per round at most.
+      settled_upto.assign(n_servers, 0);
+      settled_sids.reserve(std::min<std::size_t>(
+          n_servers, (sys.fl.clients_per_round + sys.fl.overselect) *
+                         std::max<std::size_t>(1, sys.fl.max_rounds)));
+    }
+    // CrashProcess keeps an O(N) seed array (8 B per server) — only pay
+    // for it when crashes are on.
+    CrashProcessConfig crash_cfg = sys.crashes;
+    crash_cfg.seed =
+        crash_cfg.seed * 2862933555777941757ULL + sys.seed * 977 + 3;
+    if (crash_cfg.enabled()) {
+      crash_process = std::make_unique<CrashProcess>(n_servers, crash_cfg);
+    }
+    if (async != nullptr) {
+      pulled.resize(n_servers);
+      eval_model = ml::make_model(sys.model);
+      global.assign(eval_model->parameters().begin(),
+                    eval_model->parameters().end());
+      bank.configure(sys.model.lr_config());
+      task.epochs = sys.fl.local_epochs;
+      workers = std::min(sys.fl.clients_per_round, n_servers);
+    }
+  }
+
+  EventFleetEngine& engine;
+  const EventFleetEngineConfig& cfg = engine.config_;
+  const FeiSystemConfig& sys = cfg.system;
+  Population& population = engine.population_;
+  const AsyncFeiConfig* const async;
+  AsyncRunResult* const async_result;
   const std::size_t n_servers = sys.num_servers;
-  const bool faults = fault_injection_active();
-  const bool virtual_pop = config_.virtual_population;
+  const bool faults = engine.fault_injection_active();
+  const bool virtual_pop = cfg.virtual_population;
   const bool charge_idle = sys.charge_idle_servers;
+  const bool has_deadline = sys.round_deadline.value() > 0.0;
 
   EventFleetRunResult result;
-  result.ledger = energy::EnergyLedger(n_servers);
-  if (config_.per_server_accumulators) {
-    result.accumulators.assign(n_servers,
-                               energy::CompactEnergyAccumulator(sys.profile));
-  }
-
-  fl::TierPlan tier_plan(n_servers, config_.tiers);
-  result.num_gateways = tier_plan.num_gateways();
-  result.num_regions = tier_plan.num_regions();
-
-  // Sampled full-timeline mirrors, evenly spaced over the fleet; a hash map
-  // instead of an O(N) mirror index array.
-  const std::size_t n_sampled = std::min(config_.sampled_timelines, n_servers);
+  fl::TierPlan tier_plan{n_servers, cfg.tiers};
   std::unordered_map<std::size_t, std::uint32_t> mirror_of;
   std::vector<EdgeServerSim> mirrors;
-  mirrors.reserve(n_sampled);
-  if (n_sampled > 0) {
-    const std::size_t stride = n_servers / n_sampled;
-    for (std::size_t k = 0; k < n_sampled; ++k) {
-      const std::size_t sid = k * stride;
-      mirror_of.emplace(sid, static_cast<std::uint32_t>(mirrors.size()));
-      result.sampled_servers.push_back(sid);
-      mirrors.emplace_back(sid, sys.profile);
-    }
-  }
-
-  // Every mirror owns a pseudo-process trace track, and only mirrors do:
-  // sampled_timelines bounds the track count, never the server count.
-  // Coordinator/tier lanes are always on.
   obs::Tracer* const tracer = obs::tracer();
-
   std::unordered_set<std::int32_t> named_tracks;
-  auto name_track = [&](std::int32_t pid, std::string name) {
-    if (tracer != nullptr && named_tracks.insert(pid).second) {
-      tracer->set_track_name(pid, std::move(name));
-    }
-  };
-  if (tracer != nullptr) {
-    name_track(obs::Tracer::kCoordinatorPid, "coordinator");
-    name_track(obs::Tracer::kTierRootPid, "fleet_root");
-    for (const std::size_t sid : result.sampled_servers) {
-      name_track(obs::Tracer::server_pid(sid),
-                 "edge_server_" + std::to_string(sid));
-    }
-  }
-  // Telemetry handles are resolved once per run (registry lookups are
-  // mutex + map — too hot for per-event or per-round paths).  All of these
-  // are null/unused when telemetry is off, and recording into them only
-  // READS sim state, so the non-perturbation contract holds.
-  obs::QuantileSketch* sk_round_s = nullptr;     // per-round makespan
-  obs::QuantileSketch* sk_wait_s = nullptr;      // per-upload queue wait
+  obs::QuantileSketch* sk_round_s = nullptr;       // per-round makespan
+  obs::QuantileSketch* sk_wait_s = nullptr;        // per-upload queue wait
   obs::QuantileSketch* sk_turnaround_s = nullptr;  // dispatch->delivered
-  obs::QuantileSketch* sk_joules = nullptr;      // per-server run total
-  obs::QuantileSketch* sk_link_wait_s = nullptr;  // per-hop queueing delay
+  obs::QuantileSketch* sk_joules = nullptr;        // per-server run total
+  obs::QuantileSketch* sk_link_wait_s = nullptr;   // per-hop queueing delay
   std::array<obs::Counter*, energy::kNumEnergyCategories> energy_counters{};
   std::array<double, energy::kNumEnergyCategories> prev_energy{};
-  if (obs::Telemetry* tel = obs::telemetry()) {
-    tel->metrics.gauge("fleet.servers").set(static_cast<double>(n_servers));
-    tel->metrics.gauge("fleet.gateways")
-        .set(static_cast<double>(result.num_gateways));
-    tel->metrics.gauge("fleet.regions")
-        .set(static_cast<double>(result.num_regions));
-    sk_round_s = &tel->metrics.sketch("fleet.round.seconds");
-    sk_wait_s = &tel->metrics.sketch("fleet.upload.wait_s");
-    sk_turnaround_s = &tel->metrics.sketch("fleet.server.turnaround_s");
-    sk_joules = &tel->metrics.sketch("fleet.server.joules");
-    if (config_.multi_hop) {
-      // Registered only for multi-hop runs so point-to-point runs keep
-      // their exact pre-existing sketch export set.
-      sk_link_wait_s = &tel->metrics.sketch("fleet.link.wait_s");
-    }
-    for (std::size_t c = 0; c < energy::kNumEnergyCategories; ++c) {
-      energy_counters[c] = &tel->metrics.counter(
-          std::string("energy.joules.") +
-          energy::to_string(static_cast<energy::EnergyCategory>(c)));
-      prev_energy[c] = energy_counters[c]->value();
-    }
-  }
-
-  const bool track_accumulators = config_.per_server_accumulators;
-  auto run_phase = [&](std::size_t sid, energy::EdgeState state, Seconds start,
-                       Seconds duration) {
-    if (track_accumulators) {
-      result.accumulators[sid].run_phase(state, start, duration);
-    }
-    if (const auto it = mirror_of.find(sid); it != mirror_of.end()) {
-      mirrors[it->second].run_phase(state, start, duration);
-    }
-  };
-
-  const std::size_t param_count = sys.model.parameter_count();
   net::Message down_msg;
-  down_msg.payload_bytes = ml::wire_size(param_count);
-  net::Message up_msg = down_msg;
-  if (ml::valid_quant_bits(sys.upload_quant_bits)) {
-    up_msg.payload_bytes =
-        ml::quantized_wire_size(param_count, sys.upload_quant_bits);
-  }
+  net::Message up_msg;
 
   // The dispatch scan consumes these streams serially in selection order
   // (the order the FeiSystem.*MatchesGolden pins fix).
-  Rng jitter_rng(sys.seed * 104729 + 5);
-  Rng straggler_rng(sys.seed * 15485863 + 7);
-  auto jittered = [&](Seconds nominal) {
-    if (sys.timing_jitter <= 0.0) return nominal;
-    const double f =
-        std::max(0.5, 1.0 + jitter_rng.normal(0.0, sys.timing_jitter));
-    return nominal * f;
-  };
+  Rng jitter_rng{sys.seed * 104729 + 5};
+  Rng straggler_rng{sys.seed * 15485863 + 7};
   std::vector<double> persistent_slowdown;
-  if (sys.straggler_persistent && sys.straggler_fraction > 0.0) {
-    // The O(N) array only exists when the knob is on (it is one of the few
-    // remaining per-server allocations).
-    persistent_slowdown.assign(n_servers, 1.0);
-    for (auto& f : persistent_slowdown) {
-      if (straggler_rng.bernoulli(sys.straggler_fraction)) {
-        f = std::max(1.0, sys.straggler_slowdown);
-      }
-    }
-  }
-  auto straggler_factor = [&](std::size_t sid) {
-    if (sys.straggler_fraction <= 0.0) return 1.0;
-    if (sys.straggler_persistent) return persistent_slowdown[sid];
-    return straggler_rng.bernoulli(sys.straggler_fraction)
-               ? std::max(1.0, sys.straggler_slowdown)
-               : 1.0;
-  };
-
-  const Watts p_down = sys.profile.power(energy::EdgeState::kDownloading);
-  const Watts p_train = sys.profile.power(energy::EdgeState::kTraining);
-  const Watts p_up = sys.profile.power(energy::EdgeState::kUploading);
   const Watts p_wait = sys.profile.power(energy::EdgeState::kWaiting);
-
-  Seconds clock{0.0};
-  std::size_t events_processed = 0;
 
   // Lazy idle settlement (see energy/idle_settlement.h): no O(N) sweep per
   // round.  Dense state instead of a hash map: settled_upto[sid] stores
   // (rounds already reflected in sid's row) + 1, 0 meaning never selected,
-  // and settled_sids lists touched servers in first-touch order — so the
-  // per-selection path never allocates and the end-of-run fold iterates
-  // only touched servers (per-row charges, so order cannot change bits).
-  energy::IdleChargeSchedule idle_schedule(p_wait);
+  // and settled_sids lists touched servers in first-touch order — reserved
+  // for K'·T, so the per-selection path never allocates, and the end-of-run
+  // fold iterates only touched servers (per-row charges, so order cannot
+  // change bits).
+  energy::IdleChargeSchedule idle_schedule{p_wait};
   std::vector<std::uint32_t> settled_upto;
   std::vector<std::uint32_t> settled_sids;
-  if (charge_idle) {
-    settled_upto.assign(n_servers, 0);
-    settled_sids.reserve(std::min<std::size_t>(
-        n_servers, sys.fl.clients_per_round *
-                       std::max<std::size_t>(1, sys.fl.max_rounds)));
-  }
-  auto settle_and_mark_active = [&](std::size_t sid) {
-    std::uint32_t& s = settled_upto[sid];
-    const auto charges = idle_schedule.per_round();
-    if (s == 0) settled_sids.push_back(static_cast<std::uint32_t>(sid));
-    for (std::size_t r = (s == 0 ? 0 : s - 1); r < charges.size(); ++r) {
-      result.ledger.charge(sid, energy::EnergyCategory::kWaiting, charges[r]);
-    }
-    // +1 skips the round now starting: the server is active, not idle
-    // (and +1 again for the 0-means-untouched encoding).
-    s = static_cast<std::uint32_t>(charges.size() + 1) + 1;
-  };
 
-  // ---- typed event queue + per-round tier completion state --------------
-  // Dense tier tables replace the per-round ordered maps: node state is
-  // indexed by gateway/region id, and the per-round touched-id lists both
-  // bound the reset cost to O(touched) and provide the deterministic
-  // iteration order.
+  // Typed event queue and per-round tier completion state.  Dense tier
+  // tables replace per-round ordered maps: node state is indexed by
+  // gateway/region id, and the per-round active-id lists both bound the
+  // reset cost to O(touched) and provide the deterministic iteration order.
   CalendarQueue<FleetEvent> queue;
   struct TierNodeState {
     std::size_t remaining = 0;  // children not yet resolved this round
     std::size_t members = 0;    // children active this round
     Seconds last{0.0};          // latest child resolution time
   };
-  std::vector<TierNodeState> gw_nodes(tier_plan.num_gateways());
-  std::vector<TierNodeState> rg_nodes(tier_plan.num_regions());
-  std::vector<std::uint32_t> round_gw_ids;
-  std::vector<std::uint32_t> round_rg_ids;
-  std::size_t root_remaining = 0;
-  Seconds root_last{0.0};
+  struct TierTable {
+    std::vector<TierNodeState> nodes;
+    std::vector<std::uint32_t> active;  // this round's nodes, first touch first
+    // One more member of node `id`; true if it is the node's first.
+    bool add_member(std::size_t id) {
+      TierNodeState& n = nodes[id];
+      if (n.members == 0) active.push_back(static_cast<std::uint32_t>(id));
+      ++n.remaining;
+      return n.members++ == 0;
+    }
+    void reset() {
+      for (const std::uint32_t id : active) nodes[id] = {};
+      active.clear();
+    }
+  };
+  TierTable gateways{std::vector<TierNodeState>(tier_plan.num_gateways()), {}};
+  TierTable regions{std::vector<TierNodeState>(tier_plan.num_regions()), {}};
+  TierNodeState root;  // its members are the round's active regions
   Seconds root_done{0.0};
-  Seconds round_start_time{0.0};
-  std::size_t current_round = 0;
 
-  auto root_member_resolved = [&](Seconds at) {
-    root_last = std::max(root_last, at);
-    if (--root_remaining == 0) {
-      const Seconds done = root_last + config_.root_latency;
-      queue.schedule_at(done, FleetEvent{FleetEventKind::kRootDone});
-    }
-  };
-  auto region_member_resolved = [&](std::size_t rid, Seconds at) {
-    TierNodeState& r = rg_nodes[rid];
-    r.last = std::max(r.last, at);
-    if (--r.remaining == 0) {
-      const Seconds done = r.last + config_.region_latency;
-      queue.schedule_at(done,
-                        FleetEvent{FleetEventKind::kRegionDone,
-                                   static_cast<std::uint32_t>(rid)});
-    }
-  };
-  // A member "resolves" its gateway by uploading — or, on the fault path,
-  // by definitively failing (crash, deadline, lost transfer): either way
-  // the gateway knows it will hear nothing more from it this round.
-  auto gateway_member_resolved = [&](std::size_t sid, Seconds at) {
-    const std::size_t gid = tier_plan.gateway_of(sid);
-    TierNodeState& g = gw_nodes[gid];
-    g.last = std::max(g.last, at);
-    if (--g.remaining == 0) {
-      const Seconds done = g.last + config_.gateway_latency;
-      queue.schedule_at(done,
-                        FleetEvent{FleetEventKind::kGatewayDone,
-                                   static_cast<std::uint32_t>(gid)});
-    }
-  };
-
-  // ---- multi-hop backhaul graph -----------------------------------------
-  // Tier plan → graph mapping: one gateway node per tier-plan gateway, one
-  // backhaul node per region, one coordinator node; links follow the
-  // aggregation tree.  At N = 1M the graph holds ~16k nodes — the device →
-  // gateway leg stays the access-medium model (WifiLan), so no O(N)
-  // per-device nodes are ever materialized.
+  // Multi-hop backhaul graph.  Tier plan → graph mapping: one gateway node
+  // per tier-plan gateway, one backhaul node per region, one coordinator
+  // node; links follow the aggregation tree.  At N = 1M the graph holds
+  // ~16k nodes — the device → gateway leg stays the access-medium model
+  // (WifiLan), so no O(N) per-device nodes are ever materialized.  Nodes
+  // are numbered in insertion order: gateway g is node g, region r is node
+  // G + r, and the coordinator comes last.
   net::NetGraph net_graph;
-  net::Router router(&net_graph);
+  net::Router router{&net_graph};
   std::vector<net::LinkQueue> link_queues;
-  std::vector<std::size_t> gateway_node;
   std::size_t coordinator_node = 0;
   // Per-round link aggregates, maintained incrementally by hop_arrival;
-  // touched_links dedups via a round epoch so round-end cost is O(touched),
-  // never O(links).
+  // touched_links dedups via a round epoch so round-end cost is
+  // O(touched), never O(links).
   struct RoundLinkStats {
     std::size_t msgs = 0;
     std::size_t drops = 0;
@@ -390,32 +349,79 @@ Result<EventFleetRunResult> EventFleetEngine::simulate(
   std::vector<std::uint32_t> link_epoch;
   std::vector<std::size_t> touched_links;
   std::uint32_t round_epoch = 0;
-  if (config_.multi_hop) {
+
+  // Round state shared by the scan and the dispatch: the FCFS chain, the
+  // round end watermark, the deadline, the round's fault counters and the
+  // updates the scan may veto.  All round-scoped — every event fires
+  // inside its own round's drain.
+  Seconds clock{0.0};
+  Seconds round_start_time{0.0};
+  std::size_t current_round = 0;
+  Seconds lan_free{0.0};
+  Seconds round_end{0.0};
+  Seconds deadline{0.0};
+  fl::RoundFaultStats round_stats;
+  fl::PendingUpdates round_updates;
+  std::size_t round_events = 0;
+  double round_link_util = 0.0;
+
+  // Transfer fault plans draw from per-(server, round) counted RNG
+  // streams, so a server's fault fate does not depend on which other
+  // servers the scan visited before it.
+  const RngStreamFamily fault_streams{sys.net.link_faults.seed *
+                                          0x9e3779b97f4a7c15ULL +
+                                      sys.seed * 7349 + 101};
+  std::unique_ptr<CrashProcess> crash_process;
+  // Virtual mode never materializes per-server channels: every server
+  // shares the WifiLanConfig, and with loss_probability == 0 a transfer's
+  // duration IS the nominal duration (one attempt, no loss roll), so the
+  // shared model reproduces the per-server objects' bits exactly.
+  net::WifiLan shared_lan{sys.net.lan, Rng(0)};
+
+  // Async only.  pulled[k] holds the model server k took at its dispatch
+  // and the version it was (one task in flight per server).
+  struct Pulled {
+    std::vector<double> model;
+    std::size_t version = 0;
+  };
+  std::vector<Pulled> pulled;
+  std::unique_ptr<ml::Model> eval_model;
+  std::vector<double> global;
+  ml::ModelBank bank;
+  ml::ModelBank::Task task;
+  std::size_t version = 0;  // bumps on every applied update
+  std::size_t workers = 0;
+  std::optional<Seconds> stop_time;
+
+  void name_track(std::int32_t pid, std::string name) {
+    if (tracer != nullptr && named_tracks.insert(pid).second) {
+      tracer->set_track_name(pid, std::move(name));
+    }
+  }
+
+  Status build_backhaul() {
+    if (!cfg.multi_hop) return Status::success();
     const std::size_t n_gateways = tier_plan.num_gateways();
     const std::size_t n_regions = tier_plan.num_regions();
-    gateway_node.reserve(n_gateways);
     for (std::size_t g = 0; g < n_gateways; ++g) {
-      gateway_node.push_back(net_graph.add_node(net::NodeKind::kGateway));
+      net_graph.add_node(net::NodeKind::kGateway);
     }
-    std::vector<std::size_t> region_node;
-    region_node.reserve(n_regions);
     for (std::size_t r = 0; r < n_regions; ++r) {
-      region_node.push_back(net_graph.add_node(net::NodeKind::kBackhaul));
+      net_graph.add_node(net::NodeKind::kBackhaul);
     }
     coordinator_node = net_graph.add_node(net::NodeKind::kCoordinator);
     for (std::size_t g = 0; g < n_gateways; ++g) {
       const auto lid = net_graph.add_link(
-          gateway_node[g], region_node[tier_plan.region_of_gateway(g)],
-          config_.gateway_uplink);
+          g, n_gateways + tier_plan.region_of_gateway(g), cfg.gateway_uplink);
       if (!lid.ok()) return lid.error();
     }
     for (std::size_t r = 0; r < n_regions; ++r) {
-      const auto lid = net_graph.add_link(region_node[r], coordinator_node,
-                                          config_.backhaul_uplink);
+      const auto lid = net_graph.add_link(n_gateways + r, coordinator_node,
+                                          cfg.backhaul_uplink);
       if (!lid.ok()) return lid.error();
     }
     if (const auto st = router.add_destination(coordinator_node); !st.ok()) {
-      return st.error();
+      return st;
     }
     link_queues.reserve(net_graph.num_links());
     for (std::size_t l = 0; l < net_graph.num_links(); ++l) {
@@ -428,75 +434,27 @@ Result<EventFleetRunResult> EventFleetEngine::simulate(
       tel->metrics.gauge("fleet.links")
           .set(static_cast<double>(net_graph.num_links()));
     }
+    return Status::success();
   }
 
-  // Hop-by-hop forwarding: each admission schedules the next hop's arrival
-  // as an event, so queueing delay accumulates along the path and
-  // congestion emerges from the round's offered load.  Hop events charge
-  // no energy and consume no RNG; with the default zero-config links every
-  // admission is instantaneous (wait 0, arrive == at), which is why the
-  // zero-config twin reproduces the point-to-point bits exactly.
-  auto hop_arrival = [&](std::size_t node, std::size_t sid, Seconds at) {
-    if (node == coordinator_node) {
-      gateway_member_resolved(sid, at);
-      return;
+  // ---- round start and idle settlement --------------------------------------
+  // Charges sid's idle rounds that its ledger row does not reflect yet.
+  void settle_idle(std::size_t sid) {
+    std::uint32_t& s = settled_upto[sid];
+    const auto charges = idle_schedule.per_round();
+    for (std::size_t r = (s == 0 ? 0 : s - 1); r < charges.size(); ++r) {
+      result.ledger.charge(sid, energy::EnergyCategory::kWaiting, charges[r]);
     }
-    const std::size_t lid = router.next_link(node, coordinator_node);
-    assert(lid != net::Router::kNoRoute);
-    net::LinkQueue& lq = link_queues[lid];
-    const auto adm = lq.offer(at, up_msg.wire_bytes());
-    if (link_epoch[lid] != round_epoch) {
-      link_epoch[lid] = round_epoch;
-      touched_links.push_back(lid);
-    }
-    if (!adm.accepted) {
-      // Bounded queue full: the update is lost in the backhaul.  The
-      // member still resolves — at the drop time — so the tier chain
-      // completes; fault-free aggregation is never vetoed (drops
-      // are a timing/telemetry outcome, like tier latencies).
-      ++round_links.drops;
-      gateway_member_resolved(sid, at);
-      return;
-    }
-    ++round_links.msgs;
-    round_links.wait_s += adm.wait.value();
-    if (sk_link_wait_s != nullptr) {
-      sk_link_wait_s->record(adm.wait.value());
-    }
-    const std::size_t next_node = net_graph.link(lid).to;
-    queue.schedule_at(adm.arrive,
-                      FleetEvent{FleetEventKind::kHopArrival,
-                                 static_cast<std::uint32_t>(next_node),
-                                 static_cast<std::uint32_t>(sid)});
-  };
+    s = static_cast<std::uint32_t>(charges.size()) + 1;
+  }
 
-  // ---- round state shared by the scan and the dispatch switch -----------
-  // The FCFS chain, the round end watermark, the deadline, the round's
-  // fault counters and the updates the scan may veto.  All round-scoped —
-  // every event fires inside its own round's drain.
-  Seconds lan_free{0.0};
-  Seconds round_end{0.0};
-  const bool has_deadline = sys.round_deadline.value() > 0.0;
-  Seconds deadline{0.0};
-  fl::RoundFaultStats round_stats;
-  fl::PendingUpdates round_updates;
-  std::size_t round_events = 0;
-  double round_link_util = 0.0;
-
-  auto begin_round = [&](std::size_t round,
-                         std::span<const fl::ClientId> selected) {
+  void begin_round(std::size_t round, std::span<const fl::ClientId> selected) {
     round_start_time = clock;
     current_round = round;
     deadline = round_start_time + sys.round_deadline;
     queue.reset_high_water();  // per-round queue-depth window
-    for (const std::uint32_t gid : round_gw_ids) {
-      gw_nodes[gid] = TierNodeState{};
-    }
-    for (const std::uint32_t rid : round_rg_ids) {
-      rg_nodes[rid] = TierNodeState{};
-    }
-    round_gw_ids.clear();
-    round_rg_ids.clear();
+    gateways.reset();
+    regions.reset();
     // Direct dense fill of the round participation (the block arithmetic
     // TierPlan::participation() sorts into maps): per gateway the number
     // of selected members, per region the number of active gateways, at
@@ -504,179 +462,195 @@ Result<EventFleetRunResult> EventFleetEngine::simulate(
     // server, so counting occurrences equals counting distinct members.
     for (const auto sid : selected) {
       const std::size_t gid = tier_plan.gateway_of(sid);
-      TierNodeState& g = gw_nodes[gid];
-      if (g.members == 0) {
-        round_gw_ids.push_back(static_cast<std::uint32_t>(gid));
-        const std::size_t rid = tier_plan.region_of_gateway(gid);
-        TierNodeState& r = rg_nodes[rid];
-        if (r.members == 0) {
-          round_rg_ids.push_back(static_cast<std::uint32_t>(rid));
-        }
-        ++r.members;
-        ++r.remaining;
+      if (gateways.add_member(gid)) {
+        regions.add_member(tier_plan.region_of_gateway(gid));
       }
-      ++g.members;
-      ++g.remaining;
     }
-    root_remaining = round_rg_ids.size();
-    root_last = Seconds{0.0};
+    root = {.remaining = regions.active.size()};
     root_done = round_start_time;
-    if (config_.multi_hop) {
-      round_links = RoundLinkStats{};
-      touched_links.clear();
-      ++round_epoch;
-    }
+    round_links = RoundLinkStats{};
+    touched_links.clear();
+    ++round_epoch;
     if (charge_idle) {
-      for (const auto sid : selected) settle_and_mark_active(sid);
+      for (const auto sid : selected) {
+        if (settled_upto[sid] == 0) {
+          settled_sids.push_back(static_cast<std::uint32_t>(sid));
+        }
+        settle_idle(sid);
+        // Skips the round now starting: the server is active, not idle.
+        ++settled_upto[sid];
+      }
     }
     lan_free = round_start_time;
     round_end = round_start_time;
     round_stats = fl::RoundFaultStats{};
-  };
+  }
 
-  // Fault constants and processes.  Transfer fault plans draw from
-  // per-(server, round) counted RNG streams, so a server's fault fate does
-  // not depend on which other servers the scan visited before it.
-  const net::LinkFaultConfig link_faults = sys.net.link_faults;
-  const RngStreamFamily fault_streams(
-      link_faults.seed * 0x9e3779b97f4a7c15ULL + sys.seed * 7349 + 101);
-  CrashProcessConfig crash_cfg = sys.crashes;
-  crash_cfg.seed =
-      crash_cfg.seed * 2862933555777941757ULL + sys.seed * 977 + 3;
-  // CrashProcess keeps an O(N) seed array (8 B per server) — only pay for
-  // it when crashes are on.
-  std::unique_ptr<CrashProcess> crash_process;
-  if (crash_cfg.enabled()) {
-    crash_process = std::make_unique<CrashProcess>(n_servers, crash_cfg);
+  // ---- the dispatch scan: timing, booking and drops -------------------------
+  Seconds jittered(Seconds nominal) {
+    if (sys.timing_jitter <= 0.0) return nominal;
+    return nominal *
+           std::max(0.5, 1.0 + jitter_rng.normal(0.0, sys.timing_jitter));
+  }
+  double straggler_factor(std::size_t sid) {
+    if (sys.straggler_fraction <= 0.0) return 1.0;
+    if (sys.straggler_persistent) return persistent_slowdown[sid];
+    return straggler_rng.bernoulli(sys.straggler_fraction)
+               ? sys.straggler_slowdown
+               : 1.0;
+  }
+  // Deadline clamp for round-end and FCFS watermarks.
+  Seconds capped(Seconds at) const {
+    return has_deadline ? std::min(at, deadline) : at;
+  }
+  // Air time a phase that ran from `start` to `finish` spent before `cut`
+  // (the round deadline, or the async stop).
+  static Seconds cut_at(Seconds cut, Seconds start, Seconds finish,
+                        Seconds air) {
+    if (finish <= cut) return air;
+    const double frac = (cut - start) / (finish - start);
+    return air * std::clamp(frac, 0.0, 1.0);
+  }
+
+  void run_phase(std::size_t sid, energy::EdgeState state, Seconds start,
+                 Seconds duration) {
+    if (cfg.per_server_accumulators) {
+      result.accumulators[sid].run_phase(state, start, duration);
+    }
+    if (const auto it = mirror_of.find(sid); it != mirror_of.end()) {
+      mirrors[it->second].run_phase(state, start, duration);
+    }
+  }
+  // Charges `scale · whole` under `category`, its retransmitted share
+  // `scale · wasted` first, as kRetry.
+  template <class Scale, class Amount>
+  void charge_split(std::size_t sid, energy::EnergyCategory category,
+                    Scale scale, Amount whole, Amount wasted) {
+    if (wasted.value() > 0.0) {
+      result.ledger.charge(sid, energy::EnergyCategory::kRetry,
+                           scale * wasted);
+      result.ledger.charge(sid, category, scale * (whole - wasted));
+    } else {
+      result.ledger.charge(sid, category, scale * whole);
+    }
+  }
+  // Books a completed phase event: its timeline phase, and its energy with
+  // the retransmitted share (t2) as kRetry.
+  void book_phase(const FleetEvent& ev, energy::EdgeState state,
+                  energy::EnergyCategory category) {
+    run_phase(ev.a, state, ev.t0, ev.t1);
+    charge_split(ev.a, category, sys.profile.power(state), ev.t1, ev.t2);
+  }
+  // Books `ran` of an interrupted phase that started at `start`.
+  void book_aborted(std::size_t sid, energy::EdgeState state, Seconds start,
+                    Seconds ran) {
+    if (ran.value() <= 0.0) return;
+    result.ledger.charge(sid, energy::EnergyCategory::kAborted,
+                         sys.profile.power(state) * ran);
+    run_phase(sid, state, start, ran);
   }
 
   // One access-medium leg starting at `start`.  Under faults its timing is
   // planned over the per-(server, round) fault stream from the nominal
   // duration (the WifiLan's own loss model stays unused); otherwise it is
-  // the WifiLan transfer.  Either way jittered() consumes exactly one
-  // normal per leg.
-  struct Leg {
-    Seconds finish{0.0};
-    Seconds air{0.0};     // time on the medium, summed over attempts
-    Seconds wasted{0.0};  // retransmitted share of `air`
-    std::size_t attempts = 1;
-    bool delivered = true;
-  };
-  // Virtual mode never materializes per-server channels: every server
-  // shares the WifiLanConfig, and with loss_probability == 0 a transfer's
-  // duration IS the nominal duration (one attempt, no loss roll), so the
-  // shared model reproduces the per-server objects' bits exactly.
-  net::WifiLan shared_lan(sys.net.lan, Rng(0));
-  // Uploads queue behind the FCFS chain; async has no chain.
-  const bool fcfs_uplink = async == nullptr;
-  auto leg = [&](std::size_t sid, bool upload, Seconds start) -> Leg {
+  // the WifiLan transfer, delivered at its first attempt.  Either way
+  // jittered() consumes exactly one normal per leg.
+  using Leg = net::FaultTransferOutcome;
+  Leg leg(std::size_t sid, bool upload, Seconds start) {
     const net::Message& msg = upload ? up_msg : down_msg;
     if (faults) {
       const Seconds nominal =
           virtual_pop ? shared_lan.nominal_duration(msg.wire_bytes())
-                      : population_.topology().lan(sid).nominal_duration(
+                      : population.topology().lan(sid).nominal_duration(
                             msg.wire_bytes());
       Rng stream =
           fault_streams.stream(current_round, sid * 2 + (upload ? 1 : 0));
-      const auto p = net::plan_faulty_transfer(stream, link_faults, start,
-                                               jittered(nominal));
-      return {p.finish, p.air_time, p.wasted_air_time, p.attempts,
-              p.delivered};
+      return net::plan_faulty_transfer(stream, sys.net.link_faults, start,
+                                       jittered(nominal));
     }
     Seconds duration{0.0};
     Seconds wasted{0.0};
     if (virtual_pop) {
       duration = shared_lan.nominal_duration(msg.wire_bytes());
     } else {
-      const auto r = population_.topology().lan(sid).transfer(msg);
+      const auto r = population.topology().lan(sid).transfer(msg);
       duration = r.duration;
       wasted = r.wasted;
     }
     const Seconds d = jittered(duration);
     // The retransmitted share scales with the jitter, never re-rolled.
-    return {start + d, d,
-            wasted.value() > 0.0 ? d * (wasted / duration) : Seconds{0.0}};
-  };
-  // Deadline clamp for round-end and FCFS watermarks.
-  const auto capped = [&](Seconds at) {
-    return has_deadline ? std::min(at, deadline) : at;
-  };
-  // Air time a phase that ran from `start` to `finish` spent before `cut`
-  // (the round deadline, or the async stop).
-  const auto cut_at = [](Seconds cut, Seconds start, Seconds finish,
-                         Seconds air) {
-    if (finish <= cut) return air;
-    const double frac = (cut - start) / (finish - start);
-    return air * std::clamp(frac, 0.0, 1.0);
-  };
-  // Books a phase of `duration` under `category`, its retransmitted share
-  // `wasted` as kRetry.
-  const auto book_phase = [&](std::size_t sid, Watts power,
-                              energy::EnergyCategory category,
-                              Seconds duration, Seconds wasted) {
-    if (wasted.value() > 0.0) {
-      result.ledger.charge(sid, energy::EnergyCategory::kRetry,
-                           power * wasted);
-      result.ledger.charge(sid, category, power * (duration - wasted));
-    } else {
-      result.ledger.charge(sid, category, power * duration);
+    return {.delivered = true,
+            .attempts = 1,
+            .finish = start + d,
+            .air_time = d,
+            .wasted_air_time = wasted.value() > 0.0 ? d * (wasted / duration)
+                                                    : Seconds{0.0}};
+  }
+  // Runs update i's leg from `start`, advancing the FCFS chain.  A leg the
+  // deadline cuts or that is never delivered schedules the kDropped that
+  // resolves its server and yields nullopt.
+  std::optional<Leg> checked_leg(std::size_t i, std::size_t sid, bool upload,
+                                 Seconds start) {
+    const Leg l = leg(sid, upload, start);
+    round_stats.retries += l.retries();
+    lan_free = capped(l.finish);
+    const auto state = upload ? energy::EdgeState::kUploading
+                              : energy::EdgeState::kDownloading;
+    if (has_deadline && l.finish > deadline) {
+      schedule_drop(i, sid, DropReason::kDeadline, deadline, state, start,
+                    cut_at(deadline, start, l.finish, l.air_time));
+      return std::nullopt;
     }
-  };
+    if (!l.delivered) {
+      schedule_drop(i, sid, DropReason::kLost, l.finish, state, start,
+                    l.air_time);
+      return std::nullopt;
+    }
+    return l;
+  }
 
+  // Per DropReason: the trace instant and the round counter it bumps.
+  struct DropKind {
+    const char* trace;
+    std::size_t fl::RoundFaultStats::*counter;
+  };
+  static constexpr DropKind kDropKinds[] = {
+      {"server.down", &fl::RoundFaultStats::crashed_servers},
+      {"deadline.drop", &fl::RoundFaultStats::straggler_drops},
+      {"update.lost", &fl::RoundFaultStats::aborted_updates},
+      {"server.crash", &fl::RoundFaultStats::crashed_servers}};
   // A selected server that will not upload this round: vetoes its update,
   // counts it, and returns the kDropped event that books and resolves it
   // at `at`.  Only reachable with a fault knob on.
-  const auto drop_event = [&](std::size_t i, std::size_t sid, DropReason why,
-                              Seconds at,
-                              energy::EdgeState state =
-                                  energy::EdgeState::kWaiting,
-                              Seconds start = Seconds{0.0},
-                              Seconds ran = Seconds{0.0}) {
+  FleetEvent drop_event(std::size_t i, std::size_t sid, DropReason why,
+                        Seconds at,
+                        energy::EdgeState state = energy::EdgeState::kWaiting,
+                        Seconds start = Seconds{0.0},
+                        Seconds ran = Seconds{0.0}) {
     assert(i < round_updates.size());
     round_updates.veto(i);
-    switch (why) {
-      case DropReason::kServerDown:
-      case DropReason::kCrash:
-        ++round_stats.crashed_servers;
-        break;
-      case DropReason::kDeadline:
-        ++round_stats.straggler_drops;
-        break;
-      case DropReason::kLost:
-        ++round_stats.aborted_updates;
-        break;
-    }
+    ++(round_stats.*kDropKinds[static_cast<std::size_t>(why)].counter);
     round_end = std::max(round_end, capped(at));
     return FleetEvent{
         FleetEventKind::kDropped, static_cast<std::uint32_t>(sid),
         drop_code(why, static_cast<std::uint32_t>(state)), start, ran};
-  };
+  }
   // drop_event, scheduled at its own `at`.
-  const auto schedule_drop = [&](std::size_t i, std::size_t sid,
-                                 DropReason why, Seconds at, auto... phase) {
+  template <class... Phase>
+  void schedule_drop(std::size_t i, std::size_t sid, DropReason why,
+                     Seconds at, Phase... phase) {
     queue.schedule_at(at, drop_event(i, sid, why, at, phase...));
-  };
-  // Trace instant names, indexed by DropReason.
-  static constexpr const char* kDropTrace[] = {
-      "server.down", "deadline.drop", "update.lost", "server.crash"};
-  // Books `ran` of an interrupted phase that started at `start`.
-  const auto book_aborted = [&](std::size_t sid, energy::EdgeState state,
-                                Seconds start, Seconds ran) {
-    if (ran.value() <= 0.0) return;
-    result.ledger.charge(sid, energy::EnergyCategory::kAborted,
-                         sys.profile.power(state) * ran);
-    run_phase(sid, state, start, ran);
-  };
-  const auto resolve_dropped = [&](const FleetEvent& ev, Seconds at) {
+  }
+  void resolve_dropped(const FleetEvent& ev, Seconds at) {
     const std::size_t sid = ev.a;
     book_aborted(sid, static_cast<energy::EdgeState>(ev.b & 0xff), ev.t0,
                  ev.t1);
     if (tracer != nullptr && mirror_of.contains(sid)) {
-      tracer->sim_instant(kDropTrace[ev.b >> 8], "sim.fault",
+      tracer->sim_instant(kDropKinds[ev.b >> 8].trace, "sim.fault",
                           obs::Tracer::server_pid(sid), at);
     }
-    gateway_member_resolved(sid, at);
-  };
+    resolve_member(sid, at);
+  }
 
   // Times one task's download from `download_start` and its training right
   // after, and schedules their events; a fault (deadline, crash, lost
@@ -684,33 +658,22 @@ Result<EventFleetRunResult> EventFleetEngine::simulate(
   // round scan calls it in selection order (`i` indexes the round's
   // updates), async at each dispatch; either way the jitter and straggler
   // streams are drawn here, the download's first.
-  const auto start_task = [&](std::size_t i, std::size_t sid,
-                              Seconds download_start, Seconds nominal_train) {
+  void start_task(std::size_t i, std::size_t sid, Seconds download_start,
+                  Seconds nominal_train) {
     if (has_deadline && download_start >= deadline) {
       schedule_drop(i, sid, DropReason::kDeadline, deadline);
       return;
     }
-    const Leg down = leg(sid, /*upload=*/false, download_start);
-    round_stats.retries += down.attempts - 1;
-    lan_free = capped(down.finish);
-    if (has_deadline && down.finish > deadline) {
-      schedule_drop(i, sid, DropReason::kDeadline, deadline,
-                    energy::EdgeState::kDownloading, download_start,
-                    cut_at(deadline, download_start, down.finish, down.air));
-      return;
-    }
-    if (!down.delivered) {
-      schedule_drop(i, sid, DropReason::kLost, down.finish,
-                    energy::EdgeState::kDownloading, download_start, down.air);
-      return;
-    }
+    const auto down = checked_leg(i, sid, /*upload=*/false, download_start);
+    if (!down) return;
     const auto id = static_cast<std::uint32_t>(sid);
     const auto index = static_cast<std::uint32_t>(i);
-    queue.schedule_at(down.finish,
+    queue.schedule_at(down->finish,
                       FleetEvent{FleetEventKind::kDownloadDone, id, index,
-                                 download_start, down.air, down.wasted});
+                                 download_start, down->air_time,
+                                 down->wasted_air_time});
 
-    const Seconds train_start = down.finish;
+    const Seconds train_start = down->finish;
     Seconds t = jittered(nominal_train);
     t *= straggler_factor(sid);
     const Seconds train_end = train_start + t;
@@ -731,43 +694,259 @@ Result<EventFleetRunResult> EventFleetEngine::simulate(
     }
     queue.schedule_at(train_end, FleetEvent{FleetEventKind::kEpochDone, id,
                                             index, train_start, t});
-  };
+  }
 
-  // ---- async: upload-done mixes the update and re-dispatches ------------
-  // Set up for an async run only.  pulled[k] holds the model server k took
-  // at its dispatch and the version it was (one task in flight per server).
-  struct Pulled {
-    std::vector<double> model;
-    std::size_t version = 0;
-  };
-  std::vector<Pulled> pulled;
-  std::unique_ptr<ml::Model> eval_model;
-  std::vector<double> global;
-  ml::ModelBank bank;
-  ml::ModelBank::Task task;
-  std::size_t version = 0;  // bumps on every applied update
-  std::size_t workers = 0;
-  std::optional<Seconds> stop_time;
-  if (async != nullptr) {
-    pulled.resize(n_servers);
-    eval_model = ml::make_model(sys.model);
-    global.assign(eval_model->parameters().begin(),
-                  eval_model->parameters().end());
-    bank.configure(sys.model.lr_config());
-    task.epochs = sys.fl.local_epochs;
-    workers = std::min(sys.fl.clients_per_round, n_servers);
+  // One round: the dispatch scan, then the drain.  The scan books step 1
+  // (IoT collection) and times each selected server's download and
+  // training in selection order, which is the order the jitter and
+  // straggler streams and the FCFS chain are consumed in.  Every other
+  // booking lands on its event boundary.  A failure (crash, deadline, lost
+  // transfer) resolves its aggregation tier through a kDropped event; a
+  // reboot is implicit: CrashProcess's down interval ends and the server is
+  // selectable again.
+  void run_round(std::size_t round, std::span<const fl::ClientId> selected) {
+    begin_round(round, selected);
+    for (std::size_t i = 0; i < selected.size(); ++i) {
+      const std::size_t sid = selected[i];
+      if (sys.iot_collection) {
+        const auto collected = population.topology().fleet(sid).collect(
+            round_updates.samples_used(i));
+        charge_split(sid, energy::EnergyCategory::kDataCollection, 1.0,
+                     collected.total_energy, collected.wasted_energy);
+      }
+      if (crash_process && crash_process->is_down(sid, round_start_time)) {
+        schedule_drop(i, sid, DropReason::kServerDown, round_start_time);
+        continue;
+      }
+      start_task(i, sid, lan_free,
+                 sys.timing.duration(round_updates.epochs_run(i),
+                                     round_updates.samples_used(i)));
+    }
+
+    round_events = queue.run(
+        [this](const FleetEvent& ev, Seconds at) { dispatch(ev, at); });
+    result.events_processed += round_events;
+    result.queue_high_water =
+        std::max(result.queue_high_water, queue.high_water());
+    // Every leg ends at or before its server's resolution, so the last
+    // resolution bounds the FCFS chain too.
+    clock = std::max(round_end, root_done);
+
+    // Per-round link utilization: busy-time delta over the round span,
+    // maxed across the links this round actually touched (none without
+    // multi-hop, where every link total stays zero).
+    round_link_util = 0.0;
+    const double span = (clock - round_start_time).value();
+    for (const std::size_t lid : touched_links) {
+      const double busy = link_queues[lid].stats().busy.value();
+      if (span > 0.0) {
+        round_link_util =
+            std::max(round_link_util,
+                     std::min(1.0, (busy - link_busy_prev[lid]) / span));
+      }
+      link_busy_prev[lid] = busy;
+    }
+    result.link_messages += round_links.msgs;
+    result.link_drops += round_links.drops;
+    result.link_wait += Seconds{round_links.wait_s};
+    result.link_util_peak = std::max(result.link_util_peak, round_link_util);
+
+    if (charge_idle) idle_schedule.push_round(clock - round_start_time);
+  }
+
+  // ---- the typed dispatch and tier resolution -------------------------------
+  // A tier node hears from one more member at `at`; when it was the last,
+  // the node completes `latency` after its latest member.
+  void resolve(TierNodeState& node, Seconds latency, FleetEvent done,
+               Seconds at) {
+    node.last = std::max(node.last, at);
+    if (--node.remaining == 0) queue.schedule_at(node.last + latency, done);
+  }
+  // A member "resolves" its gateway by uploading — or, on the fault path,
+  // by definitively failing (crash, deadline, lost transfer): either way
+  // the gateway knows it will hear nothing more from it this round.
+  void resolve_member(std::size_t sid, Seconds at) {
+    const std::size_t gid = tier_plan.gateway_of(sid);
+    resolve(gateways.nodes[gid], cfg.gateway_latency,
+            {FleetEventKind::kGatewayDone, static_cast<std::uint32_t>(gid)},
+            at);
+  }
+  // The aggregation span of a completed region or gateway, on its track.
+  void trace_tier(bool region, std::size_t id, Seconds at) {
+    if (tracer == nullptr) return;
+    const std::int32_t pid = region ? obs::Tracer::tier_region_pid(id)
+                                    : obs::Tracer::tier_gateway_pid(id);
+    name_track(pid, (region ? "fleet_region_" : "fleet_gateway_") +
+                        std::to_string(id));
+    tracer->sim_span(
+        region ? "fleet.region.aggregate" : "fleet.gateway.aggregate",
+        "sim.tier", pid, round_start_time, at - round_start_time,
+        {{"round", static_cast<double>(current_round)},
+         {region ? "gateways" : "devices",
+          static_cast<double>(
+              (region ? regions : gateways).nodes[id].members)}});
+  }
+
+  // Per-kind field mapping is documented in sim/fleet_event.h.  `at` is the
+  // scheduled time itself: the engine's monotone round structure means the
+  // queue's past-time clamp never rewrites it.
+  void dispatch(const FleetEvent& ev, Seconds at) {
+    switch (ev.kind) {
+      case FleetEventKind::kRootDone:
+        root_done = at;
+        if (tracer != nullptr) {
+          tracer->sim_span(
+              "fleet.root.aggregate", "sim.tier", obs::Tracer::kTierRootPid,
+              round_start_time, at - round_start_time,
+              {{"round", static_cast<double>(current_round)}});
+        }
+        break;
+      case FleetEventKind::kRegionDone:
+        trace_tier(/*region=*/true, ev.a, at);
+        resolve(root, cfg.root_latency, FleetEvent{FleetEventKind::kRootDone},
+                at);
+        break;
+      case FleetEventKind::kGatewayDone: {
+        trace_tier(/*region=*/false, ev.a, at);
+        const std::size_t rid = tier_plan.region_of_gateway(ev.a);
+        resolve(regions.nodes[rid], cfg.region_latency,
+                {FleetEventKind::kRegionDone, static_cast<std::uint32_t>(rid)},
+                at);
+        break;
+      }
+      case FleetEventKind::kHopArrival:
+        hop_arrival(ev.a, ev.b, at);
+        break;
+      case FleetEventKind::kDownloadDone:
+        book_phase(ev, energy::EdgeState::kDownloading,
+                   energy::EnergyCategory::kDownload);
+        break;
+      case FleetEventKind::kEpochDone:
+        epoch_done(ev, at);
+        break;
+      case FleetEventKind::kUploadDone: {
+        const std::size_t sid = ev.a;
+        book_phase(ev, energy::EdgeState::kUploading,
+                   energy::EnergyCategory::kUpload);
+        if (async != nullptr) {
+          async_upload_done(sid, at);
+          break;
+        }
+        if (sk_turnaround_s != nullptr) {
+          sk_turnaround_s->record((at - round_start_time).value());
+        }
+        if (cfg.multi_hop) {
+          hop_arrival(tier_plan.gateway_of(sid), sid, at);
+        } else {
+          resolve_member(sid, at);
+        }
+        break;
+      }
+      case FleetEventKind::kDropped:
+        resolve_dropped(ev, at);
+        break;
+    }
+  }
+
+  // Books training, then runs the upload leg against the access medium at
+  // the actual train end: the queue's FIFO drains uploads in (train_end,
+  // selection index) order.
+  void epoch_done(const FleetEvent& ev, Seconds train_end) {
+    const std::size_t sid = ev.a;
+    book_phase(ev, energy::EdgeState::kTraining,
+               energy::EnergyCategory::kTraining);
+    Seconds upload_start = train_end;
+    if (async == nullptr) {  // uploads queue behind the FCFS chain
+      upload_start = std::max(train_end, lan_free);
+      const Seconds queue_wait = capped(upload_start) - train_end;
+      if (queue_wait.value() > 0.0) {
+        result.ledger.charge(sid, energy::EnergyCategory::kWaiting,
+                             p_wait * queue_wait);
+      }
+      if (sk_wait_s != nullptr) sk_wait_s->record(queue_wait.value());
+    }
+    if (has_deadline && upload_start >= deadline) {
+      resolve_dropped(drop_event(ev.b, sid, DropReason::kDeadline, deadline),
+                      deadline);
+      return;
+    }
+    const auto up = checked_leg(ev.b, sid, /*upload=*/true, upload_start);
+    if (!up) return;
+    round_end = std::max(round_end, capped(up->finish));
+    queue.schedule_at(up->finish,
+                      FleetEvent{FleetEventKind::kUploadDone, ev.a, ev.b,
+                                 upload_start, up->air_time,
+                                 up->wasted_air_time});
+  }
+
+  // ---- multi-hop hops -------------------------------------------------------
+  // Hop-by-hop forwarding: each admission schedules the next hop's arrival
+  // as an event, so queueing delay accumulates along the path and
+  // congestion emerges from the round's offered load.  Hop events charge
+  // no energy and consume no RNG; with the default zero-config links every
+  // admission is instantaneous (wait 0, arrive == at), which is why the
+  // zero-config twin reproduces the point-to-point bits exactly.
+  void hop_arrival(std::size_t node, std::size_t sid, Seconds at) {
+    if (node == coordinator_node) {
+      resolve_member(sid, at);
+      return;
+    }
+    const std::size_t lid = router.next_link(node, coordinator_node);
+    assert(lid != net::Router::kNoRoute);
+    const auto adm = link_queues[lid].offer(at, up_msg.wire_bytes());
+    if (link_epoch[lid] != round_epoch) {
+      link_epoch[lid] = round_epoch;
+      touched_links.push_back(lid);
+    }
+    if (!adm.accepted) {
+      // Bounded queue full: the update is lost in the backhaul.  The
+      // member still resolves — at the drop time — so the tier chain
+      // completes; fault-free aggregation is never vetoed (drops are a
+      // timing/telemetry outcome, like tier latencies).
+      ++round_links.drops;
+      resolve_member(sid, at);
+      return;
+    }
+    ++round_links.msgs;
+    round_links.wait_s += adm.wait.value();
+    if (sk_link_wait_s != nullptr) sk_link_wait_s->record(adm.wait.value());
+    const std::size_t next_node = net_graph.link(lid).to;
+    queue.schedule_at(adm.arrive,
+                      FleetEvent{FleetEventKind::kHopArrival,
+                                 static_cast<std::uint32_t>(next_node),
+                                 static_cast<std::uint32_t>(sid)});
+  }
+
+  // ---- async: dispatch, upload-done, the stop cut ---------------------------
+  // Seeds the worker pool with distinct servers; every upload-done then
+  // re-dispatches its server until the stop, and the drain cuts what is
+  // left.
+  void run_async() {
+    Rng pick_rng(sys.seed * 7727 + 3);
+    std::vector<std::size_t> ids(n_servers);
+    std::iota(ids.begin(), ids.end(), std::size_t{0});
+    pick_rng.shuffle(ids);
+    for (std::size_t w = 0; w < workers; ++w) async_dispatch(ids[w], {});
+    result.events_processed =
+        queue.run([this](const FleetEvent& ev, Seconds at) {
+          stop_time ? cut_at_stop(ev, at) : dispatch(ev, at);
+        });
+    clock = stop_time.value_or(queue.now());
+    async_result->updates_applied = async_result->updates.size();
   }
   // Pulls ω and starts a task at `now`: the download starts at once.
-  const auto async_dispatch = [&](std::size_t sid, Seconds now) {
+  void async_dispatch(std::size_t sid, Seconds now) {
     pulled[sid].model.assign(global.begin(), global.end());
     pulled[sid].version = version;
     start_task(0, sid, now,
                sys.timing.duration(sys.fl.local_epochs,
-                                   population_.clients()[sid].num_samples()));
-  };
-  const auto async_upload_done = [&](std::size_t sid, Seconds at) {
+                                   population.clients()[sid].num_samples()));
+  }
+  // Trains the task on the model its server pulled, mixes it into ω with
+  // α_s = α·(1 + staleness)^(−a) and re-dispatches the server.
+  void async_upload_done(std::size_t sid, Seconds at) {
     const std::size_t applied = async_result->updates.size();
-    task.batch = population_.clients()[sid].local_batch();
+    task.batch = population.clients()[sid].local_batch();
     task.learning_rate =
         sys.sgd.learning_rate *
         std::pow(sys.sgd.decay, static_cast<double>(applied / workers));
@@ -788,7 +967,7 @@ Result<EventFleetRunResult> EventFleetEngine::simulate(
         applied + 1 == async->max_updates) {
       std::copy(global.begin(), global.end(),
                 eval_model->parameters().begin());
-      const auto eval = eval_model->evaluate(population_.test_set().view());
+      const auto eval = eval_model->evaluate(population.test_set().view());
       rec.global_loss = async_result->final_loss = eval.loss;
       rec.test_accuracy = async_result->final_accuracy = eval.accuracy;
       async_result->reached_target =
@@ -809,10 +988,10 @@ Result<EventFleetRunResult> EventFleetEngine::simulate(
     } else {
       async_dispatch(sid, at);
     }
-  };
+  }
   // After the stop, each pending phase books the part that ran before it as
   // kAborted; a pending epoch-done or upload-done is a cancelled task.
-  const auto cut_at_stop = [&](const FleetEvent& ev, Seconds at) {
+  void cut_at_stop(const FleetEvent& ev, Seconds at) {
     assert(ev.kind == FleetEventKind::kDownloadDone ||
            ev.kind == FleetEventKind::kEpochDone ||
            ev.kind == FleetEventKind::kUploadDone);
@@ -830,210 +1009,75 @@ Result<EventFleetRunResult> EventFleetEngine::simulate(
                               obs::Tracer::server_pid(sid), *stop_time);
       tel->metrics.counter("async.cancelled").increment();
     }
-  };
+  }
 
-  // ---- the typed dispatch -----------------------------------------------
-  // Per-kind field mapping is documented in sim/fleet_event.h.  `at` is the
-  // scheduled time itself: the engine's monotone round structure means the
-  // queue's past-time clamp never rewrites it.
-  auto dispatch = [&](const FleetEvent& ev, Seconds at) {
-    switch (ev.kind) {
-      case FleetEventKind::kRootDone: {
-        root_done = at;
-        if (tracer != nullptr) {
-          tracer->sim_span(
-              "fleet.root.aggregate", "sim.tier", obs::Tracer::kTierRootPid,
-              round_start_time, at - round_start_time,
-              {{"round", static_cast<double>(current_round)}});
-        }
-        break;
-      }
-      case FleetEventKind::kRegionDone: {
-        const std::size_t rid = ev.a;
-        if (tracer != nullptr) {
-          name_track(obs::Tracer::tier_region_pid(rid),
-                     "fleet_region_" + std::to_string(rid));
-          tracer->sim_span(
-              "fleet.region.aggregate", "sim.tier",
-              obs::Tracer::tier_region_pid(rid), round_start_time,
-              at - round_start_time,
-              {{"round", static_cast<double>(current_round)},
-               {"gateways", static_cast<double>(rg_nodes[rid].members)}});
-        }
-        root_member_resolved(at);
-        break;
-      }
-      case FleetEventKind::kGatewayDone: {
-        const std::size_t gid = ev.a;
-        if (tracer != nullptr) {
-          name_track(obs::Tracer::tier_gateway_pid(gid),
-                     "fleet_gateway_" + std::to_string(gid));
-          tracer->sim_span(
-              "fleet.gateway.aggregate", "sim.tier",
-              obs::Tracer::tier_gateway_pid(gid), round_start_time,
-              at - round_start_time,
-              {{"round", static_cast<double>(current_round)},
-               {"devices", static_cast<double>(gw_nodes[gid].members)}});
-        }
-        region_member_resolved(tier_plan.region_of_gateway(gid), at);
-        break;
-      }
-      case FleetEventKind::kHopArrival: {
-        hop_arrival(ev.a, ev.b, at);
-        break;
-      }
-      case FleetEventKind::kDownloadDone: {
-        run_phase(ev.a, energy::EdgeState::kDownloading, ev.t0, ev.t1);
-        book_phase(ev.a, p_down, energy::EnergyCategory::kDownload, ev.t1,
-                   ev.t2);
-        break;
-      }
-      case FleetEventKind::kEpochDone: {
-        // Book training, then run the upload leg against the access medium
-        // at the actual train end: the queue's FIFO drains uploads in
-        // (train_end, selection index) order.
-        const std::size_t sid = ev.a;
-        run_phase(sid, energy::EdgeState::kTraining, ev.t0, ev.t1);
-        result.ledger.charge(sid, energy::EnergyCategory::kTraining,
-                             p_train * ev.t1);
-        const Seconds train_end = at;
-        Seconds upload_start = train_end;
-        if (fcfs_uplink) {
-          upload_start = std::max(train_end, lan_free);
-          const Seconds queue_wait = capped(upload_start) - train_end;
-          if (queue_wait.value() > 0.0) {
-            result.ledger.charge(sid, energy::EnergyCategory::kWaiting,
-                                 p_wait * queue_wait);
-          }
-          if (sk_wait_s != nullptr) sk_wait_s->record(queue_wait.value());
-        }
-        if (has_deadline && upload_start >= deadline) {
-          resolve_dropped(
-              drop_event(ev.b, sid, DropReason::kDeadline, deadline),
-              deadline);
-          break;
-        }
-        const Leg up = leg(sid, /*upload=*/true, upload_start);
-        round_stats.retries += up.attempts - 1;
-        lan_free = capped(up.finish);
-        if (has_deadline && up.finish > deadline) {
-          schedule_drop(ev.b, sid, DropReason::kDeadline, deadline,
-                        energy::EdgeState::kUploading, upload_start,
-                        cut_at(deadline, upload_start, up.finish, up.air));
-        } else if (!up.delivered) {
-          schedule_drop(ev.b, sid, DropReason::kLost, up.finish,
-                        energy::EdgeState::kUploading, upload_start, up.air);
-        } else {
-          round_end = std::max(round_end, capped(up.finish));
-          queue.schedule_at(up.finish,
-                            FleetEvent{FleetEventKind::kUploadDone, ev.a,
-                                       ev.b, upload_start, up.air,
-                                       up.wasted});
-        }
-        break;
-      }
-      case FleetEventKind::kUploadDone: {
-        const std::size_t sid = ev.a;
-        run_phase(sid, energy::EdgeState::kUploading, ev.t0, ev.t1);
-        book_phase(sid, p_up, energy::EnergyCategory::kUpload, ev.t1, ev.t2);
-        if (async != nullptr) {
-          async_upload_done(sid, at);
-          break;
-        }
-        if (sk_turnaround_s != nullptr) {
-          sk_turnaround_s->record((at - round_start_time).value());
-        }
-        if (config_.multi_hop) {
-          hop_arrival(gateway_node[tier_plan.gateway_of(sid)], sid, at);
-        } else {
-          gateway_member_resolved(sid, at);
-        }
-        break;
-      }
-      case FleetEventKind::kDropped: {
-        resolve_dropped(ev, at);
-        break;
-      }
-    }
-  };
-
-  // ---- one round: the dispatch scan, then the drain ---------------------
-  // The scan books step 1 (IoT collection) and times each selected server's
-  // download and training in selection order, which is the order the
-  // jitter and straggler streams and the FCFS chain are consumed in.  Every
-  // other booking lands on its event boundary.  A failure (crash, deadline,
-  // lost transfer) resolves its aggregation tier through a kDropped event; a
-  // reboot is implicit: CrashProcess's down interval ends and the server is
-  // selectable again.
-  auto simulate_round = [&](std::size_t round,
-                            std::span<const fl::ClientId> selected) {
-    begin_round(round, selected);
-    const Seconds round_start = round_start_time;
-
-    for (std::size_t i = 0; i < selected.size(); ++i) {
-      const std::size_t sid = selected[i];
-
-      if (sys.iot_collection) {
-        const auto collected = population_.topology().fleet(sid).collect(
-            round_updates.samples_used(i));
-        if (collected.wasted_energy.value() > 0.0) {
-          result.ledger.charge(sid, energy::EnergyCategory::kRetry,
-                               collected.wasted_energy);
-          result.ledger.charge(
-              sid, energy::EnergyCategory::kDataCollection,
-              collected.total_energy - collected.wasted_energy);
-        } else {
-          result.ledger.charge(sid, energy::EnergyCategory::kDataCollection,
-                               collected.total_energy);
-        }
-      }
-
-      if (crash_process && crash_process->is_down(sid, round_start)) {
-        schedule_drop(i, sid, DropReason::kServerDown, round_start);
-        continue;
-      }
-      start_task(i, sid, lan_free,
-                 sys.timing.duration(round_updates.epochs_run(i),
-                                     round_updates.samples_used(i)));
+  // ---- the synchronous rounds: the coordinator wiring -----------------------
+  Status run_coordinator() {
+    fl::CoordinatorConfig fl_cfg = sys.fl;
+    fl_cfg.upload_quant_bits = sys.upload_quant_bits;
+    fl_cfg.update_drop_probability = sys.update_drop_probability;
+    fl_cfg.drop_seed = sys.seed * 2654435761 + 13;
+    std::unique_ptr<fl::SelectionPolicy> policy;
+    if (cfg.scalable_selection) {
+      policy = std::make_unique<fl::ScalableUniformSelection>(
+          Rng(sys.seed * 613 + 29));
+    } else {
+      policy = std::make_unique<fl::UniformRandomSelection>(
+          Rng(sys.seed * 613 + 29));
     }
 
-    round_events = queue.run(dispatch);
-    events_processed += round_events;
-    result.queue_high_water =
-        std::max(result.queue_high_water, queue.high_water());
-    // Every leg ends at or before its server's resolution, so the last
-    // resolution bounds the FCFS chain too.
-    clock = std::max(round_end, root_done);
-
-    // Per-round link utilization: busy-time delta over the round span,
-    // maxed across the links this round actually touched.
-    if (config_.multi_hop) {
-      round_link_util = 0.0;
-      const double span = (clock - round_start).value();
-      for (const std::size_t lid : touched_links) {
-        const double busy = link_queues[lid].stats().busy.value();
-        if (span > 0.0) {
-          round_link_util = std::max(
-              round_link_util,
-              std::min(1.0, (busy - link_busy_prev[lid]) / span));
-        }
-        link_busy_prev[lid] = busy;
-      }
-      result.link_messages += round_links.msgs;
-      result.link_drops += round_links.drops;
-      result.link_wait += Seconds{round_links.wait_s};
-      result.link_util_peak =
-          std::max(result.link_util_peak, round_link_util);
+    std::unique_ptr<fl::ClientPool> clients;
+    if (virtual_pop) {
+      fl::ClientConfig ccfg;
+      ccfg.model = sys.model;
+      ccfg.sgd = sys.sgd;
+      clients = std::make_unique<fl::LazyClientPool>(
+          n_servers, &population.shards(), ccfg);
+    } else {
+      clients = std::make_unique<fl::DenseClientPool>(&population.clients());
     }
+    fl::Coordinator coordinator(clients.get(), &population.test_set(), fl_cfg,
+                                std::move(policy));
+    // The scan is the coordinator's update filter: it runs on this thread
+    // while the pool's helpers train the round, and its vetoes (none without
+    // a fault knob) decide which updates the coordinator averages.
+    coordinator.set_update_filter(
+        [this](std::size_t round, std::span<const fl::ClientId> selected,
+               fl::PendingUpdates updates) {
+          round_updates = updates;
+          run_round(round, selected);
+          round_updates = {};
+          return round_stats;
+        });
+    coordinator.set_round_observer(
+        [this](const fl::RoundRecord& record,
+               std::span<const fl::LocalTrainResult> /*updates*/) {
+          record_round(record);
+        });
+    if (sys.fl.checkpoint_every != 0) {
+      coordinator.set_checkpoint_sink([this](const fl::TrainingCheckpoint& cp) {
+        result.last_checkpoint = cp;
+      });
+    }
+    if (engine.resume_.has_value()) coordinator.resume_from(*engine.resume_);
 
-    if (charge_idle) idle_schedule.push_round(clock - round_start);
-  };
+    auto outcome = coordinator.run();
+    if (!outcome.ok()) return outcome.error();
+    result.training = std::move(outcome).value();
+    for (const auto& r : result.training.record.all()) {
+      result.total_retries += r.retries;
+      result.total_aborted_updates += r.aborted_updates;
+      result.total_straggler_drops += r.straggler_drops;
+      result.total_crashed_servers += r.crashed_servers;
+    }
+    return Status::success();
+  }
 
-  // ---- one telemetry row and round span per round ------------------------
+  // ---- telemetry: one row and round span per round --------------------------
   // Written after aggregation, so `aggregated` is what the coordinator
   // actually averaged (fault vetoes and its own drop roll included).  O(1)
   // per round.
-  auto record_round = [&](const fl::RoundRecord& record) {
+  void record_round(const fl::RoundRecord& record) {
     obs::Telemetry* tel = obs::telemetry();
     if (tel == nullptr) return;
     const std::size_t dropped = record.straggler_drops +
@@ -1065,7 +1109,7 @@ Result<EventFleetRunResult> EventFleetEngine::simulate(
     rs.aborted = static_cast<double>(record.aborted_updates);
     rs.events = static_cast<double>(round_events);
     rs.queue_peak = static_cast<double>(queue.high_water());
-    rs.gateways = static_cast<double>(round_gw_ids.size());
+    rs.gateways = static_cast<double>(gateways.active.size());
     rs.link_msgs = static_cast<double>(round_links.msgs);
     rs.link_wait_s = round_links.wait_s;
     rs.link_util_max = round_link_util;
@@ -1086,156 +1130,94 @@ Result<EventFleetRunResult> EventFleetEngine::simulate(
     }
     if (sk_round_s != nullptr) sk_round_s->record(rs.duration_s);
     tel->rounds.append(rs);
-  };
+  }
 
-  if (async != nullptr) {
-    // Seed the worker pool with distinct servers; every upload-done then
-    // re-dispatches its server until the stop, and the drain cuts what is
-    // left.
-    Rng pick_rng(sys.seed * 7727 + 3);
-    std::vector<std::size_t> ids(n_servers);
-    std::iota(ids.begin(), ids.end(), std::size_t{0});
-    pick_rng.shuffle(ids);
-    for (std::size_t w = 0; w < workers; ++w) async_dispatch(ids[w], {});
-    events_processed = queue.run([&](const FleetEvent& ev, Seconds at) {
-      stop_time ? cut_at_stop(ev, at) : dispatch(ev, at);
-    });
-    clock = stop_time.value_or(queue.now());
-    async_result->updates_applied = async_result->updates.size();
-  } else {
-    // ---- coordinator wiring ----------------------------------------------
-    fl::CoordinatorConfig fl_cfg = sys.fl;
-    fl_cfg.upload_quant_bits = sys.upload_quant_bits;
-    fl_cfg.update_drop_probability = sys.update_drop_probability;
-    fl_cfg.drop_seed = sys.seed * 2654435761 + 13;
-    std::unique_ptr<fl::SelectionPolicy> policy;
-    if (config_.scalable_selection) {
-      policy = std::make_unique<fl::ScalableUniformSelection>(
-          Rng(sys.seed * 613 + 29));
-    } else {
-      policy = std::make_unique<fl::UniformRandomSelection>(
-          Rng(sys.seed * 613 + 29));
+  // ---- end of run: idle fold, joules sketch, closing the timelines ----------
+  EventFleetRunResult finish() {
+    result.wall_clock = clock;
+    if (charge_idle) {
+      // Selected servers replay their outstanding idle rounds in round
+      // order (per-row, so iteration order cannot change any bits).
+      // materialize() first: a server whose only selection ended in a
+      // pre-round crash may have an empty replay AND no direct charges, and
+      // such a row must not receive the never-selected bulk fold below.
+      for (const std::uint32_t sid : settled_sids) {
+        result.ledger.materialize(sid);
+        settle_idle(sid);
+      }
+      // Never-selected servers get the whole run's idle energy through the
+      // ledger's shared baseline row: ONE O(1) add instead of the O(N)
+      // per-row sweep (0.0 + x == x, so every readable value is bitwise
+      // what the sweep produced).  The telemetry counter takes one add of
+      // untouched_total × count too, so energy.joules.waiting matches
+      // category_total to rounding, not bitwise (its sum is ordered by
+      // charge and by counter shard, the ledger's by server).
+      const Joules untouched_total = idle_schedule.all_rounds_total();
+      if (obs::Telemetry* tel = obs::telemetry()) {
+        const std::size_t untouched = n_servers - settled_sids.size();
+        tel->metrics
+            .counter(std::string("energy.joules.") +
+                     energy::to_string(energy::EnergyCategory::kWaiting))
+            .add(untouched_total.value() * static_cast<double>(untouched));
+        tel->metrics.counter("fleet.idle_charges")
+            .add(static_cast<double>(n_servers));
+      }
+      result.ledger.charge_untouched(energy::EnergyCategory::kWaiting,
+                                     untouched_total);
     }
 
-    std::unique_ptr<fl::ClientPool> clients;
-    if (virtual_pop) {
-      fl::ClientConfig ccfg;
-      ccfg.model = sys.model;
-      ccfg.sgd = sys.sgd;
-      clients = std::make_unique<fl::LazyClientPool>(
-          n_servers, &population_.shards(), ccfg);
-    } else {
-      clients = std::make_unique<fl::DenseClientPool>(&population_.clients());
+    // Joules-per-server distribution: one read-only sharded pass over the
+    // settled ledger.  Telemetry-gated, so untraced runs never pay it; the
+    // bulk recorder (one local bucket run per shard, no log per value)
+    // keeps the traced N = 1M pass inside the 5% overhead budget.
+    if (sk_joules != nullptr) {
+      std::size_t stride = 1;
+      if (const std::size_t cap = cfg.joules_sample_cap;
+          cap != 0 && n_servers > cap) {
+        stride = n_servers / cap;
+        if (stride % 2 == 0) ++stride;  // coprime with pow-2 pool periods
+      }
+      engine.for_each_shard(
+          (n_servers + stride - 1) / stride,
+          [&](std::size_t lo, std::size_t hi) {
+            obs::QuantileSketch::BulkRecorder rec(*sk_joules);
+            for (std::size_t k = lo; k < hi; ++k) {
+              rec.record(result.ledger.server_total(k * stride).value());
+            }
+          });
     }
-    fl::Coordinator coordinator(clients.get(), &population_.test_set(), fl_cfg,
-                                std::move(policy));
-    // The scan is the coordinator's update filter: it runs on this thread
-    // while the pool's helpers train the round, and its vetoes (none without
-    // a fault knob) decide which updates the coordinator averages.
-    coordinator.set_update_filter(
-        [&](std::size_t round, std::span<const fl::ClientId> selected,
-            fl::PendingUpdates updates) {
-          round_updates = updates;
-          simulate_round(round, selected);
-          round_updates = {};
-          return round_stats;
-        });
-    coordinator.set_round_observer(
-        [&](const fl::RoundRecord& record,
-            std::span<const fl::LocalTrainResult> /*updates*/) {
-          record_round(record);
-        });
-    if (sys.fl.checkpoint_every != 0) {
-      coordinator.set_checkpoint_sink([&](const fl::TrainingCheckpoint& cp) {
-        result.last_checkpoint = cp;
+
+    // Close every tracked timeline at the makespan.
+    if (cfg.per_server_accumulators) {
+      engine.for_each_shard(n_servers, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t k = lo; k < hi; ++k) {
+          result.accumulators[k].idle_until(clock);
+        }
       });
     }
-    if (resume_.has_value()) coordinator.resume_from(*resume_);
-
-    auto outcome = coordinator.run();
-    if (!outcome.ok()) return outcome.error();
-    result.training = std::move(outcome).value();
-    for (const auto& r : result.training.record.all()) {
-      result.total_retries += r.retries;
-      result.total_aborted_updates += r.aborted_updates;
-      result.total_straggler_drops += r.straggler_drops;
-      result.total_crashed_servers += r.crashed_servers;
+    result.sampled_timelines.reserve(mirrors.size());
+    for (auto& m : mirrors) {
+      m.idle_until(clock);
+      result.sampled_timelines.push_back(m.timeline());
     }
+    return std::move(result);
   }
-  result.wall_clock = clock;
-  result.events_processed = events_processed;
+};
 
-  // ---- lazy idle settlement: bring every ledger row up to date ----------
-  if (charge_idle) {
-    const auto charges = idle_schedule.per_round();
-    // Selected servers replay their outstanding idle rounds in round order
-    // (per-row, so iteration order cannot change any bits).  materialize()
-    // first: a server whose only selection ended in a pre-round crash may
-    // have an empty replay AND no direct charges, and such a row must not
-    // receive the never-selected bulk fold below.
-    for (const std::uint32_t sid : settled_sids) {
-      result.ledger.materialize(sid);
-      for (std::size_t r = settled_upto[sid] - 1; r < charges.size(); ++r) {
-        result.ledger.charge(sid, energy::EnergyCategory::kWaiting,
-                             charges[r]);
-      }
-      settled_upto[sid] = static_cast<std::uint32_t>(charges.size()) + 1;
-    }
-    // Never-selected servers get the whole run's idle energy through the
-    // ledger's shared baseline row: ONE O(1) add instead of the O(N)
-    // per-row sweep (0.0 + x == x, so every readable value is bitwise what
-    // the sweep produced).  The telemetry counter takes one add of
-    // untouched_total × count too, so energy.joules.waiting matches
-    // category_total to rounding, not bitwise (its sum is ordered by
-    // charge and by counter shard, the ledger's by server).
-    const Joules untouched_total = idle_schedule.all_rounds_total();
-    if (obs::Telemetry* tel = obs::telemetry()) {
-      const std::size_t untouched = n_servers - settled_sids.size();
-      tel->metrics
-          .counter(std::string("energy.joules.") +
-                   energy::to_string(energy::EnergyCategory::kWaiting))
-          .add(untouched_total.value() * static_cast<double>(untouched));
-      tel->metrics.counter("fleet.idle_charges")
-          .add(static_cast<double>(n_servers));
-    }
-    result.ledger.charge_untouched(energy::EnergyCategory::kWaiting,
-                                   untouched_total);
+// The whole run: a fresh run state, then either async's drain or the
+// coordinator's rounds, then the end-of-run passes.
+Result<EventFleetRunResult> EventFleetEngine::simulate(
+    const AsyncFeiConfig* async, AsyncRunResult* async_result) {
+  if (const auto st = prepare(); !st.ok()) return st.error();
+  (void)acquire_pool();
+  Run run(*this, async, async_result);
+  if (const auto st = run.build_backhaul(); !st.ok()) return st.error();
+  if (async != nullptr) {
+    run.run_async();
+  } else if (const auto st = run.run_coordinator(); !st.ok()) {
+    return st.error();
   }
-
-  // Joules-per-server distribution: one read-only sharded pass over the
-  // settled ledger.  Telemetry-gated, so untraced runs never pay it; the
-  // bulk recorder (one local bucket run per shard, no log per value) keeps
-  // the traced N = 1M pass inside the 5% overhead budget.
-  if (sk_joules != nullptr) {
-    std::size_t stride = 1;
-    if (const std::size_t cap = config_.joules_sample_cap;
-        cap != 0 && n_servers > cap) {
-      stride = n_servers / cap;
-      if (stride % 2 == 0) ++stride;  // coprime with pow-2 pool periods
-    }
-    for_each_shard((n_servers + stride - 1) / stride,
-                   [&](std::size_t lo, std::size_t hi) {
-                     obs::QuantileSketch::BulkRecorder rec(*sk_joules);
-                     for (std::size_t k = lo; k < hi; ++k) {
-                       rec.record(
-                           result.ledger.server_total(k * stride).value());
-                     }
-                   });
-  }
-
-  // Close every tracked timeline at the makespan.
-  if (track_accumulators) {
-    for_each_shard(n_servers, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t k = lo; k < hi; ++k) {
-        result.accumulators[k].idle_until(clock);
-      }
-    });
-  }
-  for (auto& m : mirrors) m.idle_until(clock);
-  result.sampled_timelines.reserve(mirrors.size());
-  for (auto& m : mirrors) result.sampled_timelines.push_back(m.timeline());
-
-  return result;
+  return run.finish();
 }
 
 }  // namespace eefei::sim

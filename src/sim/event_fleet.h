@@ -3,9 +3,16 @@
 // servers cost nothing per round and N = 10^6 becomes tractable.  It is the
 // only implementation of the round model: FeiSystem, the N = 20 prototype
 // experiment, is this engine's preset with every timeline kept
-// (sampled_timelines = N), and
-// AsyncFeiSystem is the same preset run without the round barrier (see
-// simulate() below).
+// (sampled_timelines = N), and AsyncFeiSystem is the same preset run
+// without the round barrier (see simulate() below).
+//
+// Each run builds one private run state (EventFleetEngine::Run, in
+// event_fleet.cpp) and discards it, so none of it survives into the next run.
+// Its members follow the paper's round: step 1 (IoT collection, e^I) and
+// the timing of steps 2-3 (download, local training) in the dispatch scan
+// (begin_round, start_task, leg, drops); the phase bookings and step 4
+// (FCFS upload, e^U, tier aggregation) in the typed dispatch; then async's
+// rules, record_round and finish()'s end-of-run passes.
 //
 //   - Per-server phase completions are EVENTS (download-done, epoch-done,
 //     upload-done, dropped) scheduled on the event queue; the round
@@ -251,6 +258,9 @@ class EventFleetEngine {
   }
 
   [[nodiscard]] Status validate() const;
+
+  /// One run's state (event_fleet.cpp), built fresh by each simulate().
+  struct Run;
 
   /// The whole run.  With `async` set (by AsyncFeiSystem, which validates
   /// it; its `base` is config().system) it runs FedAsync instead of rounds

@@ -67,9 +67,11 @@ void expect_async_pinned(const AsyncFeiConfig& cfg, double ledger_total,
       << std::hexfloat << r->final_accuracy;
 }
 
+constexpr double kSmallLedgerTotal = 0x1.841d3ef050b09p+4;
+constexpr double kSmallFinalAccuracy = 0x1.2740da740da74p-1;
+
 TEST(AsyncFei, SmallRunMatchesGolden) {
-  expect_async_pinned(small_async(), 0x1.841d3ef050b09p+4,
-                      0x1.2740da740da74p-1);
+  expect_async_pinned(small_async(), kSmallLedgerTotal, kSmallFinalAccuracy);
 }
 
 TEST(AsyncFei, LossyLanStragglersMatchGolden) {
@@ -79,6 +81,31 @@ TEST(AsyncFei, LossyLanStragglersMatchGolden) {
   cfg.base.straggler_fraction = 0.5;
   cfg.base.straggler_persistent = true;
   expect_async_pinned(cfg, 0x1.23e1f2fdf5ff1p+5, 0x1.2c5f92c5f92c6p-1);
+}
+
+// One AsyncFeiSystem run twice: the second run() reproduces the pins and
+// the first run's update series, so no run state survives into the next.
+TEST(AsyncFei, RerunMatchesGolden) {
+  AsyncFeiSystem system(small_async());
+  const auto first = system.run();
+  const auto second = system.run();
+  ASSERT_TRUE(first.ok()) << first.error().message;
+  ASSERT_TRUE(second.ok()) << second.error().message;
+  for (const auto* r : {&*first, &*second}) {
+    EXPECT_EQ(r->ledger.total().value(), kSmallLedgerTotal);
+    EXPECT_EQ(r->final_accuracy, kSmallFinalAccuracy);
+  }
+  EXPECT_EQ(first->wall_clock.value(), second->wall_clock.value());
+  EXPECT_EQ(first->cancelled_tasks, second->cancelled_tasks);
+  ASSERT_EQ(first->updates.size(), second->updates.size());
+  for (std::size_t u = 0; u < first->updates.size(); ++u) {
+    const auto& a = first->updates[u];
+    const auto& b = second->updates[u];
+    EXPECT_EQ(a.server, b.server) << "update " << u;
+    EXPECT_EQ(a.staleness, b.staleness) << "update " << u;
+    EXPECT_EQ(a.applied_at.value(), b.applied_at.value()) << "update " << u;
+    EXPECT_EQ(a.test_accuracy, b.test_accuracy) << "update " << u;
+  }
 }
 
 TEST(AsyncFei, StopsAtTarget) {
@@ -328,14 +355,16 @@ TEST(AsyncFei, InvalidConfigRejected) {
       {"fl.overselect", [](FeiSystemConfig& b) { b.fl.overselect = 1; }},
       {"fl.checkpoint_every",
        [](FeiSystemConfig& b) { b.fl.checkpoint_every = 5; }},
-      {"fl.target_loss_gap",
-       [](FeiSystemConfig& b) { b.fl.target_loss_gap = 0.01; }},
   };
   for (const auto& [field, set] : unsupported) {
     auto c = small_async();
     set(c.base);
     rejected_naming(c, field);
   }
+  // The engine's own timing checks cover the async run too.
+  auto nan_jitter = small_async();
+  nan_jitter.base.timing_jitter = std::numeric_limits<double>::quiet_NaN();
+  rejected_naming(nan_jitter, "timing_jitter");
 }
 
 }  // namespace

@@ -91,20 +91,6 @@ TEST(Coordinator, StopsAtTargetAccuracy) {
   EXPECT_GE(outcome->record.last().test_accuracy, 0.5);
 }
 
-TEST(Coordinator, StopsAtTargetLossGap) {
-  World w;
-  auto cfg = basic_config();
-  cfg.max_rounds = 200;
-  cfg.target_loss_gap = 1.6;  // vs f_star = 0: stop when loss <= 1.6
-  cfg.f_star = 0.0;
-  Coordinator coord(&w.clients, &w.test, cfg,
-                    std::make_unique<UniformRandomSelection>(Rng(4)));
-  const auto outcome = coord.run();
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_TRUE(outcome->reached_target);
-  EXPECT_LE(outcome->record.last().global_loss, 1.6);
-}
-
 TEST(Coordinator, ObserverSeesEveryRound) {
   World w;
   auto cfg = basic_config();

@@ -11,11 +11,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <ios>
+#include <limits>
 #include <ostream>
 #include <set>
 #include <span>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "ml/serialize.h"
@@ -148,6 +150,25 @@ void expect_bitwise_equal(const EventFleetRunResult& a,
   }
 }
 
+// One prepared engine run twice: the second run() must reproduce the first
+// bit for bit, and both the pins, so no run state survives into the next
+// run (fleetbench reuses one prepared engine across ops).
+template <class Pins>
+void expect_rerun_golden(const EventFleetEngineConfig& cfg, Pins pins) {
+  EventFleetEngine engine(cfg);
+  ASSERT_TRUE(engine.prepare().ok());
+  const auto first = engine.run();
+  const auto second = engine.run();
+  ASSERT_TRUE(first.ok()) << first.error().message;
+  ASSERT_TRUE(second.ok()) << second.error().message;
+  pins(*first);
+  pins(*second);
+  expect_bitwise_equal(*first, *second, cfg.system.num_servers);
+  EXPECT_EQ(first->events_processed, second->events_processed);
+  EXPECT_EQ(first->queue_high_water, second->queue_high_water);
+  EXPECT_EQ(first->link_messages, second->link_messages);
+}
+
 // Several gateways and regions (N = 20, fan-ins 4 and 2): the tier
 // completion chain runs for real, and with zero latencies it must not move
 // the clock by a single bit.
@@ -183,6 +204,16 @@ TEST(EventFleetEngine, MatchesGoldenFingerprint) {
     EXPECT_EQ(r->sampled_timelines[i].total_duration().value(),
               r->accumulators[sid].total_duration().value());
   }
+}
+
+TEST(EventFleetEngine, RerunMatchesGoldenFingerprint) {
+  expect_rerun_golden(shared_fcfs_golden_config(),
+                      [](const EventFleetRunResult& r) {
+                        expect_golden(r);
+                        EXPECT_EQ(r.events_processed, kGoldenTieredEvents);
+                        EXPECT_EQ(r.queue_high_water,
+                                  kGoldenTieredQueueHighWater);
+                      });
 }
 
 // The flat topology (no gateway or region tiers) on the same config, the
@@ -587,6 +618,12 @@ TEST(EventFleetEngine, FaultPathMatchesGolden) {
   expect_pinned(*r, 30, kFaultPathPin);
 }
 
+TEST(EventFleetEngine, FaultPathRerunMatchesGolden) {
+  expect_rerun_golden(fault_path_config(), [](const EventFleetRunResult& r) {
+    expect_pinned(r, 30, kFaultPathPin);
+  });
+}
+
 // The fault path run serially in small shards reproduces the same pin:
 // the per-server fault RNG streams do not depend on who steps them.
 TEST(EventFleetEngine, FaultPathThreadInvariant) {
@@ -838,6 +875,37 @@ TEST(EventFleetEngine, RejectsInvalidConfigs) {
     cfg.tiers.gateway_fanin = 0;
     EXPECT_FALSE(EventFleetEngine(cfg).run().ok());
   }
+  // Timing knobs that would otherwise run as something else: a NaN jitter
+  // halves every phase, a negative one or a negative/NaN deadline runs as
+  // off, and fractions and slowdowns outside their range are clamped.  The
+  // error names the field.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  using Knob = void (*)(FeiSystemConfig&);
+  const std::pair<const char*, Knob> timing[] = {
+      {"timing_jitter", [](FeiSystemConfig& s) { s.timing_jitter = kNaN; }},
+      {"timing_jitter", [](FeiSystemConfig& s) { s.timing_jitter = -0.1; }},
+      {"round_deadline",
+       [](FeiSystemConfig& s) { s.round_deadline = Seconds{-1.0}; }},
+      {"round_deadline",
+       [](FeiSystemConfig& s) { s.round_deadline = Seconds{kNaN}; }},
+      {"straggler_fraction",
+       [](FeiSystemConfig& s) { s.straggler_fraction = kNaN; }},
+      {"straggler_fraction",
+       [](FeiSystemConfig& s) { s.straggler_fraction = 1.5; }},
+      {"straggler_slowdown",
+       [](FeiSystemConfig& s) { s.straggler_slowdown = 0.2; }},
+      {"straggler_slowdown",
+       [](FeiSystemConfig& s) { s.straggler_slowdown = kNaN; }},
+  };
+  for (const auto& [field, set] : timing) {
+    EventFleetEngineConfig cfg;
+    cfg.system = golden_config();
+    set(cfg.system);
+    const auto r = EventFleetEngine(cfg).run();
+    ASSERT_FALSE(r.ok()) << field;
+    EXPECT_NE(r.error().message.find(field), std::string::npos)
+        << r.error().message;
+  }
 }
 
 // --- Multi-hop backhaul graph ---------------------------------------------
@@ -866,6 +934,16 @@ TEST(EventFleetEngine, MultiHopZeroConfigMatchesGoldenFingerprint) {
   EXPECT_EQ(r->link_util_peak, 0.0);
   // Two hop arrivals per upload on top of the point-to-point events.
   EXPECT_EQ(r->events_processed, kGoldenTieredEvents + 10u * 8u * 2u);
+}
+
+TEST(EventFleetEngine, MultiHopZeroConfigRerunMatchesGoldenFingerprint) {
+  EventFleetEngineConfig cfg = shared_fcfs_golden_config();
+  cfg.multi_hop = true;
+  expect_rerun_golden(cfg, [](const EventFleetRunResult& r) {
+    expect_golden(r);
+    EXPECT_EQ(r.link_messages, 10u * 8u * 2u);
+    EXPECT_EQ(r.events_processed, kGoldenTieredEvents + 10u * 8u * 2u);
+  });
 }
 
 // Bit-identity for any thread count at N = 1k, and the zero-config
